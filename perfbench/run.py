@@ -18,6 +18,11 @@ runs in a fresh ``perfbench/work.py`` process:
   ``trace.overhead_s``, the traced wall minus the untraced wall for the
   same number of operations.
 
+Each pass gets a time budget (``--budget``) that ends before the run's
+deadline; a trial workload that would overrun it runs fewer trials and
+says so.  A pass that overruns anyway gets SIGTERM, which stops a server
+it started, and then SIGKILL.
+
 The last line of output is one JSON object with the keys ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  The exit code is 0 only when
 every operation succeeded with a correct answer; when a pass cannot run
@@ -38,6 +43,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List
 
+import work
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
@@ -45,8 +52,15 @@ ROOT = HERE.parent
 #: setup_s is the median of SETUP_PROBES + 1 samples.
 SETUP_PROBES = 4
 
-#: Every pass of one run must end within this many seconds.
-RUN_DEADLINE_S = 170.0
+#: Every pass of one run must end within this many seconds.  A run may
+#: take 180 s at most, so this leaves room for stopping a pass that
+#: overruns: SIGTERM, up to STOP_GRACE_S for its clean-up, then SIGKILL.
+RUN_DEADLINE_S = 165.0
+STOP_GRACE_S = 8.0
+
+#: Each pass is told to finish this long before the deadline, to leave
+#: time for its own exit and for the passes after it to start.
+PASS_MARGIN_S = 5.0
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -69,14 +83,20 @@ def per_layer_units() -> Dict[str, str]:
         }
 
 
-def run_pass(args, deadline: float, mode: str) -> Dict[str, Any]:
-    """One work.py process in ``mode``; returns its report."""
+def run_pass(args, deadline: float, mode: str, share: float = 1.0
+             ) -> Dict[str, Any]:
+    """One work.py process in ``mode``; returns its report.
+
+    The pass may use ``share`` of the time left before ``deadline``.
+    """
+    t0 = time.monotonic()
+    budget = share * (deadline - t0) - PASS_MARGIN_S
     command = [
         sys.executable, str(HERE / "work.py"),
         "--workload", args.workload, "--seed", str(args.seed),
         "--seconds", str(args.seconds), "--mode", mode,
+        "--budget", f"{budget:.1f}",
     ]
-    t0 = time.monotonic()
     proc = subprocess.Popen(
         command + ["--t0", repr(t0)],
         cwd=str(ROOT), stdout=subprocess.PIPE, text=True,
@@ -85,11 +105,11 @@ def run_pass(args, deadline: float, mode: str) -> Dict[str, Any]:
     try:
         out, _ = proc.communicate(timeout=max(1.0, deadline - time.monotonic()))
     except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
+        _stop(proc)
         raise PassFailed(f"{' '.join(command)} timed out") from None
     finally:
         _kill_group(proc.pid)
+        _kill_server(proc.pid)
     lines = out.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise PassFailed(
@@ -98,12 +118,40 @@ def run_pass(args, deadline: float, mode: str) -> Dict[str, Any]:
     return json.loads(lines[-1])
 
 
+def _stop(proc: subprocess.Popen) -> None:
+    """SIGTERM to an overrunning pass, so that it stops the server it
+    started; SIGKILL if it has not ended after STOP_GRACE_S."""
+    try:
+        os.killpg(proc.pid, signal.SIGTERM)
+        proc.communicate(timeout=STOP_GRACE_S)
+    except ProcessLookupError:
+        proc.communicate()
+    except subprocess.TimeoutExpired:
+        _kill_group(proc.pid)
+        proc.communicate()
+
+
 def _kill_group(pgid: int) -> None:
     """Kill what a pass left behind in its process group (normally nothing)."""
     try:
         os.killpg(pgid, signal.SIGKILL)
     except (ProcessLookupError, PermissionError):
         pass
+
+
+def _kill_server(work_pid: int) -> None:
+    """Kill a server that pass ``work_pid`` could not stop, and wait for
+    its processes to end.  The record is gone when the pass stopped it."""
+    record = work.server_pgid_file(work_pid)
+    try:
+        pgid = int(record.read_text())
+    except (OSError, ValueError):
+        return
+    _kill_group(pgid)
+    give_up = time.monotonic() + STOP_GRACE_S
+    while work.group_members(pgid) and time.monotonic() < give_up:
+        time.sleep(0.02)
+    record.unlink()
 
 
 def describe(report: Dict[str, Any], label: str) -> None:
@@ -138,7 +186,7 @@ def main(argv: List[str] = None) -> int:
 
     try:
         if args.trace:
-            plain = run_pass(args, deadline, "baseline")
+            plain = run_pass(args, deadline, "baseline", share=0.5)
             traced = run_pass(args, deadline, "traced")
             reports = [plain, traced]
         else:

@@ -8,7 +8,8 @@ to ``perfbench/`` and from nowhere else, builds its inputs from
 ``--seconds``::
 
     python3 perfbench/work.py --workload sparse_1e6 --seed 1 --seconds 15 \\
-        --mode plain --t0 <time.monotonic() of the caller just before it started us>
+        --mode plain --budget 150 \\
+        --t0 <time.monotonic() of the caller just before it started us>
 
 ``--mode`` is one of
 
@@ -21,6 +22,15 @@ to ``perfbench/`` and from nowhere else, builds its inputs from
 * ``baseline`` -- the traced pass's shape without spans, the reference
   for ``trace.overhead_s``.  No tracemalloc runs in any pass; peak memory
 is the kernel's RSS high-water mark.
+
+``--budget`` is how many seconds after ``--t0`` the pass may run.  A trial
+workload does not start a trial that is expected to overrun it, and says
+so: a slow commit then reports figures over fewer trials instead of being
+killed with none.  SIGTERM stops a pass through its normal clean-up, so a
+``repro-mis serve`` it started is stopped as well.  Until that server has
+ended, its process group is also recorded in
+``.perfbench_out/server-<pid>.pgid``, for a caller that has to SIGKILL
+this process.
 """
 
 from __future__ import annotations
@@ -150,6 +160,27 @@ class Report:
         }
 
 
+def server_pgid_file(work_pid: int) -> Path:
+    """Where the pass with pid ``work_pid`` records its server's group."""
+    return OUT / f"server-{work_pid}.pgid"
+
+
+def group_members(pgid: int) -> List[int]:
+    """Live (non-zombie) processes of process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
 def median(values: List[float]) -> float:
     """The median, or 0 when every operation failed (the run is then
     reported incorrect anyway)."""
@@ -185,29 +216,37 @@ def run_trials(args, spec, tracer, t0) -> Report:
     # is up": a faster commit must not run more trials than its parent,
     # or trial_s and peak_rss_mb would compare different work.
     rounds = max(1, round(args.seconds / spec["shape"]["round_s"]))
+    trials = [
+        (plan, rng.randrange(2**31)) for _ in range(rounds) for plan in plans
+    ]
     start = time.perf_counter()
-    for _ in range(rounds):
-        for plan in plans:
-            seed = rng.randrange(2**31)
-            key = f"{plan.algorithm}-{seed}"
-            report.attempted += 1
-            gc.collect()
-            began = time.perf_counter()
-            if tracer is None:
+    for plan, seed in trials:
+        # The slowest trial so far is the estimate for the next one.
+        if walls and time.monotonic() - t0 + max(walls) > args.budget:
+            report.notes.append(
+                f"stopped after {len(walls)} of {len(trials)} trials: "
+                f"another would overrun the {args.budget:.0f} s budget"
+            )
+            break
+        key = f"{plan.algorithm}-{seed}"
+        report.attempted += 1
+        gc.collect()
+        began = time.perf_counter()
+        if tracer is None:
+            valid, summary = _trial(batch, plan, seed, scratch)
+        else:
+            with tracer.span("trial", key), profile_phases() as prof:
                 valid, summary = _trial(batch, plan, seed, scratch)
-            else:
-                with tracer.span("trial", key), profile_phases() as prof:
-                    valid, summary = _trial(batch, plan, seed, scratch)
-            wall = time.perf_counter() - began
-            walls.append(wall)
-            if tracer is not None:
-                for name, seconds in prof.wall_s.items():
-                    phases[name] = phases.get(name, 0.0) + seconds
-                unattributed += wall - sum(prof.wall_s.values())
-            if not valid:
-                report.fail(f"{key}: invalid MIS or unfinished nodes")
-            else:
-                awake.append((plan.algorithm, summary["node_averaged_awake"]))
+        wall = time.perf_counter() - began
+        walls.append(wall)
+        if tracer is not None:
+            for name, seconds in prof.wall_s.items():
+                phases[name] = phases.get(name, 0.0) + seconds
+            unattributed += wall - sum(prof.wall_s.values())
+        if not valid:
+            report.fail(f"{key}: invalid MIS or unfinished nodes")
+        else:
+            awake.append((plan.algorithm, summary["node_averaged_awake"]))
     report.wall_s = time.perf_counter() - start
     report.ops = len(walls)
     report.metric("trial_s", median(walls), len(walls))
@@ -273,8 +312,8 @@ def run_sweep_workload(args, spec, tracer, t0) -> Report:
         if args.setup_only:
             return report
         n_jobs = shape["traced_n_jobs"] if args.in_process else shape["n_jobs"]
-        drain_s = 0.0
         per_trial: List[float] = []
+        rates: List[float] = []
         awake: List[Tuple[str, float]] = []
         executed = manifest_trials = sweep_failed = 0
         start = time.perf_counter()
@@ -283,9 +322,9 @@ def run_sweep_workload(args, spec, tracer, t0) -> Report:
             began = time.perf_counter()
             outcome = run_sweep(frontier, n_jobs=n_jobs)
             drain = time.perf_counter() - began
-            drain_s += drain
             if outcome.completed:
                 per_trial.append(drain / outcome.completed)
+                rates.append(outcome.completed / drain)
             report.attempted += len(frontier.manifest)
             executed += outcome.executed
             manifest_trials += len(frontier.manifest)
@@ -314,7 +353,9 @@ def run_sweep_workload(args, spec, tracer, t0) -> Report:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     report.metric("trial_s", median(per_trial), len(per_trial))
-    report.metric("trials_per_s", report.ops / drain_s, report.ops)
+    # A median over drains, like trial_s: a total over summed drain time
+    # lets one slow drain in a noisy stretch move the whole run.
+    report.metric("trials_per_s", median(rates), len(rates))
     peak = max(rss_mb(resource.RUSAGE_SELF), rss_mb(resource.RUSAGE_CHILDREN))
     report.metric("peak_rss_mb", peak, 1)
     mean, count = paper_mean(awake)
@@ -332,22 +373,6 @@ def run_sweep_workload(args, spec, tracer, t0) -> Report:
 # ----------------------------------------------------------------------
 # service_mixed: a closed loop against `repro-mis serve --workers 1`
 # ----------------------------------------------------------------------
-
-
-def _group_members(pgid: int) -> List[int]:
-    """Live (non-zombie) processes of process group ``pgid``."""
-    members = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat") as handle:
-                fields = handle.read().rsplit(")", 1)[1].split()
-        except OSError:
-            continue
-        if int(fields[2]) == pgid and fields[0] != "Z":
-            members.append(int(entry))
-    return members
 
 
 def _vm_hwm_mb(pid: int) -> float:
@@ -377,6 +402,8 @@ class Server:
             cwd=str(ROOT), env=env, stdout=subprocess.PIPE,
             stderr=self.log, text=True, start_new_session=True,
         )
+        self.pgid_file = server_pgid_file(os.getpid())
+        self.pgid_file.write_text(str(self.proc.pid))
         try:
             ready, _, _ = select.select([self.proc.stdout], [], [], 60.0)
             line = self.proc.stdout.readline() if ready else ""
@@ -415,7 +442,7 @@ class Server:
     def peak_rss_mb(self) -> float:
         """Largest RSS high-water mark over the server and its workers."""
         return max(
-            (_vm_hwm_mb(pid) for pid in _group_members(self.proc.pid)),
+            (_vm_hwm_mb(pid) for pid in group_members(self.proc.pid)),
             default=0.0,
         )
 
@@ -430,7 +457,7 @@ class Server:
                 pass
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
-                if self.proc.poll() is not None and not _group_members(pgid):
+                if self.proc.poll() is not None and not group_members(pgid):
                     break
                 time.sleep(0.02)
             else:
@@ -439,6 +466,8 @@ class Server:
         self.proc.wait()
         self.proc.stdout.close()
         self.log.close()
+        if not group_members(pgid):
+            self.pgid_file.unlink()
 
 
 class Schedule:
@@ -580,7 +609,9 @@ def run_service(args, spec, tracer, t0) -> Report:
 
         start = time.perf_counter()
         threads = [
-            threading.Thread(target=client, name=f"perfbench-conn-{i}")
+            # Daemon threads, so a SIGTERM does not wait for them.
+            threading.Thread(target=client, name=f"perfbench-conn-{i}",
+                             daemon=True)
             for i in range(shape["connections"])
         ]
         for thread in threads:
@@ -713,17 +744,24 @@ RUNNERS = {
 }
 
 
+def _stop_on_sigterm(signum, frame) -> None:
+    """Unwind through every ``finally``, which stops a started server."""
+    raise SystemExit(f"perfbench: stopped by signal {signum}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--t0", type=float, required=True)
+    parser.add_argument("--budget", type=float, required=True)
     parser.add_argument(
         "--mode", choices=("plain", "setup", "traced", "baseline"),
         required=True,
     )
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, _stop_on_sigterm)
     args.setup_only = args.mode == "setup"
     args.in_process = args.mode in ("traced", "baseline")
 
