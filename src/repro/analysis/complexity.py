@@ -17,14 +17,12 @@ import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
-from ..api import make_protocol_factory
 from ..graphs.arrays import DEFAULT_GRAPH_RNG, make_family
 from ..graphs.validation import is_maximal_independent_set
-from ..sim.array_result import ArrayRunResult, resolve_result_kind
-from ..sim.batch import iter_trials, make_vectorized_engine
+from ..sim.array_result import ArrayRunResult
+from ..sim.batch import iter_trials, run_planned_trial
 from ..sim.energy import DEFAULT_MODEL, EnergyModel
 from ..sim.metrics import RunResult
-from ..sim.network import Simulator
 from ..sim.rng import DEFAULT_STREAM
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -127,17 +125,19 @@ def run_trial(
             "run_trial() needs an algorithm: pass it positionally "
             "(run_trial(graph, 'luby')) or inside plan="
         )
-    if plan is not None and algorithm is not None and algorithm != plan.algorithm:
-        raise ValueError(
-            f"run_trial() got algorithm={algorithm!r} and a plan with "
-            f"algorithm={plan.algorithm!r}; derive a variant with "
-            f"plan.replace(algorithm=...) instead"
-        )
+    if plan is not None and algorithm is not None:
+        if algorithm != plan.algorithm:
+            raise ValueError(
+                f"run_trial() got algorithm={algorithm!r} and a plan with "
+                f"algorithm={plan.algorithm!r}; derive a variant with "
+                f"plan.replace(algorithm=...) instead"
+            )
+        algorithm = None  # a positional algorithm matching the plan is no clash
     plan = ensure_plan(
-        "run_trial",
+        run_trial,
         plan,
         given=dict(
-            algorithm="fast-sleeping" if algorithm is None else algorithm,
+            algorithm=algorithm,
             seed=seed,
             congest_bit_limit=congest_bit_limit,
             engine=engine,
@@ -145,35 +145,10 @@ def run_trial(
             result=result,
             protocol_kwargs=protocol_kwargs,
         ),
-        defaults=dict(
-            algorithm="fast-sleeping" if algorithm is None else algorithm,
-            seed=0,
-            congest_bit_limit=None,
-            engine="generators",
-            rng=DEFAULT_STREAM,
-            result="legacy",
-            protocol_kwargs={},
-        ),
     )
-    algorithm = plan.algorithm
-    protocol_kwargs = plan.protocol_dict()
-    resolved = plan.resolved_engine
-    result_kind = resolve_result_kind(plan.result, resolved)
-    if resolved == "vectorized":
-        run = make_vectorized_engine(
-            graph, algorithm, seed=plan.seed, rng=plan.rng,
-            result=result_kind, dtype=plan.dtype, **protocol_kwargs,
-        ).run()
-    else:
-        factory = make_protocol_factory(algorithm, **protocol_kwargs)
-        run = Simulator(
-            graph, factory, seed=plan.seed,
-            congest_bit_limit=plan.congest_bit_limit, rng=plan.rng,
-        ).run()
-        if result_kind == "arrays":
-            run = ArrayRunResult.from_run_result(run, plan.dtype)
+    run = run_planned_trial(graph, plan, plan.seed)
     trial = trial_from_result(
-        run, algorithm, family=family, seed=plan.seed,
+        run, plan.algorithm, family=family, seed=plan.seed,
         energy_model=energy_model,
     )
     return run, trial
@@ -249,7 +224,7 @@ def sweep(
             "inside plan="
         )
     plan = ensure_plan(
-        "sweep",
+        sweep,
         plan,
         given=dict(
             algorithm=algorithm,
@@ -262,18 +237,6 @@ def sweep(
             n_jobs=n_jobs,
             congest_bit_limit=congest_bit_limit,
             protocol_kwargs=protocol_kwargs,
-        ),
-        defaults=dict(
-            algorithm=None,
-            family=None,
-            engine="auto",
-            rng=DEFAULT_STREAM,
-            graph_source="auto",
-            graph_rng=DEFAULT_GRAPH_RNG,
-            result="auto",
-            n_jobs=None,
-            congest_bit_limit=None,
-            protocol_kwargs={},
         ),
     )
     if plan.family is None:

@@ -160,7 +160,7 @@ def build_table1(
     from ..plan import ensure_plan
 
     plan = ensure_plan(
-        "build_table1",
+        build_table1,
         plan,
         given=dict(
             family=family,
@@ -170,15 +170,6 @@ def build_table1(
             graph_rng=graph_rng,
             result=result,
             n_jobs=n_jobs,
-        ),
-        defaults=dict(
-            family="gnp-sparse",
-            engine="auto",
-            rng="pernode",
-            graph_source="auto",
-            graph_rng=DEFAULT_GRAPH_RNG,
-            result="auto",
-            n_jobs=None,
         ),
     )
     if plan.family is None:

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from .sim.array_result import ArrayRunResult
 from .sim.metrics import RunResult
-from .sim.network import Simulator
 from .sim.protocol import Protocol
 from .sim.rng import DEFAULT_STREAM
 from .sim.trace import Trace
@@ -165,11 +164,10 @@ def solve_mis(
         available as properties on either result type.
     """
     from .plan import ensure_plan
-    from .sim.array_result import resolve_result_kind
-    from .sim.batch import make_vectorized_engine, resolve_engine
+    from .sim.batch import run_planned_trial
 
     plan = ensure_plan(
-        "solve_mis",
+        solve_mis,
         plan,
         given=dict(
             algorithm=algorithm,
@@ -182,52 +180,5 @@ def solve_mis(
             dtype=dtype,
             protocol_kwargs=protocol_kwargs,
         ),
-        defaults=dict(
-            algorithm="fast-sleeping",
-            seed=0,
-            congest_bit_limit=None,
-            max_rounds=None,
-            engine="generators",
-            rng=DEFAULT_STREAM,
-            result="legacy",
-            dtype="default",
-            protocol_kwargs={},
-        ),
     )
-    protocol_kwargs = plan.protocol_dict()
-    # Re-resolve with the live trace object (not part of the plan): a
-    # trace forces the generator engine under engine="auto" and is
-    # rejected under engine="vectorized".
-    resolved = resolve_engine(
-        plan.engine,
-        plan.algorithm,
-        trace=trace,
-        congest_bit_limit=plan.congest_bit_limit,
-        **protocol_kwargs,
-    )
-    result_kind = resolve_result_kind(plan.result, resolved)
-    if resolved == "vectorized":
-        return make_vectorized_engine(
-            graph,
-            plan.algorithm,
-            seed=plan.seed,
-            max_rounds=plan.max_rounds,
-            rng=plan.rng,
-            result=result_kind,
-            dtype=plan.dtype,
-            **protocol_kwargs,
-        ).run()
-    factory = make_protocol_factory(plan.algorithm, **protocol_kwargs)
-    simulator = Simulator(
-        graph,
-        factory,
-        seed=plan.seed,
-        congest_bit_limit=plan.congest_bit_limit,
-        trace=trace,
-        max_rounds=plan.max_rounds,
-        rng=plan.rng,
-    )
-    run = simulator.run()
-    if result_kind == "arrays":
-        return ArrayRunResult.from_run_result(run, plan.dtype)
-    return run
+    return run_planned_trial(graph, plan, plan.seed, trace=trace)

@@ -50,9 +50,10 @@ instead of silently binding a seed to ``trials``.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
 from ._registry import unknown_name_error
 from .graphs.arrays import DEFAULT_GRAPH_RNG, make_family, resolve_graph_source
@@ -320,36 +321,43 @@ class RunPlan:
         return hashlib.sha256(self.to_json().encode("ascii")).hexdigest()
 
 
+def _signature_defaults(entry_point: Callable[..., Any]) -> Dict[str, Any]:
+    """Each parameter's default in ``entry_point``'s own signature
+    (``{}`` for its ``**protocol_kwargs``)."""
+    return {
+        param.name: {} if param.kind is param.VAR_KEYWORD else param.default
+        for param in inspect.signature(entry_point).parameters.values()
+    }
+
+
 def ensure_plan(
-    entry_point: str,
+    entry_point: Callable[..., Any],
     plan: Optional[RunPlan],
     given: Dict[str, Any],
-    defaults: Dict[str, Any],
 ) -> RunPlan:
     """The shim shared by every entry point's legacy keyword signature.
 
     With ``plan=None``, builds a :class:`RunPlan` from the entry point's
     loose kwargs (``given``) -- the deprecation-safe path existing
     callers ride.  With a plan, rejects any loose knob that differs from
-    the entry point's default (``defaults``): the plan is the single
+    its default in ``entry_point``'s signature: the plan is the single
     source of truth, and mixing the two silently would resurrect exactly
     the foot-guns the plan exists to kill.
     """
+    name = entry_point.__name__
     if plan is None:
         return RunPlan(**given)
     if not isinstance(plan, RunPlan):
         raise TypeError(
-            f"{entry_point}() plan= expects a RunPlan, got "
-            f"{type(plan).__name__}"
+            f"{name}() plan= expects a RunPlan, got {type(plan).__name__}"
         )
+    defaults = _signature_defaults(entry_point)
     clashes = sorted(
-        name
-        for name, value in given.items()
-        if value != defaults[name]
+        knob for knob, value in given.items() if value != defaults[knob]
     )
     if clashes:
         raise ValueError(
-            f"{entry_point}() got both plan= and explicit knob(s) "
+            f"{name}() got both plan= and explicit knob(s) "
             f"{clashes}; a RunPlan carries the full configuration -- "
             f"derive a variant with plan.replace(...) instead of mixing "
             f"loose keyword knobs in"

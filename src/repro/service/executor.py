@@ -12,11 +12,13 @@ pools the per-invocation CLI can never have:
   of one subject (different algorithms, knobs, or deadlines) skip
   re-sampling entirely.
 
-:func:`solve_payload` mirrors :func:`repro.sweeps.runner.execute_trial`
-byte-for-byte on the measured row -- same graph factory, same
-:func:`~repro.analysis.complexity.trial_from_result` flattening -- which
+:func:`solve_payload` and :func:`repro.sweeps.runner.execute_trial`
+build their payloads with one shared builder
+(:func:`repro.sweeps.runner._trial_payload`: same graph sampling, same
+:func:`~repro.sim.batch.run_planned_trial` dispatch, same
+:func:`~repro.analysis.complexity.trial_from_result` flattening), which
 is what lets the CLI's local fallback and a warm server return identical
-results.  Fault injection mirrors the sweep harness:
+rows.  Fault injection follows the sweep harness's pattern:
 ``REPRO_SERVICE_FAULT=hang:<match>`` spins the matching trial forever
 (reaper fodder), ``sigkill:<match>`` SIGKILLs the executing worker.
 """
@@ -27,12 +29,11 @@ import os
 import signal
 import time
 from collections import OrderedDict
-from dataclasses import asdict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..plan import RunPlan
 from ..sim.fast_engine import EngineScratch
-from ..sweeps.manifest import trial_key
+from ..sweeps.runner import _trial_payload
 from .schema import SolveResponse, Table1Response
 
 #: Environment hook for fault injection, matched against the trial key
@@ -74,38 +75,26 @@ def _graph_for(plan: RunPlan, seed: int) -> Any:
 def solve_payload(plan: RunPlan, seed: int) -> Dict[str, Any]:
     """One solve; returns the artifact-shaped payload dict.
 
-    The ``row`` is bit-identical to what
-    :func:`repro.sweeps.runner.execute_trial` produces for the same
-    ``(plan, seed)`` -- both flatten the same engine output through
-    :func:`~repro.analysis.complexity.trial_from_result`; warm state
-    (scratch, cached graphs) changes allocation, never results.
+    Built by the same :func:`repro.sweeps.runner._trial_payload` as
+    :func:`repro.sweeps.runner.execute_trial`, so the ``row`` is
+    bit-identical to a sweep trial's for the same ``(plan, seed)``; warm
+    state (scratch, cached graphs) changes allocation, never results.
+    The service payload adds ``mis_size``.
     """
-    from ..analysis.complexity import trial_from_result
     from ..sim.array_result import ArrayRunResult
-    from ..sim.batch import run_planned_trial
 
-    key = trial_key(plan, seed)
-    _maybe_inject_fault(key)
-    exec_plan = plan if plan.n_jobs is None else plan.replace(n_jobs=None)
-    start = time.perf_counter()
-    result = run_planned_trial(
-        _graph_for(plan, seed), exec_plan, seed, scratch=_SCRATCH
-    )
-    row = trial_from_result(
-        result, plan.algorithm, family=plan.family, seed=seed
+    payload, result = _trial_payload(
+        plan,
+        seed,
+        _maybe_inject_fault,
+        lambda: _graph_for(plan, seed),
+        scratch=_SCRATCH,
     )
     if isinstance(result, ArrayRunResult):
-        mis_size = int(result.mis_mask.sum())
+        payload["mis_size"] = int(result.mis_mask.sum())
     else:
-        mis_size = len(result.mis)
-    return {
-        "trial_key": key,
-        "plan": plan.to_dict(),
-        "seed": seed,
-        "row": asdict(row),
-        "mis_size": mis_size,
-        "wall_clock_s": time.perf_counter() - start,
-    }
+        payload["mis_size"] = len(result.mis)
+    return payload
 
 
 def table1_payload(

@@ -3,17 +3,20 @@
 The paper's results are statistical -- every figure and table averages over
 many trials -- so the measurement loop, not any single run, is the hot
 path.  :func:`iter_trials` streams one :class:`RunResult` per seed, in seed
-order; :func:`run_trials` is the list-returning convenience wrapper.  The
-runner layers four optimizations over naive sequential calls:
+order; :func:`run_trials` is the list-returning convenience wrapper.
 
-* **engine dispatch** -- trials run on a vectorized engine
-  (:mod:`repro.sim.fast_engine` for the sleeping algorithms,
-  :mod:`repro.sim.fast_phased` for the four phased baselines) whenever it
-  supports the configuration, falling back to the generator engine
-  otherwise (``engine="auto"``); ``result="arrays"`` (or ``"auto"``)
-  keeps each trial's statistics as numpy columns
-  (:class:`repro.sim.array_result.ArrayRunResult`) instead of per-node
-  dicts;
+:func:`run_planned_trial` is the one dispatch from ``(graph, plan, seed)``
+to a result, shared by every entry point (``solve_mis``, ``run_trial``,
+this runner, sweep trials and service solves): trials run on a
+vectorized engine (:mod:`repro.sim.fast_engine` for the sleeping
+algorithms, :mod:`repro.sim.fast_phased` for the four phased baselines)
+whenever it supports the configuration, falling back to the generator
+engine otherwise (``engine="auto"``); ``result="arrays"`` (or
+``"auto"``) keeps each trial's statistics as numpy columns
+(:class:`repro.sim.array_result.ArrayRunResult`) instead of per-node
+dicts.  Around it, the runner layers three optimizations over naive
+sequential calls:
+
 * **graph-structure reuse** -- consecutive seeds sharing one graph object
   normalize it once and share one
   :class:`repro.sim.fast_engine.GraphArrays`;
@@ -45,7 +48,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -67,6 +69,7 @@ from .fast_phased import PhasedVectorizedEngine
 from .metrics import RunResult
 from .network import Simulator, normalize_graph
 from .rng import DEFAULT_STREAM
+from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..plan import RunPlan
@@ -150,153 +153,127 @@ def make_vectorized_engine(
         )
 
 
-def _run_one(
-    adjacency: Optional[Dict[Any, Tuple[Any, ...]]],
-    arrays: Optional[GraphArrays],
-    algorithm: str,
-    seed: Optional[int],
-    engine: str,
-    max_rounds: Optional[int],
-    congest_bit_limit: Optional[int],
-    protocol_kwargs: Dict[str, Any],
-    rng: str = DEFAULT_STREAM,
-    scratch: Optional[EngineScratch] = None,
-    result: str = "legacy",
-    dtype: str = "default",
-) -> ResultLike:
-    """One trial.  ``adjacency`` may be ``None`` for array-native graphs
-    headed to a vectorized engine (the dict view stays unbuilt); the
-    generator path materializes it lazily when it actually runs."""
-    if engine == "vectorized":
-        return make_vectorized_engine(
-            arrays if arrays is not None else GraphArrays(adjacency),
-            algorithm,
-            seed=seed,
-            max_rounds=max_rounds,
-            rng=rng,
-            scratch=scratch,
-            result=result,
-            dtype=dtype,
-            **protocol_kwargs,
-        ).run()
-    from ..api import make_protocol_factory  # local: avoid import cycle
-
-    if adjacency is None:
-        adjacency = arrays.adjacency
-    run = Simulator(
-        adjacency,
-        make_protocol_factory(algorithm, **protocol_kwargs),
-        seed=seed,
-        max_rounds=max_rounds,
-        congest_bit_limit=congest_bit_limit,
-        rng=rng,
-    ).run()
-    if resolve_result_kind(result, engine) == "arrays":
-        return ArrayRunResult.from_run_result(run, dtype)
-    return run
-
-
 def run_planned_trial(
     graph: Any,
     plan: "RunPlan",
     seed: Optional[int],
     *,
     scratch: Optional[EngineScratch] = None,
+    trace: Optional[Trace] = None,
 ) -> ResultLike:
-    """One trial of ``plan`` on ``graph`` with ``seed``, reusing ``scratch``.
+    """One trial of ``plan`` on ``graph`` with ``seed`` -- the one dispatch.
 
-    The single-trial primitive the service worker tier rides: unlike
-    :func:`run_trials` it takes a concrete graph (possibly a prebuilt
-    :class:`GraphArrays`) plus a caller-owned :class:`EngineScratch`, so
-    a long-running worker amortizes both graph normalization and state
-    arrays across requests instead of per process-pool chunk.
+    Every path from a plan to a result lands here: :func:`repro.api.solve_mis`,
+    :func:`repro.analysis.complexity.run_trial`, the batch runner (in
+    process and in pool workers), sweep trials and service solves.  It
+    resolves the engine and result kind, and constructs and runs the
+    engine, honouring every plan knob (``max_rounds`` included) on both
+    engines.
+
+    ``graph`` may be a ``networkx.Graph``, an adjacency mapping, or a
+    prebuilt :class:`GraphArrays` (the dict view stays unbuilt unless the
+    generator engine runs).  ``scratch`` lends state arrays to a
+    vectorized engine, so a caller running many trials (a batch chunk, a
+    long-lived service worker) amortizes them; the generator engine
+    ignores it.  ``trace`` is a live instrumentation object, not plan
+    configuration: it forces the generator engine under ``engine="auto"``
+    and is rejected under ``engine="vectorized"``.
     """
-    resolved = plan.resolved_engine
-    if isinstance(graph, GraphArrays):
-        adjacency: Optional[Dict[Any, Tuple[Any, ...]]] = None
-        arrays: Optional[GraphArrays] = graph
-    else:
-        adjacency = normalize_graph(graph)
-        arrays = GraphArrays(adjacency) if resolved == "vectorized" else None
-    return _run_one(
-        adjacency,
-        arrays,
+    protocol_kwargs = plan.protocol_dict()
+    engine = resolve_engine(
+        plan.engine,
         plan.algorithm,
-        seed,
-        resolved,
-        plan.max_rounds,
-        plan.congest_bit_limit,
-        plan.protocol_dict(),
-        plan.rng,
-        scratch if resolved == "vectorized" else None,
-        plan.result,
-        plan.dtype,
+        trace=trace,
+        congest_bit_limit=plan.congest_bit_limit,
+        **protocol_kwargs,
     )
+    result = resolve_result_kind(plan.result, engine)
+    if engine == "vectorized":
+        return make_vectorized_engine(
+            graph if isinstance(graph, GraphArrays) else GraphArrays(graph),
+            plan.algorithm,
+            seed=seed,
+            max_rounds=plan.max_rounds,
+            rng=plan.rng,
+            scratch=scratch,
+            result=result,
+            dtype=plan.dtype,
+            **protocol_kwargs,
+        ).run()
+    from ..api import make_protocol_factory  # local: avoid import cycle
+
+    run = Simulator(
+        graph,
+        make_protocol_factory(plan.algorithm, **protocol_kwargs),
+        seed=seed,
+        max_rounds=plan.max_rounds,
+        congest_bit_limit=plan.congest_bit_limit,
+        trace=trace,
+        rng=plan.rng,
+    ).run()
+    if result == "arrays":
+        return ArrayRunResult.from_run_result(run, plan.dtype)
+    return run
 
 
-def _run_chunk(payload: Tuple) -> List[ResultLike]:
-    """Process-pool task: one graph, a chunk of seeds.
+def _run_chunk(
+    payload: Tuple[Any, "RunPlan", List[Optional[int]]],
+) -> List[ResultLike]:
+    """Process-pool task: ``(graph, plan, seeds)`` -- one graph, a chunk
+    of seeds.
 
     ``graph`` is either a plain adjacency dict or a :class:`GraphArrays`
     shipped with its lazy adjacency unbuilt -- for array-native sweeps
     the int32 edge arrays are both smaller on the wire and free to use on
     arrival (no per-worker re-normalization)."""
-    (
-        graph, algorithm, seeds, engine, max_rounds,
-        congest_bit_limit, protocol_kwargs, rng, result, dtype,
-    ) = payload
-    if isinstance(graph, GraphArrays):
-        adjacency, arrays = None, graph
-    else:
-        adjacency = graph
-        arrays = GraphArrays(graph) if engine == "vectorized" else None
-    scratch = EngineScratch() if engine == "vectorized" else None
+    graph, plan, seeds = payload
+    graph = _engine_graph(graph, plan.resolved_engine)
+    scratch = EngineScratch()
     return [
-        _run_one(
-            adjacency, arrays, algorithm, seed, engine, max_rounds,
-            congest_bit_limit, protocol_kwargs, rng, scratch, result, dtype,
-        )
-        for seed in seeds
+        run_planned_trial(graph, plan, seed, scratch=scratch) for seed in seeds
     ]
+
+
+def _engine_graph(graph: Any, engine: str) -> Any:
+    """``graph`` as the resolved engine consumes it: a vectorized engine
+    gets a :class:`GraphArrays` (built here, once, for all the seeds that
+    share the graph); the generator engine takes it as it is."""
+    if engine == "vectorized" and not isinstance(graph, GraphArrays):
+        return GraphArrays(graph)
+    return graph
 
 
 def _iter_graphs(
     graph_factory: Any, seeds: Iterable[Optional[int]]
-) -> Iterator[Tuple[Dict[Any, Tuple[Any, ...]], Optional[GraphArrays], Optional[int]]]:
-    """Yield ``(normalized adjacency or None, prebuilt arrays or None,
-    seed)`` lazily, one graph at a time.
+) -> Iterator[Tuple[Any, Optional[int]]]:
+    """Yield ``(graph, seed)`` lazily, one graph at a time, where
+    ``graph`` is a prebuilt :class:`GraphArrays` or a normalized
+    adjacency dict.
 
     Consecutive seeds whose factory returns the *same object* (the
     shared-graph pattern, including non-callable ``graph_factory``) share
-    one normalization.  A factory may return a prebuilt
-    :class:`GraphArrays` to amortize edge-array construction across
-    callers (e.g. ``build_table1`` measuring several algorithms on the
-    same graphs, or the array-native samplers in
-    :mod:`repro.graphs.arrays`); for those the adjacency slot is ``None``
-    and the dict view stays unbuilt unless the generator engine runs.
+    one normalization, and yield the same ``graph`` object.  A factory
+    may return a prebuilt :class:`GraphArrays` to amortize edge-array
+    construction across callers (e.g. ``build_table1`` measuring several
+    algorithms on the same graphs, or the array-native samplers in
+    :mod:`repro.graphs.arrays`); its dict view stays unbuilt unless the
+    generator engine runs.
     """
     factory: Callable[[Optional[int]], Any] = (
         graph_factory if callable(graph_factory) else lambda seed: graph_factory
     )
+    prev_raw: Any = None
     prev_graph: Any = None
     seen_one = False
-    prev_adjacency: Optional[Dict[Any, Tuple[Any, ...]]] = None
-    prev_arrays: Optional[GraphArrays] = None
     for seed in seeds:
-        graph = factory(seed)
-        if not seen_one or graph is not prev_graph:
-            if isinstance(graph, GraphArrays):
-                # The dict view stays unbuilt: array-native graphs headed
-                # to a vectorized engine never need it, and the generator
-                # path materializes it lazily in _run_one.
-                prev_arrays = graph
-                prev_adjacency = None
-            else:
-                prev_arrays = None
-                prev_adjacency = normalize_graph(graph)
-            prev_graph = graph
+        raw = factory(seed)
+        if not seen_one or raw is not prev_raw:
+            prev_graph = (
+                raw if isinstance(raw, GraphArrays) else normalize_graph(raw)
+            )
+            prev_raw = raw
             seen_one = True
-        yield prev_adjacency, prev_arrays, seed
+        yield prev_graph, seed
 
 
 def iter_trials(
@@ -362,7 +339,7 @@ def iter_trials(
     from ..plan import ensure_plan
 
     plan = ensure_plan(
-        "iter_trials",
+        iter_trials,
         plan,
         given=dict(
             algorithm=algorithm,
@@ -374,17 +351,6 @@ def iter_trials(
             max_rounds=max_rounds,
             congest_bit_limit=congest_bit_limit,
             protocol_kwargs=protocol_kwargs,
-        ),
-        defaults=dict(
-            algorithm="fast-sleeping",
-            n_jobs=None,
-            engine="auto",
-            rng=DEFAULT_STREAM,
-            result="legacy",
-            dtype="default",
-            max_rounds=None,
-            congest_bit_limit=None,
-            protocol_kwargs={},
         ),
     )
     # Plan construction already validated names and combinations; resolve
@@ -399,17 +365,9 @@ def _iter_trials_planned(
 ) -> Iterator[ResultLike]:
     """The generator core behind :func:`iter_trials` (validation happens
     eagerly in the wrapper, not on first ``next()``)."""
-    algorithm = plan.algorithm
-    max_rounds = plan.max_rounds
-    congest_bit_limit = plan.congest_bit_limit
-    rng = plan.rng
-    result = plan.result
-    dtype = plan.dtype
-    protocol_kwargs = plan.protocol_dict()
     seed_list = list(seeds)
     if not seed_list:
         return
-    resolved = plan.resolved_engine
     jobs = _effective_jobs(plan.n_jobs, len(seed_list))
     if jobs > 1:
         from concurrent.futures.process import BrokenProcessPool
@@ -417,9 +375,7 @@ def _iter_trials_planned(
         done = 0
         try:
             chunks = _iter_chunks(
-                _iter_graphs(graph_factory, seed_list), algorithm,
-                resolved, max_rounds, congest_bit_limit, protocol_kwargs,
-                rng, result, dtype,
+                _iter_graphs(graph_factory, seed_list), plan,
                 target=max(1, len(seed_list) // (jobs * 4) or 1),
             )
             for one in _iter_parallel(chunks, jobs):
@@ -439,22 +395,13 @@ def _iter_trials_planned(
             )
             seed_list = seed_list[done:]
 
-    arrays: Optional[GraphArrays] = None
-    arrays_for: Any = None
-    scratch = EngineScratch() if resolved == "vectorized" else None
-    for adjacency, prebuilt, seed in _iter_graphs(graph_factory, seed_list):
-        if prebuilt is not None:
-            arrays, arrays_for = prebuilt, prebuilt
-        elif resolved == "vectorized" and adjacency is not arrays_for:
-            arrays = GraphArrays(adjacency)
-            arrays_for = adjacency
-        yield _run_one(
-            adjacency,
-            arrays if (resolved == "vectorized" or prebuilt is not None)
-            else None,
-            algorithm, seed, resolved, max_rounds,
-            congest_bit_limit, protocol_kwargs, rng, scratch, result, dtype,
-        )
+    engine = plan.resolved_engine
+    scratch = EngineScratch()
+    graph_for: Any = None
+    for graph, seed in _iter_graphs(graph_factory, seed_list):
+        if graph is not graph_for:
+            graph_for, prepared = graph, _engine_graph(graph, engine)
+        yield run_planned_trial(prepared, plan, seed, scratch=scratch)
 
 
 def run_trials(
@@ -497,23 +444,10 @@ def _effective_jobs(n_jobs: Optional[int], n_tasks: int) -> int:
 
 
 def _iter_chunks(
-    graph_seed_iter: Iterator[
-        Tuple[
-            Optional[Dict[Any, Tuple[Any, ...]]],
-            Optional[GraphArrays],
-            Optional[int],
-        ]
-    ],
-    algorithm: str,
-    engine: str,
-    max_rounds: Optional[int],
-    congest_bit_limit: Optional[int],
-    protocol_kwargs: Dict[str, Any],
-    rng: str,
-    result: str,
-    dtype: str,
+    graph_seed_iter: Iterator[Tuple[Any, Optional[int]]],
+    plan: "RunPlan",
     target: int,
-) -> Iterator[Tuple]:
+) -> Iterator[Tuple[Any, "RunPlan", List[Optional[int]]]]:
     """Chunk runs of consecutive seeds that share a graph, so workers
     amortize :class:`GraphArrays` construction; aim for a few chunks per
     worker (``target`` seeds each).  The chunk carries whichever graph
@@ -523,23 +457,16 @@ def _iter_chunks(
     dict)."""
     chunk_graph: Any = None
     chunk_seeds: List[Optional[int]] = []
-    for adjacency, arrays, seed in graph_seed_iter:
-        graph = arrays if arrays is not None else adjacency
+    for graph, seed in graph_seed_iter:
         if chunk_seeds and (
             graph is not chunk_graph or len(chunk_seeds) >= target
         ):
-            yield (
-                chunk_graph, algorithm, chunk_seeds, engine, max_rounds,
-                congest_bit_limit, protocol_kwargs, rng, result, dtype,
-            )
+            yield chunk_graph, plan, chunk_seeds
             chunk_seeds = []
         chunk_graph = graph
         chunk_seeds.append(seed)
     if chunk_seeds:
-        yield (
-            chunk_graph, algorithm, chunk_seeds, engine, max_rounds,
-            congest_bit_limit, protocol_kwargs, rng, result, dtype,
-        )
+        yield chunk_graph, plan, chunk_seeds
 
 
 #: In-flight chunks per worker in the bounded submission window.  Two per

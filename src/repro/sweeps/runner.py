@@ -4,13 +4,14 @@
 :class:`~repro.sweeps.frontier.TrialFrontier`: expire stale claims,
 re-issue failures, then claim -> execute -> ``done``/``fail`` until the
 frontier is drained, the time budget is spent, or ``max_trials`` is hit.
-Execution rides the exact measurement path of
-:func:`repro.analysis.complexity.sweep` -- the same
-:func:`~repro.graphs.arrays.make_family` graph factory, the same
-:func:`~repro.sim.batch.run_trials` batch runner, the same
-:func:`~repro.analysis.complexity.trial_from_result` flattening -- so a
-manifest sweep's merged rows are bit-identical to a plain ``sweep()``
-call over the same grid.
+Each trial samples its graph with :meth:`RunPlan.build_graph` (the
+same :func:`~repro.graphs.arrays.make_family` call a plain ``sweep()``
+makes), runs it through :func:`~repro.sim.batch.run_planned_trial` (the
+one dispatch every entry point shares), and flattens the result with
+:func:`~repro.analysis.complexity.trial_from_result` -- so a manifest
+sweep's merged rows are bit-identical to a plain ``sweep()`` call over
+the same grid.  :func:`_trial_payload` builds the artifact payload for
+both sweep trials and service solves (:mod:`repro.service.executor`).
 
 Parallel execution (``n_jobs > 1``) fans claimed trials over a
 ``concurrent.futures`` process pool with a bounded in-flight window, the
@@ -71,8 +72,22 @@ def _maybe_inject_fault(key: str) -> None:
     os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies here
 
 
-def execute_trial(plan: RunPlan, seed: int) -> Dict[str, Any]:
-    """Run one manifest trial; returns its result artifact payload.
+def _trial_payload(
+    plan: RunPlan,
+    seed: int,
+    inject_fault: Callable[[str], None],
+    graph_for: Callable[[], Any],
+    *,
+    scratch: Any = None,
+) -> Tuple[Dict[str, Any], Any]:
+    """The artifact payload of one ``(plan, seed)`` trial, and its result.
+
+    The one payload builder behind both :func:`execute_trial` (sweep
+    artifacts) and :func:`repro.service.executor.solve_payload` (service
+    responses), so their rows cannot drift apart.  ``inject_fault`` is the
+    caller's fault hook, handed the trial key; ``graph_for`` produces the
+    trial's graph inside the timed region; ``scratch`` is forwarded to
+    :func:`~repro.sim.batch.run_planned_trial`.
 
     The payload embeds the serialized plan and seed (so artifacts are
     self-describing and ``check_artifacts.py`` can re-validate them),
@@ -81,31 +96,29 @@ def execute_trial(plan: RunPlan, seed: int) -> Dict[str, Any]:
     wall clock (stripped from every comparison).
     """
     from ..analysis.complexity import trial_from_result
-    from ..graphs.arrays import make_family
-    from ..sim.batch import run_trials
+    from ..sim.batch import run_planned_trial
 
     key = trial_key(plan, seed)
-    _maybe_inject_fault(key)
-    exec_plan = plan if plan.n_jobs is None else plan.replace(n_jobs=None)
-    family, n = plan.family, plan.n
-    source = plan.resolved_graph_source
+    inject_fault(key)
     start = time.perf_counter()
-    [result] = run_trials(
-        lambda s: make_family(
-            family, n, seed=s, graph_source=source,
-            graph_rng=plan.graph_rng,
-        ),
-        seeds=[seed],
-        plan=exec_plan,
-    )
-    row = trial_from_result(result, plan.algorithm, family=family, seed=seed)
+    result = run_planned_trial(graph_for(), plan, seed, scratch=scratch)
+    row = trial_from_result(result, plan.algorithm, family=plan.family, seed=seed)
     return {
         "trial_key": key,
         "plan": plan.to_dict(),
         "seed": seed,
         "row": asdict(row),
         "wall_clock_s": time.perf_counter() - start,
-    }
+    }, result
+
+
+def execute_trial(plan: RunPlan, seed: int) -> Dict[str, Any]:
+    """Run one manifest trial; returns its result artifact payload
+    (see :func:`_trial_payload`)."""
+    payload, _ = _trial_payload(
+        plan, seed, _maybe_inject_fault, lambda: plan.build_graph(seed)
+    )
+    return payload
 
 
 def _pool_execute(payload: Tuple[str, str, int]) -> Dict[str, Any]:
