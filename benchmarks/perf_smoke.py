@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Perf-regression smoke: a fixed config vs the committed baseline.
 
-Runs a pinned set of measurements (~10s wall-clock total) and compares
+Runs a pinned set of measurements (~15s wall-clock total) and compares
 each against the committed ``benchmarks/artifacts/BENCH_perf_smoke.json``:
 
 * ``table1_auto`` -- the historical 4-algorithm Table 1 (n = 300,
@@ -21,7 +21,13 @@ each against the committed ``benchmarks/artifacts/BENCH_perf_smoke.json``:
   (``graph_rng="batched"``) vectorized sampling stream, guarding the
   whole-array geometric-skip sampler and the ``from_distinct_pairs``
   CSR build that break the 10^6 barrier (the full 10^6 *pipeline*
-  comparison lives in ``bench_scale_1e6.py``, outside the smoke budget).
+  comparison lives in ``bench_scale_1e6.py``, outside the smoke budget);
+* ``fast_sleeping_dense_2e3_batched`` / ``luby_dense_2e3_batched`` -- a
+  2-trial sweep of Algorithm 2 and of Luby on ``gnp-dense`` n = 2000
+  (~2x10^6 directed edges, both streams batched), the only configs whose
+  engine time is edge-bound rather than node-bound: in-call edge
+  filtering and receipt counting in the recursion, the carried edge
+  frontier of the phase loop.
 
 (The sweep-based measurements run on the sweep defaults --
 ``graph_source="auto"``/``result="auto"`` -- so a change that silently
@@ -104,6 +110,7 @@ def _plans() -> dict:
         family="gnp-sparse", engine="vectorized", rng="batched",
         result="auto",
     )
+    dense_2e3 = sweep_1e4.replace(family="gnp-dense", graph_rng="batched")
     return {
         "table1_auto": RunPlan(family="gnp-sparse", engine="auto"),
         "sleeping_1e4_batched": sweep_1e4.replace(algorithm="sleeping"),
@@ -116,6 +123,10 @@ def _plans() -> dict:
             family="gnp-sparse", n=1_000_000, seed=11,
             graph_source="arrays", graph_rng="batched",
         ),
+        "fast_sleeping_dense_2e3_batched": dense_2e3.replace(
+            algorithm="fast-sleeping"
+        ),
+        "luby_dense_2e3_batched": dense_2e3.replace(algorithm="luby"),
     }
 
 
@@ -160,6 +171,18 @@ def _measurements(plans: dict) -> dict:
         "gnp_1e6_sampler_batched": _best_of(
             lambda: plans["gnp_1e6_sampler_batched"].build_graph()
         ),
+        "fast_sleeping_dense_2e3_batched": _best_of(
+            lambda: sweep(
+                plan=plans["fast_sleeping_dense_2e3_batched"],
+                sizes=(2_000,), trials=2, seed0=11,
+            )
+        ),
+        "luby_dense_2e3_batched": _best_of(
+            lambda: sweep(
+                plan=plans["luby_dense_2e3_batched"],
+                sizes=(2_000,), trials=2, seed0=11,
+            )
+        ),
     }
 
 
@@ -177,11 +200,11 @@ def main(argv=None) -> int:
 
     plans = _plans()
     calibration = _calibrate()
-    print(f"{'calibration':24s} {calibration:8.3f}s")
+    print(f"{'calibration':32s} {calibration:8.3f}s")
     raw = {k: round(v, 3) for k, v in _measurements(plans).items()}
     units = {k: round(v / calibration, 3) for k, v in raw.items()}
     for key in raw:
-        print(f"{key:24s} {raw[key]:8.3f}s  = {units[key]:7.3f} units")
+        print(f"{key:32s} {raw[key]:8.3f}s  = {units[key]:7.3f} units")
 
     if args.write:
         ARTIFACT.parent.mkdir(exist_ok=True)
@@ -221,7 +244,7 @@ def main(argv=None) -> int:
             continue
         ratio = value / base
         verdict = "OK" if ratio <= TOLERANCE else "REGRESSION"
-        print(f"{key:24s} {value:8.3f} units vs baseline {base:8.3f} "
+        print(f"{key:32s} {value:8.3f} units vs baseline {base:8.3f} "
               f"({ratio:.2f}x)  {verdict}")
         if ratio > TOLERANCE:
             failed = True

@@ -332,7 +332,11 @@ class GraphArrays:
     ``deg`` at 8 bytes per node (kept int64 because it feeds straight into
     the int64 message/bit accumulators).  A gnp(10^5, 10/n) graph is
     m ~ 2x10^6 directed edges ~ 24 MB of edge arrays; per-run engine state
-    adds ~13 int64/int8 node arrays and one bool per edge.
+    adds ~13 int64/int8 node arrays and one bool per edge (received
+    messages are counted per node).  Edge-sized transients live only for
+    one recursion call or phase: the top call's int32 edge ids (it reads
+    ``src``/``dst`` in place), each sub-call's edge ids and endpoints, and
+    the phased engines' carried frontier.
     """
 
     __slots__ = (
@@ -981,14 +985,6 @@ class VectorizedEngine:
         # call touches only its own in-call edge subset, so one zeroed
         # buffer per run serves every call (set at entry, cleared at exit).
         self._live_edges = scratch.take("live_edges", arrays.m, bool, fill=False)
-        # Per-edge broadcast participation, accumulated by _broadcast and
-        # flattened into ``mrecv`` once at result build.  Replacing the
-        # historical per-call ``bincount(minlength=n)`` + O(n) ``mrecv``
-        # add with an O(in-call edges) counter bump is what makes a
-        # deep-recursion broadcast cost the call's size, not the graph's.
-        self._edge_rounds = scratch.take(
-            "edge_rounds", arrays.m, np.int64, fill=0
-        )
         # Global-to-local node index map for the greedy base cases
         # (set-before-use only: each base call writes its own participants
         # before reading, so stale entries are never observed).
@@ -1018,7 +1014,9 @@ class VectorizedEngine:
                 raise MaxRoundsExceededError(self.max_rounds, self.n)
 
             everyone = np.arange(self.n, dtype=np.int64)
-            all_edges = np.arange(len(self.src), dtype=np.int64)
+            # int32 like every other edge index: grev's format already
+            # requires 2m < 2^31.
+            all_edges = np.arange(len(self.src), dtype=np.int32)
             self._recurse(everyone, all_edges, self.depth, 0)
             return self._build_result(total_rounds)
 
@@ -1031,6 +1029,7 @@ class VectorizedEngine:
 
         ``E`` holds the indices of the directed edges with *both* endpoints
         in ``U`` -- exactly the message deliveries of this call's rounds.
+        Both stay ascending down the tree (sub-calls filter by mask).
         """
         if k == 0:
             if self.algorithm == "sleeping":
@@ -1044,17 +1043,29 @@ class VectorizedEngine:
             return
 
         d_sub = self._duration(k - 1)
-        se, de = self.src[E], self.dst[E]
+        # In-call endpoints and degrees.  ``G[U]`` is symmetric, so a
+        # node's in-call out-degree is also the number of messages it
+        # receives per broadcast; Parts 2, 4 and 5 each broadcast over
+        # the same ``E``, so all three receipts are counted here.
+        if len(E) == len(self.src):
+            # Every edge is in the call (the top call, or one that leaves
+            # out only isolated nodes): read the CSR in place; in-call
+            # degrees are graph degrees.
+            se, de, deg_in = self.src, self.dst, self.deg[U]
+        else:
+            se, de = self.src[E], self.dst[E]
+            # ``E`` is ascending, so ``se`` is sorted and a node's
+            # out-edges are one run of it.  Every sender is in ``U``
+            # (also ascending), so U[i]'s run starts where U[i-1]'s ends.
+            ends = np.searchsorted(se, U.astype(se.dtype), side="right")
+            deg_in = ends.copy()
+            deg_in[1:] -= ends[:-1]
+        self.mrecv[U] += 3 * deg_in
 
-        # Part 2 -- first isolated node detection.  A node is isolated in
-        # G[U] exactly when no in-call edge points at it; the shared mask
-        # (set-use-clear) keeps this O(|U| + |E|) instead of counting
-        # deliveries into an O(n) array.
-        self._broadcast(U, E, de, r)
-        has_nbr = self._nbr_mask
-        has_nbr[de] = True
-        iso = U[~has_nbr[U]]
-        has_nbr[de] = False
+        # Part 2 -- first isolated node detection: a node is isolated in
+        # G[U] exactly when it has no in-call edge.
+        self._broadcast(U)
+        iso = U[deg_in == 0]
         if len(iso):
             self._decide(iso, True, r + 1)
 
@@ -1070,7 +1081,7 @@ class VectorizedEngine:
         # masks borrow one shared buffer (set, read, clear by the same
         # indices) instead of zeroing a fresh O(n) array per call.
         r1 = r + 1 + d_sub
-        self._broadcast(U, E, de, r1)
+        self._broadcast(U)
         has_mis_nbr = self._nbr_mask
         mis_heads = de[self.in_mis[se] == 1]
         has_mis_nbr[mis_heads] = True
@@ -1081,7 +1092,7 @@ class VectorizedEngine:
 
         # Part 5 -- second isolated node detection.
         r2 = r1 + 1
-        self._broadcast(U, E, de, r2)
+        self._broadcast(U)
         has_undecided_or_mis_nbr = self._nbr_mask
         loud_heads = de[self.in_mis[se] != 0]
         has_undecided_or_mis_nbr[loud_heads] = True
@@ -1148,20 +1159,16 @@ class VectorizedEngine:
         inS[S] = False
         return sub
 
-    def _broadcast(
-        self, U: np.ndarray, E: np.ndarray, de: np.ndarray, r: int
-    ) -> None:
+    def _broadcast(self, U: np.ndarray) -> None:
         """One awake round in which every node of ``U`` sends a 2-bit flag
         to *all* its graph neighbors (presence or ``inMIS`` announcement).
 
-        ``E``/``de`` are the in-call edges and their receiver endpoints
-        (deliveries only happen between awake nodes).  Received-message
-        accounting is *deferred*: each in-call edge bumps its
-        ``_edge_rounds`` counter, and ``_build_result`` flattens the
-        counters into ``mrecv`` with one weighted bincount -- so a
-        broadcast costs O(|U| + |E|), never O(n).  Classification matches
-        the generator engine: senders with at least one port are tx
-        rounds; port-less nodes are awake-and-silent, hence idle.
+        Sender-side accounting only, O(|U|): deliveries happen between
+        awake nodes, i.e. over the call's in-call edges, so the callers
+        credit ``mrecv`` from the in-call degrees they already hold.
+        Classification matches the generator engine: senders with at
+        least one port are tx rounds; port-less nodes are awake-and-silent,
+        hence idle.
         """
         deg = self.deg[U]
         self.awake[U] += 1
@@ -1172,7 +1179,6 @@ class VectorizedEngine:
             self.idle[U[deg == 0]] += 1
         self.msent[U] += deg
         self.bits[U] += _FLAG_BITS * deg
-        self._edge_rounds[E] += 1
 
     def _decide(self, nodes: np.ndarray, value: bool, clock: int) -> None:
         """Fix ``inMIS`` for ``nodes`` at wall-clock ``clock``, exactly once."""
@@ -1234,12 +1240,14 @@ class VectorizedEngine:
 
         # Neighbor discovery inside G[U]: live sets start as the in-call
         # neighborhoods, kept as per-directed-edge bits over E (borrowing
-        # the run-level buffer; cleared again at the loop's exit).
-        self._broadcast(U, E, ed_g, r)
+        # the run-level buffer; cleared again at the loop's exit).  Each
+        # node hears one presence flag per in-call neighbor, which seeds
+        # the local receipt count.
+        self._broadcast(U)
         live_cnt = np.bincount(ed, minlength=nu)
         live = self._live_edges
         live[E] = True
-        mrecv = np.zeros(nu, dtype=np.int64)
+        mrecv = live_cnt.copy()
 
         # Ranks: one draw per participant, same stream position as the
         # generator engine (see draw_dense_ranks for the stream and
@@ -1356,18 +1364,9 @@ class VectorizedEngine:
         # result copies the stat columns out of the (scratch-recycled)
         # engine state -- a handful of C passes instead of the 10^5
         # NodeStats dataclasses of the legacy view.
-        #
-        # First flatten the deferred per-edge broadcast counters into the
-        # received-message column: edge e delivered one message to dst[e]
-        # per broadcast round it participated in.  float64 weights are
-        # exact here (per-node totals stay far below 2^53).
         from ..profiling import phase
 
         with phase("result_build"):
-            if self.arrays.m:
-                self.mrecv += np.bincount(
-                    self.dst, weights=self._edge_rounds, minlength=self.n
-                ).astype(np.int64)
             if self.result_kind == "arrays":
                 from .array_result import ArrayRunResult, result_column
 

@@ -183,15 +183,6 @@ class PhasedVectorizedEngine:
         if algorithm == "ghaffari":
             # Desire level p_v = 2 ** -exponent, initially 1/2.
             self._exponent = scratch.take("exponent", n, np.int64, fill=1)
-        # Per-edge round-A participation, accumulated by the phase loop
-        # and flattened into ``mrecv`` once at result build (the sleeping
-        # engine's deferred-mrecv pattern): bumping the frontier edges'
-        # counters is O(frontier), where the historical
-        # ``bincount(minlength=n)`` + full-length ``mrecv +=`` cost O(n)
-        # per phase.
-        self._edge_rounds = scratch.take(
-            "edge_rounds", arrays.m, np.int64, fill=0
-        )
         # Global-to-local map for the phase loop's node frontier
         # (set-before-use only: each phase writes its own frontier
         # before reading, so stale entries are never observed).
@@ -340,17 +331,17 @@ class PhasedVectorizedEngine:
         """Replay the full execution and return the generator-equal result.
 
         The phase loop walks a **shrinking edge frontier** and a matching
-        **node frontier**: ``EF`` holds the (int32) indices of the live
-        edges between in-loop nodes, ``U`` the (ascending) indices of the
-        in-loop nodes themselves, so a late phase with a handful of
-        survivors touches a handful of edges and nodes, not all ``m`` or
-        ``n`` -- the historical full-length masks, ``flatnonzero`` scans,
-        and ``bincount(minlength=n)`` passes made every phase cost the
-        whole graph.  All per-phase aggregation happens in ``U``'s local
-        index space (slot ``i`` is node ``U[i]``, mapped through the
-        ``_local_index`` scatch scatter), ``live_cnt`` is maintained
-        incrementally as edges are pruned, round-A message receipt is
-        deferred to per-edge counters flattened once at result build, and
+        **node frontier**: ``EF`` holds the indices of the live edges
+        between in-loop nodes, carried from phase to phase together with
+        their endpoints and reverse-edge ids (``sf``/``df``/``gf``) and
+        compacted by one mask, and ``U`` holds the (ascending) indices of
+        the in-loop nodes themselves -- so a late phase with a handful of
+        survivors touches a handful of edges and nodes, never the whole
+        CSR.  All per-phase aggregation happens in ``U``'s local index
+        space (slot ``i`` is node ``U[i]``, mapped through the
+        ``_local_index`` scratch scatter), ``live_cnt`` is maintained
+        incrementally as edges are pruned, every receipt (round A
+        included) is counted per receiving node as it is delivered, and
         the per-phase ``best``/``hit``/``marked`` arrays are frontier-
         sized slices of scratch buffers.  Because ``U`` stays ascending,
         every draw happens at exactly the stream position the historical
@@ -378,7 +369,11 @@ class PhasedVectorizedEngine:
         # protocol's set-based live sets are.
         live = self._scratch.take("live_edges", self.arrays.m, bool, fill=True)
         live_cnt = self.arrays.deg.copy()
-        EF = np.arange(self.arrays.m, dtype=np.int32)
+        # Phase 0's frontier is the whole edge set: every edge is live and
+        # every node with an edge is in the loop.  ``EF`` is None until the
+        # first compaction (it would be the identity).
+        EF: Optional[np.ndarray] = None
+        sf, df, gf = src, dst, grev
         U = np.arange(n, dtype=np.int64)
         local = self._local_index
         best = self._scratch.take("phase_best", n, np.int64)
@@ -420,16 +415,20 @@ class PhasedVectorizedEngine:
                 if self.algorithm == "luby" or p == 0:
                     self._draw_priorities(U)
 
-            # Compact the frontier: the deliveries of this phase are
-            # exactly the live edges between in-loop nodes.  Endpoints
+            # Compact the carried frontier: the deliveries of this phase
+            # are exactly the live edges between in-loop nodes.  Endpoints
             # are mapped to the local index space once per phase.
-            keep = live[EF]
-            keep &= inloop[src[EF]]
-            keep &= inloop[dst[EF]]
-            EF = EF[keep]
-            sf, df, gf = src[EF], dst[EF], grev[EF]
-            local[U] = np.arange(nu, dtype=np.int32)
-            ls, ld = local[sf], local[df]
+            if p:
+                keep = inloop[sf]
+                keep &= inloop[df]
+                keep &= live if EF is None else live[EF]
+                EF = np.flatnonzero(keep) if EF is None else EF[keep]
+                sf, df, gf = sf[keep], df[keep], gf[keep]
+            if nu == n:  # U is every node: local ids are global ids
+                ls, ld = sf, df
+            else:
+                local[U] = np.arange(nu, dtype=np.int32)
+                ls, ld = local[sf], local[df]
 
             # Round A (3p) -- rank/mark exchange over the live sets.  Every
             # in-loop node has a nonempty live set, so all are tx.
@@ -438,7 +437,9 @@ class PhasedVectorizedEngine:
             self.tx[U] += 1
             self.msent[U] += live_cnt_l
             self.bits[U] += self._prio_bits[U] * live_cnt_l
-            self._edge_rounds[EF] += 1  # mrecv, flattened at result build
+            # Receipts by receiver: live sets prune asymmetrically, so a
+            # sender's live count is not what its neighbors hear.
+            self.mrecv[U] += np.bincount(ld, minlength=nu)
             # Keys kept by receivers: senders that are in the receiver's
             # own live set (the protocol's ``if u in live`` filter).
             keyed = live[gf]
@@ -527,12 +528,6 @@ class PhasedVectorizedEngine:
     def _build_result_inner(self) -> RunResult:
         # Phased nodes never sleep (constant ``sleep`` column) but finish
         # at per-node rounds as they terminate phase by phase.
-        if self.arrays.m:
-            # Round-A receipt was deferred to per-edge phase counters;
-            # flatten them into per-node counts in one weighted pass.
-            self.mrecv += np.bincount(
-                self.arrays.dst, weights=self._edge_rounds, minlength=self.n
-            ).astype(np.int64)
         if self.result_kind == "arrays":
             from .array_result import ArrayRunResult, result_column
 

@@ -25,17 +25,15 @@ from repro.sim.fast_phased import PhasedVectorizedEngine
 SLEEPING_BUFFERS = (
     "in_mis", "awake", "sleep", "tx", "rx", "idle", "msent", "bits",
     "mrecv", "decision_round", "awake_at_decision", "base_truncated",
-    "_sub_mask", "_nbr_mask", "_live_edges", "_edge_rounds",
-    "_local_index", "_ctr",
+    "_sub_mask", "_nbr_mask", "_live_edges", "_local_index", "_ctr",
 )
 
 #: The scratch-borrowed per-node state buffers of the phased engine,
-#: including the node-frontier localization buffers (deferred per-edge
-#: round-A receipt counters and the global-to-local index map).
+#: including the node frontier's global-to-local index map.
 PHASED_BUFFERS = (
     "in_mis", "awake", "tx", "rx", "idle", "msent", "bits", "mrecv",
     "decision_round", "awake_at_decision", "finish", "_combined",
-    "_prio_bits", "_ctr", "_edge_rounds", "_local_index",
+    "_prio_bits", "_ctr", "_local_index",
 )
 
 #: Additional scratch buffers of the marking (ghaffari) phased engine.
@@ -288,11 +286,10 @@ class TestNoCopyEngineHandoff:
 
     def test_engine_construction_does_not_duplicate_the_csr(self):
         """tracemalloc pin: constructing the sleeping engine on a dense
-        prebuilt graph allocates its *own* per-edge state (the bool live
-        mask and the int64 deferred-receipt counters, 9 bytes/directed
-        edge) plus O(n) node buffers -- but never a second copy of the
-        ~12 bytes/edge int32 CSR triplet, which would show up as ~12m
-        extra traced bytes."""
+        prebuilt graph allocates its *own* per-edge state (only the bool
+        live mask, 1 byte/directed edge) plus O(n) node buffers -- but
+        never a second copy of the ~12 bytes/edge int32 CSR triplet, which
+        would show up as ~12m extra traced bytes."""
         n, p = 2000, 0.5
         ga = make_family_arrays("gnp-dense", n, seed=7)
         assert ga.m > 1_500_000
@@ -307,10 +304,50 @@ class TestNoCopyEngineHandoff:
         finally:
             tracemalloc.stop()
         del eng
-        per_edge_state = 9 * ga.m  # live mask + edge_rounds, legitimate
+        per_edge_state = 1 * ga.m  # the live mask, legitimate
         node_buffers = 32 * 8 * n  # generous: every per-node scratch array
         bound = per_edge_state + node_buffers + 2 * 1024 * 1024
         assert peak <= bound, (
             f"engine construction traced {peak} bytes (bound {bound}): "
             f"is the CSR being copied instead of consumed in place?"
+        )
+
+
+class TestRunPeakPerEdge:
+    """Peak traced memory of a whole dense run, per directed edge.
+
+    The engines' persistent per-edge state is the 1-byte live mask;
+    everything else edge-sized is a transient of one recursion call or
+    one phase (in-call edge ids and endpoints, frontier-local endpoint
+    ids, delivery masks).  Received messages are counted per node, so no
+    8-byte counter per edge exists, and the top call and phase 0 read
+    the CSR columns in place instead of gathering copies of them.  The
+    bounds sit well below what an int64 per-edge counter (8 B) or a
+    re-gathered endpoint pair (8 B) would add back.
+    """
+
+    @pytest.mark.parametrize(
+        "engine,algorithm,bytes_per_edge",
+        [
+            (VectorizedEngine, "fast-sleeping", 12),
+            (PhasedVectorizedEngine, "luby", 22),
+        ],
+    )
+    def test_dense_run_peak_per_edge(self, engine, algorithm, bytes_per_edge):
+        ga = make_family_arrays("gnp-dense", 2000, seed=7)
+        assert ga.m > 1_500_000
+        ga.id_bits  # warm per-graph lazy caches outside the window
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = engine(
+                ga, algorithm, seed=0, rng="batched", result="arrays"
+            ).run()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.is_valid_mis()
+        assert peak <= bytes_per_edge * ga.m, (
+            f"{algorithm} run traced {peak / ga.m:.1f} bytes per directed "
+            f"edge (bound {bytes_per_edge}): per-edge state is back?"
         )
