@@ -9,12 +9,11 @@ on graphs two orders of magnitude larger -- all six vectorized algorithms
 on ``gnp-sparse`` n = 5000, and the two edge-bound workhorses on
 ``gnp-dense`` n = 1500 (~1.1x10^6 directed edges) -- so an engine
 optimisation that changes any count, round label, or decision fails here
-even where the generator engine would be far too slow to compare against.
+at sizes the equivalence suite never runs.
 
-The digests were recorded from the engines as they stood before the
-receipt counting moved from per-edge to per-node state; a legitimate
-change of execution (a new stream format, a protocol fix) must refresh
-them deliberately with ``python tests/test_engine_golden_digests.py``.
+Engine optimisations must leave every digest unchanged.  A deliberate
+change of execution (a new stream format, a protocol fix) refreshes them
+with ``python tests/test_engine_golden_digests.py``.
 """
 
 import hashlib
