@@ -11,9 +11,15 @@ on ``gnp-sparse`` n = 5000, and the two edge-bound workhorses on
 optimisation that changes any count, round label, or decision fails here
 at sizes the equivalence suite never runs.
 
-Engine optimisations must leave every digest unchanged.  A deliberate
-change of execution (a new stream format, a protocol fix) refreshes them
-with ``python tests/test_engine_golden_digests.py``.
+The streaming CSR build (:meth:`GraphArrays.from_distinct_pair_chunks`)
+only runs past 2^24 expected pairs, far above what the equivalence suite
+or the cases above reach, so two streaming builds forced through small
+chunks pin a sha256 of ``src``/``dst``/``grev``/``deg``: a dense family
+and a sparse one whose early chunks span more rows than they hold pairs.
+
+Engine and builder optimisations must leave every digest unchanged.  A
+deliberate change of execution (a new stream format, a protocol fix)
+refreshes them with ``python tests/test_engine_golden_digests.py``.
 """
 
 import hashlib
@@ -21,6 +27,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import repro.graphs.arrays as arrays_mod
 from repro.graphs.arrays import make_family_arrays
 from repro.sim.batch import make_vectorized_engine
 
@@ -109,8 +116,62 @@ def test_result_digest_is_pinned(case):
     assert result_digest(run_case(*case)) == GOLDEN[case]
 
 
-if __name__ == "__main__":  # regenerate the table above
-    for case in GOLDEN:
+#: ((n, mean degree or None for p = 1/2, graph seed), sha256 of the CSR)
+#: for ``gnp_arrays_v2(..., stream=True)`` at :data:`STREAM_CHUNK`.
+STREAM_CASES = (
+    (
+        (3000, None, 21),
+        "00a70d9fa91df9178623939dd383da5f7dd4d5c2a9d01570e31fd8f465d5a69b",
+    ),
+    (
+        (200_000, 8, 22),
+        "55457783c70ba3e39b8418dc40f6bdb21590dbbf7293e6865447022533d92753",
+    ),
+)
+STREAM_GOLDEN = dict(STREAM_CASES)
+
+#: Small refills, so both streams split into hundreds of chunks.
+STREAM_CHUNK = 1 << 12
+
+
+def csr_digest(ga) -> str:
+    """sha256 over ``(n, m)`` and the CSR arrays at fixed dtypes."""
+    h = hashlib.sha256()
+    h.update(f"{ga.n}:{ga.m}".encode())
+    for name, dtype in (
+        ("src", np.int32), ("dst", np.int32), ("grev", np.int32),
+        ("deg", np.int64),
+    ):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(getattr(ga, name), dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def build_streamed(n, mean_degree, seed):
+    p = 0.5 if mean_degree is None else mean_degree / n
+    return arrays_mod.gnp_arrays_v2(n, p, seed=seed, stream=True)
+
+
+@pytest.mark.parametrize(
+    "case",
+    list(STREAM_GOLDEN),
+    ids=["-".join(map(str, c)) for c in STREAM_GOLDEN],
+)
+def test_streaming_csr_digest_is_pinned(case, monkeypatch):
+    monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_CHUNK", STREAM_CHUNK)
+    assert csr_digest(build_streamed(*case)) == STREAM_GOLDEN[case]
+
+
+def _print_table(cases, digest_of):
+    for case in cases:
         case_line = repr(case).replace("'", '"')
-        digest = result_digest(run_case(*case))
+        digest = digest_of(case)
         print(f'    (\n        {case_line},\n        "{digest}",\n    ),')
+
+
+if __name__ == "__main__":  # regenerate the tables above
+    _print_table(GOLDEN, lambda case: result_digest(run_case(*case)))
+    arrays_mod.GNP_V2_STREAM_CHUNK = STREAM_CHUNK
+    _print_table(
+        STREAM_GOLDEN, lambda case: csr_digest(build_streamed(*case))
+    )
