@@ -27,7 +27,14 @@ each against the committed ``benchmarks/artifacts/BENCH_perf_smoke.json``:
   (~2x10^6 directed edges, both streams batched), the only configs whose
   engine time is edge-bound rather than node-bound: in-call edge
   filtering and receipt counting in the recursion, the carried edge
-  frontier of the phase loop.
+  frontier of the phase loop;
+* ``gnp_dense_4e3_stream_build`` -- a ``gnp_arrays_v2(4000, 0.5,
+  stream=True)`` build (~4x10^6 pairs, under the 2^24-pair
+  ``stream="auto"`` threshold, so forced): the only row that reaches the
+  two-pass streaming CSR build (``from_distinct_pair_chunks``) and the
+  run-length row decode it re-samples through.  Its plan records the
+  family, size and seed; no ``RunPlan`` knob selects the streaming
+  build, so the row calls ``gnp_arrays_v2(..., stream=True)`` itself.
 
 (The sweep-based measurements run on the sweep defaults --
 ``graph_source="auto"``/``result="auto"`` -- so a change that silently
@@ -127,12 +134,22 @@ def _plans() -> dict:
             algorithm="fast-sleeping"
         ),
         "luby_dense_2e3_batched": dense_2e3.replace(algorithm="luby"),
+        "gnp_dense_4e3_stream_build": RunPlan(
+            family="gnp-dense",
+            n=4_000,
+            seed=11,
+            graph_source="arrays",
+            graph_rng="batched",
+        ),
     }
 
 
 def _measurements(plans: dict) -> dict:
     from repro.analysis.complexity import sweep
     from repro.analysis.tables import build_table1
+    from repro.graphs.arrays import gnp_arrays_v2
+
+    stream_plan = plans["gnp_dense_4e3_stream_build"]
 
     # Warm imports and caches before timing anything.
     build_table1(sizes=(64,), trials=1, algorithms=("luby",))
@@ -181,6 +198,11 @@ def _measurements(plans: dict) -> dict:
             lambda: sweep(
                 plan=plans["luby_dense_2e3_batched"],
                 sizes=(2_000,), trials=2, seed0=11,
+            )
+        ),
+        "gnp_dense_4e3_stream_build": _best_of(
+            lambda: gnp_arrays_v2(
+                stream_plan.n, 0.5, seed=stream_plan.seed, stream=True
             )
         ),
     }

@@ -187,7 +187,8 @@ def _gnp_v2_pair_chunks(n: int, p: float, key: np.uint64, chunk: int):
     ``(hi, lo)``-lex order (= ascending flat position).  Every draw is a
     pure function of ``(key, counter)``, so iterating twice replays the
     identical stream -- which is what lets the streaming CSR build
-    re-sample instead of buffering pairs.
+    re-sample instead of buffering pairs.  Each chunk's flat positions
+    are decoded to pairs by run length (:func:`_pair_rows`).
     """
     total = n * (n - 1) // 2
     log1mp = math.log1p(-p)
@@ -211,16 +212,28 @@ def _gnp_v2_pair_chunks(n: int, p: float, key: np.uint64, chunk: int):
             positions = positions[positions < total]
         if len(positions):
             pos = positions[-1]
-            # Decode flat positions to (v, w): v is the triangular root,
-            # float-seeded then corrected in exact integer arithmetic.
-            v = ((1.0 + np.sqrt(8.0 * positions + 1.0)) / 2.0).astype(
-                np.int64
-            )
-            v -= v * (v - 1) // 2 > positions
-            v += (v + 1) * v // 2 <= positions
-            yield positions - v * (v - 1) // 2, v
+            yield _pair_rows(positions)
         if done:
             return
+
+
+def _pair_rows(positions: np.ndarray):
+    """Decode strictly increasing flat positions to ``(lo, hi)`` arrays.
+
+    Position ``x`` lies in row ``v`` (``hi``) when ``tri(v) <= x <
+    tri(v + 1)`` with ``tri(v) = v(v-1)/2``.  Positions ascend, so rows
+    never decrease: only the first and last rows are decoded, exactly
+    (``math.isqrt``), and every row between gets its run length from one
+    ``searchsorted`` of the row starts.  Cost is O(positions + rows
+    spanned), which sums to O(n + m) over the whole stream.
+    """
+    v0, v1 = ((1 + math.isqrt(8 * int(x) + 1)) // 2 for x in positions[[0, -1]])
+    rows = np.arange(v0, v1 + 1, dtype=np.int64)
+    tri = rows * (rows - 1) >> 1
+    counts = np.diff(
+        np.searchsorted(positions, tri[1:]), prepend=0, append=len(positions)
+    )
+    return positions - np.repeat(tri, counts), np.repeat(rows, counts)
 
 
 def gnp_arrays_v2(

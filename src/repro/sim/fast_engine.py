@@ -308,6 +308,69 @@ def supports(algorithm: str, **constraints: Any) -> bool:
     return unsupported_reason(algorithm, **constraints) is None
 
 
+def _grouped_slots(
+    key: np.ndarray, start: np.ndarray, carry: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """CSR slots for the direction of a pair list that is *not* sorted by
+    its row node ``key``.
+
+    Entry ``i`` lands at ``start[key[i]]``, plus ``carry[key[i]]`` (the
+    entries earlier chunks placed in that block), plus its rank among
+    the entries sharing its key, in input order.  One value sort groups
+    them: the packed int64 values ``(key << B) | i`` with ``B =
+    bit_length(c - 1)`` order by key, then by input position, and unpack
+    into the sorted keys and the permutation without a gather (``n, c <=
+    2^31`` keeps the packing inside int64).  ``carry`` advances in place
+    by each key's count.
+    """
+    c = len(key)
+    bits = (c - 1).bit_length()
+    packed = key << bits
+    packed |= np.arange(c, dtype=np.int64)
+    packed.sort()
+    key_s = packed >> bits
+    order = packed
+    order &= (1 << bits) - 1
+    head = np.ones(c, dtype=bool)
+    np.not_equal(key_s[1:], key_s[:-1], out=head[1:])
+    run_starts = np.flatnonzero(head).astype(np.int32)
+    run_lens = np.diff(run_starts, append=np.int32(c))
+    heads = key_s[run_starts]
+    base = start[heads] - run_starts
+    if carry is not None:
+        base += carry[heads]
+        carry[heads] += run_lens
+    slots = np.empty(c, dtype=np.int32)
+    slots[order] = np.arange(c, dtype=np.int32) + np.repeat(base, run_lens)
+    return slots
+
+
+def _stream_chunk(
+    n: int, lo: Any, hi: Any, last_key: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate one chunk of a ``(hi, lo)``-ordered distinct pair stream.
+
+    Returns the chunk as int64 ``(lo, hi)`` plus its keys ``hi * n +
+    lo``, which must rise strictly and continue above ``last_key`` (the
+    previous chunk's last key).  Empty chunks come back empty, unchecked.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    if not len(lo):
+        return lo, hi, lo
+    if lo.min() < 0 or hi.max() >= n:
+        raise ValueError(f"edge endpoints must lie in [0, {n})")
+    if not (lo < hi).all():
+        raise ValueError("pairs must satisfy lo < hi")
+    key = hi * np.int64(n) + lo
+    if key[0] <= last_key or not bool((key[1:] > key[:-1]).all()):
+        raise ValueError(
+            "chunked pairs must arrive distinct and in strictly "
+            "increasing (hi, lo)-lex order"
+        )
+    return lo, hi, key
+
+
 class GraphArrays:
     """The seed-independent array view of one graph.
 
@@ -435,11 +498,11 @@ class GraphArrays:
         certifies either order in one vectorized compare, so the common
         case takes the **direct O(m) build**: the sorted direction's CSR
         slots are pure prefix-sum arithmetic and only the other direction
-        pays an argsort, of ``m`` keys instead of the historical ``2m``
-        (see :meth:`_from_sorted_pairs`).  Unsorted input falls back to
-        the ``2m``-key argsort build (:meth:`_from_pairs_argsort`).
-        Duplicate pairs or ``lo >= hi`` entries violate the contract;
-        bounds are still checked.
+        pays a sort, one value sort of ``m`` packed keys instead of the
+        historical ``2m``-key argsort (see :meth:`_from_sorted_pairs`).
+        Unsorted input falls back to the ``2m``-key argsort build
+        (:meth:`_from_pairs_argsort`).  Duplicate pairs or ``lo >= hi``
+        entries violate the contract; bounds are still checked.
         """
         lo = np.asarray(lo, dtype=np.int64)
         hi = np.asarray(hi, dtype=np.int64)
@@ -478,13 +541,13 @@ class GraphArrays:
         ascending).  Whichever direction matches the input's lex order
         needs no sort at all: its within-block rank is ``input position -
         exclusive prefix count of its block's node``, because the groups
-        arrive contiguous and in order.  The other direction's ranks come
-        from one argsort of the ``m`` opposite-order composite keys
-        (unique, so the non-stable default sort is exact).  ``grev`` is
-        the cross-link between the two slot arrays -- no extra sort.
-        Slot arithmetic runs in int32: ``2m`` already must fit int32 for
-        the ``grev`` format, and halving the index temporaries is what
-        keeps the 1e7 build in bounded memory.
+        arrive contiguous and in order.  The other direction's slots come
+        from one value sort of ``m`` packed keys (:func:`_grouped_slots`);
+        within each of its groups the input order already is the CSR
+        order.  ``grev`` is the cross-link between the two slot arrays --
+        no extra sort.  Slot arithmetic runs in int32: ``2m`` already must
+        fit int32 for the ``grev`` format, and halving the index
+        temporaries is what keeps the 1e7 build in bounded memory.
         """
         m = len(lo)
         self = cls._pair_shell(n)
@@ -495,23 +558,14 @@ class GraphArrays:
         startB = (csum - deg).astype(np.int32)  # row start = backward block
         startF = (csum - degF).astype(np.int32)  # forward block start
         idx = np.arange(m, dtype=np.int32)
-        nn = np.int64(n)
         if hi_major:
             cumB = (np.cumsum(degB) - degB).astype(np.int32)
             back = startB[hi] + (idx - cumB[hi])
-            order = np.argsort(lo * nn + hi)
-            cumF = (np.cumsum(degF) - degF).astype(np.int32)
-            lo_s = lo[order]
-            fwd = np.empty(m, dtype=np.int32)
-            fwd[order] = startF[lo_s] + (idx - cumF[lo_s])
+            fwd = _grouped_slots(lo, startF)
         else:
             cumF = (np.cumsum(degF) - degF).astype(np.int32)
             fwd = startF[lo] + (idx - cumF[lo])
-            order = np.argsort(hi * nn + lo)
-            cumB = (np.cumsum(degB) - degB).astype(np.int32)
-            hi_s = hi[order]
-            back = np.empty(m, dtype=np.int32)
-            back[order] = startB[hi_s] + (idx - cumB[hi_s])
+            back = _grouped_slots(hi, startB)
         # src never needs a scatter: row s holds deg[s] copies of s.
         src = np.repeat(np.arange(n, dtype=np.int32), deg)
         dst = np.empty(2 * m, dtype=np.int32)
@@ -562,60 +616,55 @@ class GraphArrays:
         of ``(lo, hi)`` array pairs whose concatenation is the edge list
         in strictly increasing ``(hi, lo)``-lex order (the v2 gnp
         sampler's native order) -- distinct pairs with ``lo < hi``, both
-        validated chunk by chunk.  Pass 1 only accumulates the per-node
-        degree counts; pass 2 re-pulls the chunks and scatters each
-        straight into its final CSR slots, so peak transient memory is
-        O(n) node arrays plus a few index temporaries per *chunk*, never
-        per graph -- the whole point for dense families at 1e7 (see
-        ``docs/performance.md``).  The factory must replay the identical
-        chunk stream twice (counter-based samplers re-sample for free);
-        a length mismatch between passes is detected and raised.
+        validated chunk by chunk on both passes.  Pass 1 only accumulates
+        the per-node degree counts; pass 2 re-pulls the chunks and
+        scatters each straight into its final CSR slots, so peak
+        transient memory is O(n) node arrays plus a few index temporaries
+        per *chunk*, never per graph -- the whole point for dense
+        families at 1e7 (see ``docs/performance.md``).  The factory must
+        replay the identical chunk stream twice (counter-based samplers
+        re-sample for free).  Pass 2 is held to pass 1: every backward
+        slot must fall inside the block pass 1 sized for it, and the pair
+        count and the per-node forward counts must match, or the build
+        raises.  So both directions' per-node counts (and with them any
+        sum of the keys ``hi * n + lo``) agree exactly between passes.
 
         Slot math: the backward (``hi``-major) direction's rank is pure
         arithmetic off the global input position, exactly as in
         :meth:`_from_sorted_pairs`; the forward direction's global rank
         splits into a per-node carry (``occF``, pairs seen in earlier
-        chunks) plus a within-chunk cumcount from one bounded argsort.
-        The int64 pass-1 accumulators are freed before pass 2, so the
-        pass-2 peak is the persistent CSR plus four int32 node arrays --
-        at 10^8 nodes that is ~2.4 GB less than keeping them alive (see
-        ``docs/performance.md``, "Scaling to 10^8").
+        chunks) plus a within-chunk rank from one value sort per chunk
+        (:func:`_grouped_slots`).  ``deg`` is summed into the backward
+        count buffer and the other int64 scratch is freed before pass 2,
+        so the pass-2 peak is the persistent CSR plus four int32 node
+        arrays -- at 10^8 nodes that is ~2.4 GB less than three live
+        int64 scratch arrays (see ``docs/performance.md``, "Scaling to
+        10^8").
         """
         from ..profiling import phase, profiled_pulls
 
         degF = np.zeros(n, dtype=np.int64)
         degB = np.zeros(n, dtype=np.int64)
         m = 0
-        last_key = np.int64(-1)
-        nn = np.int64(n)
+        last_key = -1
         first_pass = chunks()
         with phase("csr_build"):
             for lo, hi in profiled_pulls("sample", first_pass):
-                lo = np.asarray(lo, dtype=np.int64)
-                hi = np.asarray(hi, dtype=np.int64)
-                c = len(lo)
-                if not c:
+                lo, hi, key = _stream_chunk(n, lo, hi, last_key)
+                if not len(key):
                     continue
-                if lo.min() < 0 or hi.max() >= n:
-                    raise ValueError(
-                        f"edge endpoints must lie in [0, {n})"
-                    )
-                if not (lo < hi).all():
-                    raise ValueError("pairs must satisfy lo < hi")
-                key = hi * nn + lo
-                if key[0] <= last_key or not bool(
-                    (key[1:] > key[:-1]).all()
-                ):
-                    raise ValueError(
-                        "chunked pairs must arrive distinct and in "
-                        "strictly increasing (hi, lo)-lex order"
-                    )
                 last_key = key[-1]
                 degF += np.bincount(lo, minlength=n)
-                degB += np.bincount(hi, minlength=n)
-                m += c
+                # hi ascends within a chunk: count over its span only.
+                degB[hi[0] : hi[-1] + 1] += np.bincount(hi - hi[0])
+                m += len(key)
         self = cls._pair_shell(n)
-        deg = degF + degB
+        cumB = (np.cumsum(degB) - degB).astype(np.int32)
+        # deg takes over degB's buffer: no third int64 node array, and the
+        # persistent array sits where it was allocated before any chunk
+        # temporaries, so it cannot pin freed heap above it.
+        deg = degB
+        deg += degF
         if not m:
             self.src = np.empty(0, dtype=np.int32)
             self.dst = np.empty(0, dtype=np.int32)
@@ -635,47 +684,42 @@ class GraphArrays:
                 "(e.g. `lambda: make_chunks(...)`), not close over one "
                 "generator object"
             )
+        replay_error = (
+            "chunk factory is not replayable: pass 2 yielded a different "
+            "pair stream than pass 1 -- the factory must re-produce the "
+            "identical chunks on every call"
+        )
         with phase("csr_build"):
             csum = np.cumsum(deg)
             startB = (csum - deg).astype(np.int32)
             startF = (csum - degF).astype(np.int32)
-            cumB = (np.cumsum(degB) - degB).astype(np.int32)
             # Pass 2 needs only the int32 start/carry arrays built above:
-            # drop the int64 accumulators (3 x 8n bytes) before the big
-            # CSR allocations so they never coexist with the edge arrays.
-            del csum, degF, degB
+            # drop the int64 scratch (2 x 8n bytes) before the big CSR
+            # allocations so it never coexists with the edge arrays.
+            del csum, degF
             occF = np.zeros(n, dtype=np.int32)  # forward pairs in prior chunks
             # src never needs a scatter: row s holds deg[s] copies of s.
             src = np.repeat(np.arange(n, dtype=np.int32), deg)
             dst = np.empty(2 * m, dtype=np.int32)
             grev = np.empty(2 * m, dtype=np.int32)
         base = 0
+        last_key = -1
         with phase("csr_build"):
             for lo, hi in profiled_pulls("sample", second_pass):
-                lo = np.asarray(lo, dtype=np.int64)
-                hi = np.asarray(hi, dtype=np.int64)
-                c = len(lo)
+                lo, hi, key = _stream_chunk(n, lo, hi, last_key)
+                c = len(key)
                 if not c:
                     continue
-                idx = np.arange(c, dtype=np.int32)
-                back = startB[hi] + (base + idx - cumB[hi])
-                # Within a chunk, equal-lo pairs are already hi-ascending
-                # (a consequence of the global (hi, lo) order), so a
-                # (lo, hi) sort groups them without reordering inside
-                # groups.
-                order = np.argsort(lo * nn + hi)
-                lo_s = lo[order]
-                run = np.empty(c, dtype=bool)
-                run[0] = True
-                np.not_equal(lo_s[1:], lo_s[:-1], out=run[1:])
-                starts = np.flatnonzero(run).astype(np.int32)
-                lens = np.diff(np.append(starts, np.int32(c)))
-                fwd = np.empty(c, dtype=np.int32)
-                fwd[order] = (
-                    startF[lo_s] + occF[lo_s]
-                    + (idx - np.repeat(starts, lens))
-                )
-                occF[lo_s[starts]] += lens  # run heads are unique node ids
+                last_key = key[-1]
+                rank = (base + np.arange(c, dtype=np.int32)) - cumB[hi]
+                back = startB[hi] + rank
+                fwd = _grouped_slots(lo, startF, occF)
+                # Each backward slot must stay in the block pass 1 sized
+                # for it.  That also keeps every forward slot inside the
+                # CSR (each forward pair has its backward twin); the
+                # forward counts are compared once pass 2 is done.
+                if rank.min() < 0 or not bool((back < startF[hi]).all()):
+                    raise ValueError(replay_error)
                 dst[back] = lo
                 dst[fwd] = hi
                 grev[back] = fwd
@@ -698,6 +742,13 @@ class GraphArrays:
                 f"chunk factory is not replayable: pass 1 saw {m} pairs, "
                 f"pass 2 saw {base}"
             )
+        # Forward counts: occF must equal degF = deg - (startF - startB),
+        # compared in place (startF is dead) to add no node array.
+        del cumB
+        startF -= startB
+        startF += occF
+        if not np.array_equal(startF, deg):
+            raise ValueError(replay_error)
         self.src, self.dst, self.grev, self.deg = src, dst, grev, deg
         return self
 

@@ -133,15 +133,20 @@ STREAM_GOLDEN = dict(STREAM_CASES)
 #: Small refills, so both streams split into hundreds of chunks.
 STREAM_CHUNK = 1 << 12
 
+#: The CSR arrays and the dtype each is hashed at.
+CSR_FIELDS = (
+    ("src", np.int32),
+    ("dst", np.int32),
+    ("grev", np.int32),
+    ("deg", np.int64),
+)
+
 
 def csr_digest(ga) -> str:
     """sha256 over ``(n, m)`` and the CSR arrays at fixed dtypes."""
     h = hashlib.sha256()
     h.update(f"{ga.n}:{ga.m}".encode())
-    for name, dtype in (
-        ("src", np.int32), ("dst", np.int32), ("grev", np.int32),
-        ("deg", np.int64),
-    ):
+    for name, dtype in CSR_FIELDS:
         h.update(name.encode())
         h.update(np.ascontiguousarray(getattr(ga, name), dtype=dtype).tobytes())
     return h.hexdigest()
@@ -162,6 +167,56 @@ def test_streaming_csr_digest_is_pinned(case, monkeypatch):
     assert csr_digest(build_streamed(*case)) == STREAM_GOLDEN[case]
 
 
+def float_sqrt_rows(positions):
+    """Reference decode: the float triangular root the v2 sampler used
+    before run-length decoding, corrected in exact integer arithmetic."""
+    v = ((1.0 + np.sqrt(8.0 * positions + 1.0)) / 2.0).astype(np.int64)
+    v -= v * (v - 1) // 2 > positions
+    v += (v + 1) * v // 2 <= positions
+    return positions - v * (v - 1) // 2, v
+
+
+def tri(v):
+    return v * (v - 1) // 2
+
+
+#: Rows around which positions are decoded: tiny rows and powers of two,
+#: then the first rows whose positions reach 2^50 (where ``8 x + 1``
+#: leaves float64's exact range) and 2^52, and 10^8.
+SMALL_ROWS = (1, 2, 3, 4, 5, 64, 1000, 4096, 10**4, 2**20 + 1)
+LARGE_ROWS = (47_453_134, 94_906_266, 94_906_267, 10**8 - 1, 10**8)
+
+
+def _decode_cases():
+    """Chunks of strictly increasing positions.  The decode's transient
+    is O(rows spanned), so no chunk here spans more than ~10^5 rows."""
+    rng = np.random.default_rng(0)
+    for v in SMALL_ROWS + LARGE_ROWS:
+        edges = [x for x in (tri(v) - 1, tri(v), tri(v) + 1) if x >= 0]
+        yield f"boundary-{v}", np.array(edges, dtype=np.int64)
+        for x in edges:  # single-pair chunks
+            yield f"single-{x}", np.array([x], dtype=np.int64)
+    for v in (2, 64, 10**4, 10**8 - 5):  # dense: every position in a span
+        yield f"dense-{v}", np.arange(
+            tri(v) - min(v - 1, 50),
+            tri(v) + min(3 * v // 2, 10**5) + 50,
+            dtype=np.int64,
+        )
+    for v0, v1, k in ((1, 5000, 1000), (10**8 - 10**5, 10**8, 997)):
+        # sparse: far more rows spanned than pairs held
+        positions = rng.integers(tri(v0), tri(v1), size=k, dtype=np.int64)
+        yield f"sparse-{v1}", np.unique(positions)
+
+
+@pytest.mark.parametrize("name,positions", list(_decode_cases()))
+def test_run_length_decode_matches_float_sqrt_reference(name, positions):
+    lo, hi = arrays_mod._pair_rows(positions)
+    ref_lo, ref_hi = float_sqrt_rows(positions)
+    np.testing.assert_array_equal(hi, ref_hi)
+    np.testing.assert_array_equal(lo, ref_lo)
+    assert (0 <= lo).all() and (lo < hi).all()
+
+
 def _print_table(cases, digest_of):
     for case in cases:
         case_line = repr(case).replace("'", '"')
@@ -172,6 +227,4 @@ def _print_table(cases, digest_of):
 if __name__ == "__main__":  # regenerate the tables above
     _print_table(GOLDEN, lambda case: result_digest(run_case(*case)))
     arrays_mod.GNP_V2_STREAM_CHUNK = STREAM_CHUNK
-    _print_table(
-        STREAM_GOLDEN, lambda case: csr_digest(build_streamed(*case))
-    )
+    _print_table(STREAM_GOLDEN, lambda case: csr_digest(build_streamed(*case)))

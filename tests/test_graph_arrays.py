@@ -663,6 +663,56 @@ class TestChunkedCsrBuild:
         with pytest.raises(ValueError, match="not replayable"):
             GraphArrays.from_distinct_pair_chunks(3, make)
 
+    @staticmethod
+    def _replaying(*passes):
+        """A factory whose k-th call yields ``passes[k]``'s pairs."""
+        calls = iter(passes)
+
+        def make():
+            for lo, hi in next(calls):
+                yield np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+        return make
+
+    def test_same_length_different_replay_detected(self):
+        """Pass 2 replaying a *different* stream of the same length must
+        raise instead of returning a corrupt CSR (here it would report
+        deg [1, 1, 0] while dst holds node 2)."""
+        make = self._replaying([([0], [1])], [([0], [2])])
+        with pytest.raises(ValueError, match="not replayable"):
+            GraphArrays.from_distinct_pair_chunks(3, make)
+
+    def test_replay_with_other_backward_counts_detected(self):
+        """Same count, key sum and forward (lo) counts, different backward
+        (hi) counts: (0,2),(1,2) then (0,1),(1,3) on 5 nodes."""
+        make = self._replaying([([0, 1], [2, 2])], [([0, 1], [1, 3])])
+        with pytest.raises(ValueError, match="not replayable"):
+            GraphArrays.from_distinct_pair_chunks(5, make)
+
+    def test_replay_with_other_forward_counts_detected(self):
+        """Same count, key sum and backward (hi) counts, different forward
+        (lo) counts: (0,3),(2,4) then (1,3),(1,4) on 5 nodes."""
+        make = self._replaying([([0, 2], [3, 4])], [([1], [3]), ([1], [4])])
+        with pytest.raises(ValueError, match="not replayable"):
+            GraphArrays.from_distinct_pair_chunks(5, make)
+
+    def test_pass2_is_validated_like_pass1(self):
+        make = self._replaying([([0], [1])], [([1], [0])])
+        with pytest.raises(ValueError, match="lo < hi"):
+            GraphArrays.from_distinct_pair_chunks(3, make)
+        make = self._replaying([([0], [1]), ([0], [2])], [([0, 0], [2, 1])])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            GraphArrays.from_distinct_pair_chunks(3, make)
+
+    def test_replay_may_split_the_stream_differently(self):
+        """Only the pair stream is the contract, not its chunking."""
+        lo, hi = [0, 0, 1, 2], [1, 2, 2, 3]
+        make = self._replaying([(lo, hi)], [(lo[:1], hi[:1]), (lo[1:], hi[1:])])
+        _assert_same_arrays(
+            GraphArrays.from_distinct_pair_chunks(4, make),
+            GraphArrays.from_distinct_pairs(4, np.array(lo), np.array(hi)),
+        )
+
     def test_consumed_iterator_reuse_names_the_fix(self):
         """Passing the *same* generator object for both passes is the
         classic mistake (``chunks=gen()`` instead of ``chunks=gen``); the
