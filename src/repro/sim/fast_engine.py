@@ -11,8 +11,8 @@ the participant set per communication step.  That is what this module does:
 * the participant set of each call is an index array; adjacency is a pair
   of directed-edge arrays (CSR-flavoured), filtered down the tree so a
   sub-call only ever touches edges inside its own ``G[U]``;
-* awake/``inMIS``/coin state are per-node int arrays; the base case of
-  Algorithm 2 additionally keeps a per-directed-edge ``live`` bit array;
+* awake/``inMIS``/coin state are per-node int arrays, and so are the live
+  counts of Algorithm 2's base case (live sets are never stored);
 * the wall clock is never stepped at all -- round numbers are computed from
   the schedule formulas, which is the generator engine's fast-forward trick
   taken to its limit.  Algorithm 1's :math:`\\Theta(n^3)` wall-clock
@@ -105,7 +105,7 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapability] = {
     "fast-sleeping": EngineCapability(
         "fast_engine.VectorizedEngine",
         SUPPORTED_PROTOCOL_KWARGS,
-        "greedy base cases over per-edge live bits",
+        "greedy base cases over in-loop neighborhoods",
     ),
     "luby": EngineCapability(
         "fast_phased.PhasedVectorizedEngine",
@@ -395,9 +395,10 @@ class GraphArrays:
     ``deg`` at 8 bytes per node (kept int64 because it feeds straight into
     the int64 message/bit accumulators).  A gnp(10^5, 10/n) graph is
     m ~ 2x10^6 directed edges ~ 24 MB of edge arrays; per-run engine state
-    adds ~13 int64/int8 node arrays and one bool per edge (received
-    messages are counted per node).  Edge-sized transients live only for
-    one recursion call or phase: the top call's int32 edge ids (it reads
+    is ~13 int64/int8 node arrays and nothing per edge (received messages
+    are counted per node; live sets follow from in-loop membership, and no
+    engine reads ``grev``).  Edge-sized transients live only for one
+    recursion call or phase: the top call's int32 edge ids (it reads
     ``src``/``dst`` in place), each sub-call's edge ids and endpoints, and
     the phased engines' carried frontier.
     """
@@ -931,7 +932,6 @@ class VectorizedEngine:
         self.n = arrays.n
         self.src = arrays.src
         self.dst = arrays.dst
-        self.grev = arrays.grev
         self.deg = arrays.deg
         self._no_isolated = bool(self.deg.all()) if self.n else True
 
@@ -1032,10 +1032,6 @@ class VectorizedEngine:
         # two O(n) zero-fills per call; see _subedges and Parts 4/5).
         self._sub_mask = scratch.take("sub_mask", n, bool, fill=False)
         self._nbr_mask = scratch.take("nbr_mask", n, bool, fill=False)
-        # Per-directed-edge live bits for the greedy base cases; each base
-        # call touches only its own in-call edge subset, so one zeroed
-        # buffer per run serves every call (set at entry, cleared at exit).
-        self._live_edges = scratch.take("live_edges", arrays.m, bool, fill=False)
         # Global-to-local node index map for the greedy base cases
         # (set-before-use only: each base call writes its own participants
         # before reading, so stale entries are never observed).
@@ -1065,7 +1061,7 @@ class VectorizedEngine:
                 raise MaxRoundsExceededError(self.max_rounds, self.n)
 
             everyone = np.arange(self.n, dtype=np.int64)
-            # int32 like every other edge index: grev's format already
+            # int32 like every other edge index: the CSR format already
             # requires 2m < 2^31.
             all_edges = np.arange(len(self.src), dtype=np.int32)
             self._recurse(everyone, all_edges, self.depth, 0)
@@ -1252,9 +1248,11 @@ class VectorizedEngine:
         recursion most base calls are tiny, so the historical full-``n``
         masks and ``bincount(minlength=n)`` passes made every phase cost
         the graph's size; compaction makes them cost the call's size.
-        Global state (``in_mis``, stats, the ``live`` edge bits) is
-        updated through ``U[...]`` fancy indexing -- same values, same
-        order, bit-for-bit the generator engine's execution.
+        Global state (``in_mis``, stats) is updated through ``U[...]``
+        fancy indexing -- same values, same order, bit-for-bit the
+        generator engine's execution.  By the live-set invariant of
+        :mod:`repro.sim.fast_phased`, a round's deliveries are the in-call
+        edges between in-loop nodes and ``live_cnt`` is the in-loop degree.
         """
         W = self.base_rounds
 
@@ -1284,20 +1282,16 @@ class VectorizedEngine:
             return
 
         nu = len(U)
-        es_g, ed_g, erev = self.src[E], self.dst[E], self.grev[E]
+        es_g, ed_g = self.src[E], self.dst[E]
         local = self._local_index
         local[U] = np.arange(nu, dtype=np.int32)
         es, ed = local[es_g], local[ed_g]
 
         # Neighbor discovery inside G[U]: live sets start as the in-call
-        # neighborhoods, kept as per-directed-edge bits over E (borrowing
-        # the run-level buffer; cleared again at the loop's exit).  Each
-        # node hears one presence flag per in-call neighbor, which seeds
-        # the local receipt count.
+        # neighborhoods.  Each node hears one presence flag per in-call
+        # neighbor, which seeds the local receipt count.
         self._broadcast(U)
         live_cnt = np.bincount(ed, minlength=nu)
-        live = self._live_edges
-        live[E] = True
         mrecv = live_cnt.copy()
 
         # Ranks: one draw per participant, same stream position as the
@@ -1332,31 +1326,26 @@ class VectorizedEngine:
                     self.sleep[U[leaving]] += W - used
                 inloop &= ~leaving
             if not inloop.any():
-                live[E] = False  # hand the edge buffer back clean
                 self.mrecv[U] += mrecv
                 return
 
-            # Round A -- rank exchange over the live sets.
+            # Round A -- rank exchange over the (symmetric) live sets: each
+            # in-loop node hears, and keeps, as many ranks as it sends.
             rA = r + used
             act = U[inloop]
             self.awake[act] += 1
             self.tx[act] += 1  # every in-loop node has a nonempty live set
             self.msent[act] += live_cnt[inloop]
             self.bits[act] += rank_bits[inloop] * live_cnt[inloop]
-            delivered = inloop[es] & live[E] & inloop[ed]
-            mrecv += np.bincount(ed[delivered], minlength=nu)
-            # rank_keys: senders that are also in the receiver's live set.
-            keyed = delivered & live[erev]
-            key_cnt = np.bincount(ed[keyed], minlength=nu)
+            mrecv += live_cnt * inloop
+            delivered = inloop[es] & inloop[ed]
             best_rank = np.full(nu, -1, dtype=np.int64)
-            np.maximum.at(best_rank, ed[keyed], rank[es[keyed]])
-            top = keyed & (rank[es] == best_rank[ed])
+            np.maximum.at(best_rank, ed[delivered], rank[es[delivered]])
+            top = delivered & (rank[es] == best_rank[ed])
             best_id = np.full(nu, -1, dtype=np.int64)
             np.maximum.at(best_id, ed[top], es_g[top])
-            joined = (
-                inloop
-                & (key_cnt == live_cnt)
-                & ((rank > best_rank) | ((rank == best_rank) & (gid > best_id)))
+            joined = inloop & (
+                (rank > best_rank) | ((rank == best_rank) & (gid > best_id))
             )
             jact = U[joined]
             if len(jact):
@@ -1369,15 +1358,13 @@ class VectorizedEngine:
             self.tx[jact] += 1
             self.msent[jact] += live_cnt[joined]
             self.bits[jact] += _FLAG_BITS * live_cnt[joined]
-            delivered = joined[es] & live[E] & inloop[ed]
+            delivered = joined[es] & inloop[ed]
             got_join = np.bincount(ed[delivered], minlength=nu)
             mrecv += got_join
             silent = inloop & ~joined
             self.rx[U[silent & (got_join > 0)]] += 1
             self.idle[U[silent & (got_join == 0)]] += 1
-            hit = np.zeros(nu, dtype=bool)
-            hit[ed[delivered & live[erev]]] = True
-            elim = inloop & undecided & hit
+            elim = inloop & undecided & (got_join > 0)
             eact = U[elim]
             if len(eact):
                 self._decide(eact, False, rB + 1)
@@ -1388,23 +1375,23 @@ class VectorizedEngine:
                 inloop &= ~joined
 
             # Round C -- OUT announcements from the newly eliminated;
-            # survivors prune their live sets.
+            # survivors drop the announcers from their live sets.
             self.awake[U[inloop]] += 1
             self.tx[eact] += 1
             self.msent[eact] += live_cnt[elim]
             self.bits[eact] += _FLAG_BITS * live_cnt[elim]
-            delivered = elim[es] & live[E] & inloop[ed]
+            delivered = elim[es] & inloop[ed]
             got_out = np.bincount(ed[delivered], minlength=nu)
             mrecv += got_out
             survivor = inloop & ~elim
             self.rx[U[survivor & (got_out > 0)]] += 1
             self.idle[U[survivor & (got_out == 0)]] += 1
-            live[erev[delivered & survivor[ed]]] = False
+            # Announcers leave the loop, so every OUT shrinks a live set.
+            live_cnt -= got_out
             if len(eact):
                 if W - (used + 3) > 0:
                     self.sleep[eact] += W - (used + 3)
                 inloop &= ~elim
-            live_cnt = np.bincount(es[live[E]], minlength=nu)
             p += 1
 
     # ------------------------------------------------------------------

@@ -12,8 +12,8 @@ round, instead of one Python generator step per node:
 
 * phase ``p`` occupies rounds ``3p`` (rank/mark exchange), ``3p + 1``
   (``JOIN`` announcements), ``3p + 2`` (``OUT`` announcements);
-* per-node live sets are per-directed-edge bits, pruned exactly when the
-  generator engine's ``live -= set(inbox)`` fires;
+* per-node live sets are never stored: a phase's deliveries are the
+  edges between in-loop nodes (see *Live-set invariant* below);
 * priorities are compared through dense ranks (``(value, id)`` tuple order
   == ``rank * n + index`` order, because node index order is node id
   order), so numpy stays in int64 even though raw draws reach ``n^6``.
@@ -41,6 +41,23 @@ graph, all four baselines, several seeds, and both RNG stream formats.
 Ghaffari's desire-level comparison is computed in *exact integer
 arithmetic* on both engines (see :meth:`_update_desire`), so equivalence
 does not hinge on floating-point summation order.
+
+Live-set invariant
+------------------
+The generator protocols keep a per-node live set, initially the whole
+neighborhood.  Among in-loop nodes it is always the in-loop neighborhood,
+because every way out of the loop also leaves every live set it belongs to:
+
+* a winner's ``JOIN`` reaches every live neighbor, and each one is
+  eliminated (no survivor is adjacent to a winner);
+* every eliminated node announces ``OUT`` to its live set, and every
+  survivor drops every ``OUT`` announcer (``live -= set(inbox)``);
+* isolated-among-survivors nodes have no in-loop neighbor, and a
+  ``max_phases`` exit removes all in-loop nodes at once.
+
+So live sets are symmetric, every round-A report is kept, and a live
+count is an in-loop degree.  Algorithm 2's greedy base case (whose window
+exit also removes all in-loop nodes at once) relies on the same invariant.
 
 Progress guarantee: for ``luby``/``greedy``, in every phase the live node
 holding the globally highest ``(priority, id)`` key beats all of its live
@@ -263,46 +280,48 @@ class PhasedVectorizedEngine:
     def _update_desire(
         self,
         U: np.ndarray,
-        sf: np.ndarray,
         ld: np.ndarray,
-        gf: np.ndarray,
-        keyed: np.ndarray,
-        live: np.ndarray,
+        row_len_l: np.ndarray,
         survivor_l: np.ndarray,
     ) -> None:
         """Ghaffari's end-of-phase desire-level update for the survivors.
 
         A survivor's *effective degree* is ``sum(2^-e_u)`` over the
-        neighbors ``u`` whose round-A report it kept (``keyed``) and that
-        are still in its live set after the round-C pruning; the exponent
-        rises when that sum reaches 2 and falls (floored at 1) otherwise.
-        ``sf``/``ld``/``gf`` are the phase's frontier sender endpoints,
-        *local* receiver ids, and reverse-edge ids, with ``keyed`` aligned
-        to the frontier and ``survivor_l`` local to ``U`` -- the whole
-        update is O(frontier), never O(n).  The comparison is computed in
-        exact integer arithmetic -- ``sum(2^(E - e_u)) >= 2^(E+1)`` with
-        ``E`` the largest exponent -- matching the protocol's exact-shift
-        implementation independent of any summation order.  The int64
-        fast path covers every exponent range a real run produces;
-        pathological spreads (possible only after ~50+ adversarial
-        phases) fall back to per-receiver Python big-int sums, still
-        exact.
+        neighbors ``u`` whose round-A report it kept and that are still in
+        its live set after the round-C pruning -- by the live-set
+        invariant, exactly its surviving neighbors.  The exponent rises
+        when that sum reaches 2 and falls (floored at 1) otherwise.
+        ``ld`` is the phase's frontier in *local* receiver ids, one row of
+        ``row_len_l[i]`` edges per sender ``U[i]``, with ``survivor_l``
+        local to ``U`` -- the whole update is O(frontier), never O(n).
+        The comparison is computed in exact integer arithmetic --
+        ``sum(2^(E - e_u)) >= 2^(E+1)`` with ``E`` the largest exponent --
+        matching the protocol's exact-shift implementation independent of
+        any summation order.  The int64 fast path covers every exponent
+        range a real run produces; pathological spreads (possible only
+        after ~50+ adversarial phases) fall back to per-receiver Python
+        big-int sums, still exact.
         """
         nu = len(U)
         high_l = np.zeros(nu, dtype=bool)
-        rep = keyed & live[gf] & survivor_l[ld]
-        if rep.any():
-            exps = self._exponent[sf[rep]]
+        # Reports from surviving senders to surviving receivers.
+        heads = ld[np.repeat(survivor_l, row_len_l)]
+        exps = np.repeat(
+            self._exponent[U[survivor_l]], row_len_l[survivor_l]
+        )
+        rep = survivor_l[heads]
+        heads, exps = heads[rep], exps[rep]
+        if len(heads):
             cap = int(exps.max())
             spread = cap - int(exps.min())
             if cap + 1 <= 62 and spread + self.n.bit_length() <= 62:
                 contrib = np.int64(1) << (np.int64(cap) - exps)
                 acc = np.zeros(nu, dtype=np.int64)
-                np.add.at(acc, ld[rep], contrib)
+                np.add.at(acc, heads, contrib)
                 high_l = acc >= np.int64(1) << np.int64(cap + 1)
             else:  # pragma: no cover - adversarial exponent spreads
                 grouped: dict = {}
-                for v, e in zip(ld[rep].tolist(), exps.tolist()):
+                for v, e in zip(heads.tolist(), exps.tolist()):
                     grouped.setdefault(v, []).append(e)
                 for v, group in grouped.items():
                     top = max(group)
@@ -331,21 +350,23 @@ class PhasedVectorizedEngine:
         """Replay the full execution and return the generator-equal result.
 
         The phase loop walks a **shrinking edge frontier** and a matching
-        **node frontier**: ``EF`` holds the indices of the live edges
-        between in-loop nodes, carried from phase to phase together with
-        their endpoints and reverse-edge ids (``sf``/``df``/``gf``) and
-        compacted by one mask, and ``U`` holds the (ascending) indices of
-        the in-loop nodes themselves -- so a late phase with a handful of
-        survivors touches a handful of edges and nodes, never the whole
-        CSR.  All per-phase aggregation happens in ``U``'s local index
-        space (slot ``i`` is node ``U[i]``, mapped through the
-        ``_local_index`` scratch scatter), ``live_cnt`` is maintained
-        incrementally as edges are pruned, every receipt (round A
-        included) is counted per receiving node as it is delivered, and
-        the per-phase ``best``/``hit``/``marked`` arrays are frontier-
-        sized slices of scratch buffers.  Because ``U`` stays ascending,
-        every draw happens at exactly the stream position the historical
-        full-scan loop used -- bit-for-bit equivalence is preserved.
+        **node frontier**.  ``U`` holds the (ascending) indices of the
+        in-loop nodes; ``df`` holds the receivers of the edges between
+        in-loop nodes -- by the live-set invariant, exactly the phase's
+        deliveries -- as one row per node of ``U``, in ``U`` order, of
+        ``live_cnt`` (the in-loop degree) edges.  Phase 0's frontier is the
+        CSR's ``dst`` itself; after each phase one mask keeps the
+        survivors' rows and a second the edges into survivors, so a late
+        phase with a handful of survivors touches a handful of edges and
+        nodes, never the whole CSR.  Because rows are laid out by sender,
+        every sender-side quantity (a winner's ``JOIN``, an announcer's
+        ``OUT``, a round-A key) reaches its edges by one ``np.repeat``
+        over the rows, never a gather.  All per-phase aggregation happens
+        in ``U``'s local index space (slot ``i`` is node ``U[i]``, mapped
+        through the ``_local_index`` scratch scatter); engine state is
+        node-sized only.  Because ``U`` stays ascending, every draw
+        happens at exactly the stream position the historical full-scan
+        loop used -- bit-for-bit equivalence is preserved.
 
         Under active phase profiling the replay is attributed to the
         ``engine`` phase and result assembly to ``result_build``
@@ -360,33 +381,27 @@ class PhasedVectorizedEngine:
         n = self.n
         if n == 0:
             return self._build_result()
-        src, dst, grev = self.arrays.src, self.arrays.dst, self.arrays.grev
         marking = self.algorithm in MARKING_ALGORITHMS
 
         inloop = np.ones(n, dtype=bool)
-        # live[e] for directed e = (u, v): v is in u's live set (u still
-        # sends to v).  Symmetric among live nodes, exactly as the
-        # protocol's set-based live sets are.
-        live = self._scratch.take("live_edges", self.arrays.m, bool, fill=True)
+        # In-loop degree == live-set size (the live-set invariant).
         live_cnt = self.arrays.deg.copy()
-        # Phase 0's frontier is the whole edge set: every edge is live and
-        # every node with an edge is in the loop.  ``EF`` is None until the
-        # first compaction (it would be the identity).
-        EF: Optional[np.ndarray] = None
-        sf, df, gf = src, dst, grev
+        # Phase 0's frontier is the whole CSR: every node with an edge is
+        # in the loop, and row i of ``dst`` is node i's neighborhood.
+        df = self.arrays.dst
         U = np.arange(n, dtype=np.int64)
         local = self._local_index
         best = self._scratch.take("phase_best", n, np.int64)
-        hit = self._scratch.take("phase_hit", n, bool, fill=False)
 
         p = 0
         while True:
             r0 = 3 * p
 
-            # Loop head: isolated-among-survivors nodes join and terminate;
-            # then the phase budget is checked (everyone still in the loop
-            # shares the same phase count, so a ``max_phases`` exit empties
-            # the loop in one step, matching the per-node protocol).
+            # Loop head: isolated-among-survivors nodes join and terminate
+            # (their frontier rows are empty); then the phase budget is
+            # checked (everyone still in the loop shares the same phase
+            # count, so a ``max_phases`` exit empties the loop in one step,
+            # matching the per-node protocol).
             iso_l = live_cnt[U] == 0
             if iso_l.any():
                 idx = U[iso_l]
@@ -407,50 +422,44 @@ class PhasedVectorizedEngine:
             assert marking or p <= n, "rank baseline failed to make progress"
 
             nu = len(U)
-            live_cnt_l = live_cnt[U]
+            live_cnt_l = live_cnt[U]  # the frontier's row lengths
             if marking:
                 marked_l = self._marked[:nu]
                 self._draw_marks(U, live_cnt_l, marked_l)
             else:
                 if self.algorithm == "luby" or p == 0:
                     self._draw_priorities(U)
-
-            # Compact the carried frontier: the deliveries of this phase
-            # are exactly the live edges between in-loop nodes.  Endpoints
-            # are mapped to the local index space once per phase.
-            if p:
-                keep = inloop[sf]
-                keep &= inloop[df]
-                keep &= live if EF is None else live[EF]
-                EF = np.flatnonzero(keep) if EF is None else EF[keep]
-                sf, df, gf = sf[keep], df[keep], gf[keep]
+            # Receivers in the local index space, mapped once per phase.
             if nu == n:  # U is every node: local ids are global ids
-                ls, ld = sf, df
+                ld = df
             else:
                 local[U] = np.arange(nu, dtype=np.int32)
-                ls, ld = local[sf], local[df]
+                ld = local[df]
 
             # Round A (3p) -- rank/mark exchange over the live sets.  Every
-            # in-loop node has a nonempty live set, so all are tx.
+            # in-loop node has a nonempty live set, so all are tx; live
+            # sets are symmetric, so each node hears as many reports as it
+            # sends, and keeps them all.
             self._check_clock(r0, nu)
             self.awake[U] += 1
             self.tx[U] += 1
             self.msent[U] += live_cnt_l
             self.bits[U] += self._prio_bits[U] * live_cnt_l
-            # Receipts by receiver: live sets prune asymmetrically, so a
-            # sender's live count is not what its neighbors hear.
-            self.mrecv[U] += np.bincount(ld, minlength=nu)
-            # Keys kept by receivers: senders that are in the receiver's
-            # own live set (the protocol's ``if u in live`` filter).
-            keyed = live[gf]
-            key_cnt = np.bincount(ld[keyed], minlength=nu)
-            # Contenders: kept reports that can veto a win -- every kept
-            # report for the rank baselines, marked ones for the others.
-            contender = keyed & marked_l[ls] if marking else keyed
+            self.mrecv[U] += live_cnt_l
+            # Contenders: reports that can veto a win -- every report for
+            # the rank baselines, marked ones for the others.
+            key_l = self._combined[U]
             best_l = best[:nu]
             best_l.fill(-1)
-            np.maximum.at(best_l, ld[contender], self._combined[sf[contender]])
-            joined_l = (key_cnt == live_cnt_l) & (self._combined[U] > best_l)
+            if marking:
+                np.maximum.at(
+                    best_l,
+                    ld[np.repeat(marked_l, live_cnt_l)],
+                    np.repeat(key_l[marked_l], live_cnt_l[marked_l]),
+                )
+            else:
+                np.maximum.at(best_l, ld, np.repeat(key_l, live_cnt_l))
+            joined_l = key_l > best_l
             if marking:
                 joined_l &= marked_l
             jidx = U[joined_l]
@@ -459,22 +468,20 @@ class PhasedVectorizedEngine:
 
             # Round B (3p + 1) -- JOIN announcements; winners terminate
             # after sending (they are still awake and receiving this round).
+            # Every silent node that hears a JOIN is eliminated.
             self._check_clock(r0 + 1, nu)
             self.awake[U] += 1
             self.tx[jidx] += 1
             self.msent[jidx] += live_cnt_l[joined_l]
             self.bits[jidx] += _FLAG_BITS * live_cnt_l[joined_l]
-            delivered = joined_l[ls]
-            got_join = np.bincount(ld[delivered], minlength=nu)
+            got_join = np.bincount(
+                ld[np.repeat(joined_l, live_cnt_l)], minlength=nu
+            )
             self.mrecv[U] += got_join
             silent_l = ~joined_l
-            self.rx[U[silent_l & (got_join > 0)]] += 1
+            elim_l = silent_l & (got_join > 0)
+            self.rx[U[elim_l]] += 1
             self.idle[U[silent_l & (got_join == 0)]] += 1
-            hit_l = hit[:nu]
-            hitidx = ld[delivered & keyed]
-            hit_l[hitidx] = True
-            elim_l = silent_l & hit_l
-            hit_l[hitidx] = False  # hand the scratch buffer back clean
             eidx = U[elim_l]
             if len(eidx):
                 self._decide(eidx, False, r0 + 2)
@@ -482,39 +489,40 @@ class PhasedVectorizedEngine:
             inloop[jidx] = False
 
             # Round C (3p + 2) -- OUT announcements from the newly
-            # eliminated; survivors prune their live sets, announcers
-            # terminate.  ``silent_l`` is exactly the in-loop set now.
+            # eliminated to every silent neighbor (winners have
+            # terminated); survivors drop the announcers from their live
+            # sets, announcers terminate.
             stillidx = U[silent_l]
             self._check_clock(r0 + 2, len(stillidx))
             self.awake[stillidx] += 1
             self.tx[eidx] += 1
             self.msent[eidx] += live_cnt_l[elim_l]
             self.bits[eidx] += _FLAG_BITS * live_cnt_l[elim_l]
-            delivered = elim_l[ls] & silent_l[ld]
-            got_out = np.bincount(ld[delivered], minlength=nu)
+            got_out = np.bincount(
+                ld[np.repeat(elim_l, live_cnt_l)], minlength=nu
+            )
+            got_out[joined_l] = 0
             self.mrecv[U] += got_out
             survivor_l = silent_l & ~elim_l
             self.rx[U[survivor_l & (got_out > 0)]] += 1
             self.idle[U[survivor_l & (got_out == 0)]] += 1
-            # Prune: only reverse edges that were still live decrement the
-            # sender-side live counts (live sets prune asymmetrically, so
-            # a reverse edge may already be dead).
-            recv_live = delivered & survivor_l[ld]
-            fresh = recv_live & live[gf]
-            live[gf[recv_live]] = False
-            live_cnt[U] -= np.bincount(ld[fresh], minlength=nu)
+            # Announcers leave the loop, so every OUT shrinks a live set
+            # (the announcers' own counts are never read again).
+            live_cnt[U] -= got_out
             self.finish[eidx] = r0 + 3
             inloop[eidx] = False
             if self.algorithm == "ghaffari":
                 # Survivors re-rate their desire level from the round-A
-                # reports of neighbors still live after the pruning.
-                self._update_desire(U, sf, ld, gf, keyed, live, survivor_l)
-            # The node frontier shrinks in place; masking preserves the
-            # ascending order the draw positions depend on.
+                # reports of their surviving neighbors.
+                self._update_desire(U, ld, live_cnt_l, survivor_l)
+            # Carry both frontiers to the survivors: keep their rows, then
+            # the edges into survivors.  Masking preserves the ascending
+            # order the draw positions depend on.
+            df = df[np.repeat(survivor_l, live_cnt_l)]
+            df = df[inloop[df]]
             U = U[survivor_l]
             p += 1
 
-        live[:] = False  # hand the edge buffer back clean
         return self._build_result()
 
     # ------------------------------------------------------------------

@@ -8,12 +8,16 @@ diff complete :class:`NodeStats` across every corner-case graph, all six
 vectorized algorithms (the two sleeping algorithms plus the four phased
 baselines: Luby, greedy, Ghaffari, ABI), several seeds, and both RNG
 stream formats, plus the protocol knobs and the engine selection logic in
-the API.
+the API.  A Hypothesis differential test extends the same diff to random
+graphs the fixed corner-case list never tried.
 """
 
 from dataclasses import asdict
 
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import GRAPH_CASES, run_mis
 
@@ -208,3 +212,88 @@ class TestEngineSelection:
         assert result.protocols == {}
         reference = run_mis(gnp60, "sleeping", seed=0)
         assert reference.protocols  # the generator engine keeps them
+
+
+@st.composite
+def random_small_graphs(draw):
+    """A small random graph: gnp, Barabasi-Albert, random geometric or a
+    random tree, optionally padded with isolated nodes or joined to a
+    second component."""
+    kind = draw(st.sampled_from(("gnp", "ba", "geometric", "tree")))
+    n = draw(st.integers(min_value=1, max_value=32))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    if kind == "gnp":
+        p = draw(st.sampled_from((0.05, 0.15, 0.3, 0.6)))
+        graph = nx.gnp_random_graph(n, p, seed=seed)
+    elif kind == "ba":
+        m = draw(st.integers(min_value=1, max_value=3))
+        graph = (
+            nx.barabasi_albert_graph(n, m, seed=seed)
+            if n > m else nx.complete_graph(n)
+        )
+    elif kind == "geometric":
+        radius = draw(st.sampled_from((0.15, 0.3, 0.5)))
+        graph = nx.Graph(nx.random_geometric_graph(n, radius, seed=seed).edges)
+        graph.add_nodes_from(range(n))
+    else:
+        graph = nx.random_labeled_tree(n, seed=seed)
+    if draw(st.booleans()):
+        graph = nx.disjoint_union(graph, nx.cycle_graph(draw(
+            st.integers(min_value=1, max_value=5)
+        )))
+    graph.add_nodes_from(
+        range(len(graph), len(graph) + draw(st.integers(0, 3)))
+    )
+    return graph
+
+
+#: (algorithm, protocol kwargs) pairs the differential test draws from:
+#: every phased baseline under a tiny, small, and absent phase budget, and
+#: Algorithm 2 with greedy windows short enough to truncate base cases --
+#: at the default depth and at depths 0 and 1, whose base calls are large
+#: enough to run (and truncate) multi-phase greedy loops on these sizes.
+DIFFERENTIAL_CONFIGS = [
+    (algorithm, {} if max_phases is None else {"max_phases": max_phases})
+    for algorithm in PHASED
+    for max_phases in (1, 3, None)
+] + [
+    ("fast-sleeping", dict(
+        {"greedy_constant": c}, **({} if depth is None else {"depth": depth})
+    ))
+    for c in (1, 2)
+    for depth in (None, 0, 1)
+]
+
+
+class TestRandomGraphDifferential:
+    """Generator vs vectorized engine on random graphs.
+
+    The vectorized engines derive every live set from in-loop membership
+    (the live-set invariant of :mod:`repro.sim.fast_phased`) instead of
+    replaying the protocols' per-node sets; any execution where the two
+    diverge shows up here as a ``NodeStats`` diff.
+    """
+
+    @settings(
+        max_examples=800,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        random_small_graphs(),
+        st.sampled_from(DIFFERENTIAL_CONFIGS),
+        st.sampled_from(("pernode", "batched")),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_engines_agree_on_random_graphs(self, graph, config, rng, seed):
+        algorithm, kwargs = config
+        assert_equivalent(
+            run_mis(
+                graph, algorithm, seed=seed, engine="generators", rng=rng,
+                **kwargs,
+            ),
+            run_mis(
+                graph, algorithm, seed=seed, engine="vectorized", rng=rng,
+                **kwargs,
+            ),
+        )

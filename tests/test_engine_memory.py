@@ -25,7 +25,7 @@ from repro.sim.fast_phased import PhasedVectorizedEngine
 SLEEPING_BUFFERS = (
     "in_mis", "awake", "sleep", "tx", "rx", "idle", "msent", "bits",
     "mrecv", "decision_round", "awake_at_decision", "base_truncated",
-    "_sub_mask", "_nbr_mask", "_live_edges", "_local_index", "_ctr",
+    "_sub_mask", "_nbr_mask", "_local_index", "_ctr",
 )
 
 #: The scratch-borrowed per-node state buffers of the phased engine,
@@ -79,6 +79,30 @@ class TestBufferIdentity:
             assert getattr(second, name) is buf, (
                 f"{name} was reallocated instead of reused from scratch"
             )
+
+    def test_engine_state_is_node_sized(self):
+        """No engine borrows an edge-sized buffer: live sets are derived
+        from in-loop membership, so a scratch shared by fast-sleeping and
+        luby runs holds only node-sized state."""
+        scratch = EngineScratch()
+        ga = make_family_arrays("gnp-sparse", 400, seed=1)
+        assert ga.m not in (0, ga.n)  # lengths m and n are distinguishable
+        for engine, algorithm in (
+            (VectorizedEngine, "fast-sleeping"),
+            (PhasedVectorizedEngine, "luby"),
+        ):
+            for seed in range(2):
+                engine(
+                    ga, algorithm, seed=seed, rng="batched", scratch=scratch
+                ).run()
+        sizes = {name: buf.shape for name, buf in scratch._buffers.items()}
+        assert sizes, "the engines borrowed nothing from the scratch"
+        edge_sized = [
+            name for name, shape in sizes.items() if ga.m in shape
+        ]
+        assert not edge_sized, (
+            f"edge-sized scratch buffers are back: {edge_sized}"
+        )
 
     def test_shape_change_reallocates(self):
         """A different graph size genuinely needs fresh buffers."""
@@ -272,7 +296,7 @@ class TestNoCopyEngineHandoff:
         ga = make_family_arrays("gnp-sparse", 400, seed=7)
         eng = VectorizedEngine(ga, "fast-sleeping", seed=0, rng="batched")
         assert eng.arrays is ga
-        for field in ("src", "dst", "grev", "deg"):
+        for field in ("src", "dst", "deg"):
             assert getattr(eng, field) is getattr(ga, field), (
                 f"engine copied {field} instead of consuming it in place"
             )
@@ -286,10 +310,9 @@ class TestNoCopyEngineHandoff:
 
     def test_engine_construction_does_not_duplicate_the_csr(self):
         """tracemalloc pin: constructing the sleeping engine on a dense
-        prebuilt graph allocates its *own* per-edge state (only the bool
-        live mask, 1 byte/directed edge) plus O(n) node buffers -- but
-        never a second copy of the ~12 bytes/edge int32 CSR triplet, which
-        would show up as ~12m extra traced bytes."""
+        prebuilt graph allocates O(n) node buffers and no per-edge state
+        at all -- never a second copy of the ~12 bytes/edge int32 CSR
+        triplet (~12m extra traced bytes), nor a 1 byte/edge mask."""
         n, p = 2000, 0.5
         ga = make_family_arrays("gnp-dense", n, seed=7)
         assert ga.m > 1_500_000
@@ -304,9 +327,9 @@ class TestNoCopyEngineHandoff:
         finally:
             tracemalloc.stop()
         del eng
-        per_edge_state = 1 * ga.m  # the live mask, legitimate
         node_buffers = 32 * 8 * n  # generous: every per-node scratch array
-        bound = per_edge_state + node_buffers + 2 * 1024 * 1024
+        bound = node_buffers + 1024 * 1024
+        assert bound < ga.m  # a 1 byte/edge buffer cannot hide in the slack
         assert peak <= bound, (
             f"engine construction traced {peak} bytes (bound {bound}): "
             f"is the CSR being copied instead of consumed in place?"
@@ -316,21 +339,21 @@ class TestNoCopyEngineHandoff:
 class TestRunPeakPerEdge:
     """Peak traced memory of a whole dense run, per directed edge.
 
-    The engines' persistent per-edge state is the 1-byte live mask;
-    everything else edge-sized is a transient of one recursion call or
-    one phase (in-call edge ids and endpoints, frontier-local endpoint
-    ids, delivery masks).  Received messages are counted per node, so no
-    8-byte counter per edge exists, and the top call and phase 0 read
-    the CSR columns in place instead of gathering copies of them.  The
-    bounds sit well below what an int64 per-edge counter (8 B) or a
-    re-gathered endpoint pair (8 B) would add back.
+    The engines keep no persistent per-edge state (live sets are derived
+    from in-loop membership); everything edge-sized is a transient of one
+    recursion call or one phase (in-call edge ids and endpoints,
+    frontier-local endpoint ids, delivery masks).  Received messages are
+    counted per node, so no 8-byte counter per edge exists, and the top
+    call and phase 0 read the CSR columns in place instead of gathering
+    copies of them.  The bounds sit well below what an int64 per-edge
+    counter (8 B) or a re-gathered endpoint pair (8 B) would add back.
     """
 
     @pytest.mark.parametrize(
         "engine,algorithm,bytes_per_edge",
         [
-            (VectorizedEngine, "fast-sleeping", 12),
-            (PhasedVectorizedEngine, "luby", 22),
+            (VectorizedEngine, "fast-sleeping", 10),
+            (PhasedVectorizedEngine, "luby", 14),
         ],
     )
     def test_dense_run_peak_per_edge(self, engine, algorithm, bytes_per_edge):
