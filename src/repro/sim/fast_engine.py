@@ -850,9 +850,8 @@ class GraphArrays:
 class EngineScratch:
     """A pool of reusable numpy buffers for running many trials.
 
-    Engines allocate a dozen node-sized state arrays plus an edge-sized
-    mask per run; over a 10^4-trial sweep that allocation/zeroing churn is
-    measurable.  A scratch passed to consecutive engine constructions hands
+    Engines allocate a dozen node-sized state arrays per run; over a
+    10^4-trial sweep that allocation/zeroing churn is measurable.  A scratch passed to consecutive engine constructions hands
     the same buffers back (re-filled) whenever name, shape, and dtype
     match.  Not thread-safe, and an engine borrowing from a scratch must
     finish its run before the next engine reuses the pool -- exactly the

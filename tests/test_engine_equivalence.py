@@ -238,7 +238,7 @@ def random_small_graphs(draw):
     else:
         graph = nx.random_labeled_tree(n, seed=seed)
     if draw(st.booleans()):
-        graph = nx.disjoint_union(graph, nx.cycle_graph(draw(
+        graph = nx.disjoint_union(graph, nx.path_graph(draw(
             st.integers(min_value=1, max_value=5)
         )))
     graph.add_nodes_from(
@@ -253,13 +253,11 @@ def random_small_graphs(draw):
 #: at the default depth and at depths 0 and 1, whose base calls are large
 #: enough to run (and truncate) multi-phase greedy loops on these sizes.
 DIFFERENTIAL_CONFIGS = [
-    (algorithm, {} if max_phases is None else {"max_phases": max_phases})
+    (algorithm, {"max_phases": max_phases})
     for algorithm in PHASED
     for max_phases in (1, 3, None)
 ] + [
-    ("fast-sleeping", dict(
-        {"greedy_constant": c}, **({} if depth is None else {"depth": depth})
-    ))
+    ("fast-sleeping", {"greedy_constant": c, "depth": depth})
     for c in (1, 2)
     for depth in (None, 0, 1)
 ]
