@@ -5,8 +5,10 @@ workers are added: the same seeded manifest drained with ``run_sweep``
 at ``n_jobs`` in {1, 2, 4}, wall clocks recorded, merged result sets
 required byte-identical across worker counts (parallelism is a
 scheduling knob, never a measurement knob).  Alongside it, the
-per-claim lease overhead of the disk-backed frontier -- the number the
-claim-TTL default has to dominate.
+frontier's own cost at scale: sequential ``claim`` + ``done`` cycles
+(stub payloads, no trial execution) on fresh frontiers of 12, 240 and
+960 trials -- the number the claim-TTL default has to dominate, and
+the one that must not grow with the manifest.
 
 The measured wall clocks size two defaults in :mod:`repro.sweeps`:
 
@@ -14,14 +16,16 @@ The measured wall clocks size two defaults in :mod:`repro.sweeps`:
   (claims held in flight per worker).  Trial execution dominates
   submission latency by orders of magnitude, so a window of 2 (one
   running, one queued per worker) already keeps every worker fed.
-* ``frontier.DEFAULT_CLAIM_TTL`` -- a claim's lease is ~1 ms of disk
-  bookkeeping, while the TTL is 15 minutes: expiry can never race the
-  lease machinery itself, only a genuinely dead worker.
+* ``frontier.DEFAULT_CLAIM_TTL`` -- a claim and a ``done`` are each
+  0.1-0.6 ms of disk bookkeeping at every measured manifest size (12 to
+  960 trials, 2-CPU Linux box), while the TTL is 15 minutes: expiry can
+  never race the lease machinery itself, only a genuinely dead worker.
 
 The committed ``BENCH_sweep_scaling.json`` tracks the deterministic
 series (trial counts, per-worker-count completions, the cross-count
-result-identity bit); wall clocks and speedups are machine-dependent
-and stripped by ``check_artifacts.py``.
+result-identity bit, the claim-cost manifest sizes and their claim
+counts); wall clocks, per-claim costs and speedups are
+machine-dependent and stripped by ``check_artifacts.py``.
 """
 
 import time
@@ -42,8 +46,32 @@ TRIALS = 6
 SEED0 = 11
 JOB_COUNTS = (1, 2, 4)
 
-#: Claim/release cycles timed for the per-claim lease overhead figure.
-CLAIM_CYCLES = 50
+#: Manifest sizes of the claim-cost series (split evenly over SIZES).
+CLAIM_COST_TRIALS = (12, 240, 960)
+
+
+def claim_cost(directory, total):
+    """``(claims, claim_s, done_s)``: per-cycle costs of draining a fresh
+    ``total``-trial frontier with sequential ``claim`` + ``done``."""
+    manifest = SweepManifest.expand(
+        BASE_PLAN, sizes=SIZES, trials=total // len(SIZES), seed0=SEED0,
+        name=f"bench-claim-cost-{total}",
+    )
+    frontier = TrialFrontier.create(directory, manifest)
+    claimed = []
+    claim_s = done_s = 0.0
+    while True:
+        start = time.perf_counter()
+        spec = frontier.claim("bench")
+        claim_s += time.perf_counter() - start
+        if spec is None:
+            break
+        claimed.append(spec.key)
+        start = time.perf_counter()
+        frontier.done(spec.key, {"trial_key": spec.key})
+        done_s += time.perf_counter() - start
+    assert claimed == manifest.keys()
+    return len(claimed), claim_s / len(claimed), done_s / len(claimed)
 
 
 def test_sweep_scale_n_jobs(benchmark, tmp_path):
@@ -65,19 +93,15 @@ def test_sweep_scale_n_jobs(benchmark, tmp_path):
             completed[jobs] = report.completed
             merged[jobs] = merged_result_json(frontier)
 
-        # The frontier's lease overhead: claim + release cycles on a
-        # fresh frontier (pure disk bookkeeping, no trial execution).
-        lease = TrialFrontier.create(tmp_path / "lease", manifest)
-        start = time.perf_counter()
-        for _ in range(CLAIM_CYCLES):
-            spec = lease.claim("bench")
-            lease.release(spec.key)
-        per_claim_s = (time.perf_counter() - start) / CLAIM_CYCLES
-        return walls, completed, merged, per_claim_s
+        # The frontier's own cost (pure disk bookkeeping, no trial
+        # execution) at growing manifest sizes.
+        costs = {
+            total: claim_cost(tmp_path / f"claims{total}", total)
+            for total in CLAIM_COST_TRIALS
+        }
+        return walls, completed, merged, costs
 
-    (walls, completed, merged, per_claim_s), _ = timed_once(
-        benchmark, measure
-    )
+    (walls, completed, merged, costs), _ = timed_once(benchmark, measure)
 
     # Parallelism must not change a single measured byte.
     results_identical = all(
@@ -88,6 +112,9 @@ def test_sweep_scale_n_jobs(benchmark, tmp_path):
     speedup = {
         str(jobs): round(walls[1] / walls[jobs], 2) for jobs in JOB_COUNTS
     }
+    claims_by_trials = {str(t): c[0] for t, c in costs.items()}
+    per_claim_by_trials_s = {str(t): round(c[1], 6) for t, c in costs.items()}
+    per_done_by_trials_s = {str(t): round(c[2], 6) for t, c in costs.items()}
     print()
     record(
         benchmark,
@@ -97,14 +124,16 @@ def test_sweep_scale_n_jobs(benchmark, tmp_path):
             str(j): round(w, 2) for j, w in walls.items()
         },
         speedup=speedup,
-        per_claim_s=round(per_claim_s, 5),
+        per_claim_by_trials_s=per_claim_by_trials_s,
+        per_done_by_trials_s=per_done_by_trials_s,
     )
     write_artifact(
         "sweep_scaling",
         config={
             "algorithm": "sleeping", "family": "gnp-sparse",
             "sizes": list(SIZES), "trials": TRIALS, "seed0": SEED0,
-            "n_jobs": list(JOB_COUNTS), "claim_cycles": CLAIM_CYCLES,
+            "n_jobs": list(JOB_COUNTS),
+            "claim_cost_trials": list(CLAIM_COST_TRIALS),
         },
         plan=BASE_PLAN,
         wall_clock_s=sum(walls.values()),
@@ -115,5 +144,7 @@ def test_sweep_scale_n_jobs(benchmark, tmp_path):
             str(j): round(w, 3) for j, w in walls.items()
         },
         speedup=speedup,
-        per_claim_s=round(per_claim_s, 5),
+        claims_by_trials=claims_by_trials,
+        per_claim_by_trials_s=per_claim_by_trials_s,
+        per_done_by_trials_s=per_done_by_trials_s,
     )

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -82,9 +83,10 @@ class TrialSpec:
                 f"family={self.plan.family!r}, n={self.plan.n!r}"
             )
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Stable trial identity (see :func:`trial_key`)."""
+        """Stable trial identity (see :func:`trial_key`); computed once
+        per spec, because hashing the plan costs more than a claim."""
         return trial_key(self.plan, self.seed)
 
 

@@ -353,6 +353,86 @@ def test_claim_lease_expires_and_reissues(manifest, tmp_path):
     assert frontier.state(spec.key) == PENDING
 
 
+def test_reissued_failure_is_claimed_first(manifest, tmp_path):
+    """A failure the claim cursor already passed re-pends at its place."""
+    keys = manifest.keys()
+    frontier = TrialFrontier.create(tmp_path / "s", manifest)
+    first = frontier.claim("w")
+    frontier.fail(first.key, "injected")
+    second = frontier.claim("w")
+    frontier.done(second.key, _payload_for(second.key))
+    assert [first.key, second.key] == keys[:2]
+    assert frontier.claim("w").key == keys[2]
+    assert frontier.reissue_failed() == [keys[0]]
+    assert frontier.claim("w").key == keys[0]
+
+
+def test_released_early_claim_is_reclaimed_first(manifest, tmp_path):
+    keys = manifest.keys()
+    frontier = TrialFrontier.create(tmp_path / "s", manifest)
+    spec = frontier.claim("w")
+    frontier.done(spec.key, _payload_for(spec.key))
+    assert [frontier.claim("w").key, frontier.claim("w").key] == keys[1:3]
+    frontier.release(keys[1])
+    assert frontier.claim("w").key == keys[1]
+    assert frontier.claim("w").key == keys[3]
+    assert frontier.claim("w") is None
+
+
+def test_reload_and_open_restart_from_first_unrecorded(manifest, tmp_path):
+    keys = manifest.keys()
+    frontier = TrialFrontier.create(tmp_path / "s", manifest)
+    for _ in range(3):
+        spec = frontier.claim("w")
+        frontier.done(spec.key, _payload_for(spec.key))
+    # A lost artifact un-records trial 1 behind both cursors.
+    (tmp_path / "s" / "results" / f"{keys[1]}.json").unlink()
+    assert TrialFrontier.open(tmp_path / "s").claim("a").key == keys[1]
+    frontier.release(keys[1])
+    frontier.reload()
+    assert frontier.claim("w").key == keys[1]
+    assert frontier.claim("w").key == keys[3]
+
+
+def test_drain_rehashes_no_trial_key(tmp_path, monkeypatch):
+    """Claims and ``keys()`` reuse the keys the manifest computed once:
+    draining 240 trials hashes no plan inside either of them."""
+    manifest = SweepManifest.expand(
+        BASE_PLAN, sizes=SIZES, trials=120, name="rehash"
+    )
+    frontier = TrialFrontier.create(tmp_path / "s", manifest)
+    calls = {"claim": 0, "keys": 0}
+    hashed = {"claim": 0, "keys": 0}
+    inside = []
+    cache_key = RunPlan.cache_key
+
+    def counting_cache_key(plan):
+        if inside:
+            hashed[inside[0]] += 1
+        return cache_key(plan)
+
+    def spy(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return method(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(RunPlan, "cache_key", counting_cache_key)
+    monkeypatch.setattr(
+        TrialFrontier, "claim", spy("claim", TrialFrontier.claim)
+    )
+    monkeypatch.setattr(SweepManifest, "keys", spy("keys", SweepManifest.keys))
+    report = run_sweep(frontier, n_jobs=None)
+    assert report.all_done and report.completed == len(manifest) == 240
+    assert manifest.keys() == [trial.key for trial in manifest]
+    assert calls == {"claim": len(manifest) + 1, "keys": 1}
+    assert hashed == {"claim": 0, "keys": 0}
+
+
 def test_create_refuses_existing_frontier(manifest, tmp_path):
     TrialFrontier.create(tmp_path / "s", manifest)
     with pytest.raises(FrontierCorruption, match="already contains"):
@@ -455,7 +535,11 @@ def test_frontier_state_machine_partitions_manifest(ops, tmp_path_factory):
         base = time.time()
         for op in ops:
             if op == "claim":
+                pending = frontier.pending_keys(now=base)
                 spec = frontier.claim("prop-worker", now=base)
+                # Claims go in manifest order: always the first pending.
+                expected = pending[0] if pending else None
+                assert (spec.key if spec else None) == expected
                 if spec is not None:
                     claimed.append(spec.key)
             elif op == "done" and claimed:
