@@ -17,6 +17,12 @@ or the cases above reach, so two streaming builds forced through small
 chunks pin a sha256 of ``src``/``dst``/``grev``/``deg``: a dense family
 and a sparse one whose early chunks span more rows than they hold pairs.
 
+:data:`CSR_CASES` pin a sha256 of ``src``/``dst``/``deg`` alone for the
+same two streaming builds and for two graphs built in one shot
+(``gnp_arrays_v2(400, 0.05, seed=3)`` and a sparse n = 10^5 graph), so
+the digests outlive any change of builder or of which arrays a
+``GraphArrays`` carries.
+
 Engine and builder optimisations must leave every digest unchanged.  A
 deliberate change of execution (a new stream format, a protocol fix)
 refreshes them with ``python tests/test_engine_golden_digests.py``.
@@ -167,6 +173,61 @@ def test_streaming_csr_digest_is_pinned(case, monkeypatch):
     assert csr_digest(build_streamed(*case)) == STREAM_GOLDEN[case]
 
 
+
+#: ((n, mean degree or None for p = 1/2, graph seed, refill chunk or None
+#: for the default), sha256 of ``src``/``dst``/``deg``) for
+#: ``gnp_arrays_v2``.
+CSR_CASES = (
+    (
+        (3000, None, 21, STREAM_CHUNK),
+        "6e1c2b5f596d2f64a925df8190ee519df26fbb2ed2ab33435cf153cc69561be4",
+    ),
+    (
+        (200_000, 8, 22, STREAM_CHUNK),
+        "7b6e35dd6cf8d1a94e4b92b1c3a04ebdc4f5018cbff1c20aa02ddf2b405466ad",
+    ),
+    (
+        (400, 20, 3, None),
+        "867ec3141e66ade95ca980a4e80c8f34462e45b776b0d60bf48055c649933cbd",
+    ),
+    (
+        (100_000, 8, 23, None),
+        "e8f84a4ff29772338e176fced3b47b1561119dc4cbc69a0b73a570eff42098b5",
+    ),
+)
+CSR_GOLDEN = dict(CSR_CASES)
+
+
+def edge_digest(ga) -> str:
+    """sha256 over ``(n, m)`` and ``src``/``dst``/``deg`` at fixed dtypes."""
+    h = hashlib.sha256()
+    h.update(f"{ga.n}:{ga.m}".encode())
+    for name, dtype in CSR_FIELDS:
+        if name != "grev":
+            h.update(name.encode())
+            h.update(
+                np.ascontiguousarray(getattr(ga, name), dtype=dtype).tobytes()
+            )
+    return h.hexdigest()
+
+
+def build_csr(n, mean_degree, seed, chunk):
+    if chunk is None:
+        p = 0.5 if mean_degree is None else mean_degree / n
+        return arrays_mod.gnp_arrays_v2(n, p, seed=seed, stream=False)
+    arrays_mod.GNP_V2_STREAM_CHUNK = chunk
+    return build_streamed(n, mean_degree, seed)
+
+
+@pytest.mark.parametrize(
+    "case", list(CSR_GOLDEN), ids=["-".join(map(str, c)) for c in CSR_GOLDEN]
+)
+def test_csr_digest_is_pinned(case, monkeypatch):
+    monkeypatch.setattr(
+        arrays_mod, "GNP_V2_STREAM_CHUNK", arrays_mod.GNP_V2_STREAM_CHUNK
+    )
+    assert edge_digest(build_csr(*case)) == CSR_GOLDEN[case]
+
 def float_sqrt_rows(positions):
     """Reference decode: the float triangular root the v2 sampler used
     before run-length decoding, corrected in exact integer arithmetic."""
@@ -228,3 +289,4 @@ if __name__ == "__main__":  # regenerate the tables above
     _print_table(GOLDEN, lambda case: result_digest(run_case(*case)))
     arrays_mod.GNP_V2_STREAM_CHUNK = STREAM_CHUNK
     _print_table(STREAM_GOLDEN, lambda case: csr_digest(build_streamed(*case)))
+    _print_table(CSR_GOLDEN, lambda case: edge_digest(build_csr(*case)))
