@@ -22,6 +22,7 @@ allocation-free engine hot paths), in two stages:
   refreshes the committed ``BENCH_scale_1e6.json``.)
 """
 
+import numpy as np
 from conftest import record, timed_once, write_artifact
 
 from repro.analysis.complexity import sweep
@@ -51,7 +52,12 @@ def test_gnp_1e6_sampler_smoke(benchmark):
     (ga, prof), elapsed = timed_once(benchmark, measure)
 
     assert ga.n == N
-    assert (ga.src[ga.grev] == ga.dst).all()
+    # Symmetric CSR: the (dst, src) pairs, sorted, are the (src, dst) pairs.
+    forward = ga.src.astype(np.int64) * N + ga.dst
+    reverse = ga.dst.astype(np.int64) * N + ga.src
+    reverse.sort()
+    assert (reverse == forward).all()
+    del forward, reverse
     assert int(ga.deg.sum()) == ga.m
     print()
     record(

@@ -5,15 +5,15 @@ ROADMAP named the three constraints left after the 10^6 push: v1
 engines, and the CSR-build argsort plus unbounded pair buffering in the
 sampler.  This file pins the state after removing all three (memoized
 bulk seeding in :mod:`repro.sim.rng`, the node-frontier phased engine,
-and the direct O(m) / streaming two-pass CSR build of
+and the direct O(m) / chunked one-pass CSR build of
 :meth:`GraphArrays.from_distinct_pairs` /
 :meth:`GraphArrays.from_distinct_pair_chunks`), in two stages:
 
 * ``test_gnp_1e7_sampler_smoke`` -- the sampler alone: a 10^7-node
   gnp-sparse graph sampled straight into CSR arrays on the v2 stream
-  through the **streaming** build (``stream="auto"`` crosses the
-  threshold at this size), re-sampling the counter stream on the second
-  pass instead of buffering 4x10^7 pairs.  Cheap enough for the per-PR
+  through the **chunked** build, which keeps each sampled chunk as int32
+  pairs (the bytes ``src`` takes afterwards) instead of buffering 4x10^7
+  int64 pairs and their sort temporaries.  Cheap enough for the per-PR
   CI smoke; the deterministic edge count is the tracked series.
 * ``test_sleeping_1e7_pipeline`` -- the headline: one 10^7-node
   sleeping-MIS (Algorithm 1) trial end-to-end -- sample, simulate,
@@ -31,6 +31,7 @@ and the direct O(m) / streaming two-pass CSR build of
 import gc
 import time
 
+import numpy as np
 from conftest import record, timed_once, write_artifact
 
 from repro.analysis.complexity import sweep
@@ -65,7 +66,12 @@ def test_gnp_1e7_sampler_smoke(benchmark):
     (ga, prof), elapsed = timed_once(benchmark, measure)
 
     assert ga.n == N
-    assert (ga.src[ga.grev] == ga.dst).all()
+    # Symmetric CSR: the (dst, src) pairs, sorted, are the (src, dst) pairs.
+    forward = ga.src.astype(np.int64) * N + ga.dst
+    reverse = ga.dst.astype(np.int64) * N + ga.src
+    reverse.sort()
+    assert (reverse == forward).all()
+    del forward, reverse
     assert int(ga.deg.sum()) == ga.m
     print()
     record(

@@ -4,14 +4,14 @@ One more decade past E21's 10^7 pin, with the memory discipline that
 makes it possible held by tests instead of folklore:
 
 * ``test_streaming_build_memory_scale_check`` -- the CI-sized memory
-  pin: a ~10^6-edge family forced through tiny streaming chunks under
-  :func:`repro.profiling.profile_phases`, asserting the two-pass CSR
+  pin: a ~10^6-edge family forced through tiny chunks under
+  :func:`repro.profiling.profile_phases`, asserting the one-pass CSR
   build's *transient* traced memory stays chunk-bounded (O(n) node
   arrays + in-flight chunk temporaries) and that the profiler books the
   ``sample``/``csr_build`` phases the artifacts commit.  Runs in the
   per-PR benchmark smoke.
 * ``test_gnp_1e8_sampler_pipeline`` -- a 10^8-node gnp-sparse graph
-  sampled straight into CSR arrays through the streaming two-pass build,
+  sampled straight into CSR arrays through the chunked one-pass build,
   phase-profiled end to end, with the traced peak asserted under the
   documented envelope (docs/performance.md, "Scaling to 10^8": ~12 GB
   measured, 16 GB gate).  Writes ``BENCH_scale_1e8_sampler.json``
@@ -32,20 +32,22 @@ from conftest import record, timed_once, write_artifact
 from repro.graphs.arrays import make_family_arrays
 from repro.plan import RunPlan
 from repro.profiling import profile_phases
+from repro.sim.rng import graph_stream_key
 
 N = 100_000_000
 SEED0 = 11
 
 #: The documented traced-memory envelope for the 10^8 sampler (GB).
-#: Measured ~12 GB on the reference container (persistent CSR ~10.4 GB
+#: Measured ~12 GB on the reference container when the CSR still carried
+#: a reverse-edge index (persistent CSR ~10.4 GB, ~7.2 GB without it,
 #: plus chunk-bounded transients); the envelope leaves room for
 #: allocator/runner variance while staying far under the 24 GB target
 #: the full-pipeline extrapolation in docs/performance.md budgets from.
 MEMORY_ENVELOPE_GB = 16.0
 
-#: Spot-check size for the CSR involution/symmetry invariants: a full
-#: ``src[grev] == dst`` pass at 10^8 fancy-indexes two ~3.2 GB arrays,
-#: which roughly doubles the peak the test is trying to pin.
+#: Spot-check size for the CSR symmetry invariant: a full check at 10^8
+#: sorts a ~6.4 GB int64 copy of the reversed pairs, which roughly doubles
+#: the peak the test is trying to pin.
 PROBE = 4096
 
 
@@ -55,11 +57,11 @@ def test_streaming_build_memory_scale_check(benchmark, monkeypatch):
 
     n, p = 2000, 0.5  # ~10^6 undirected pairs
     chunk = 1 << 11
-    monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_CHUNK", chunk)
+    monkeypatch.setattr(arrays_mod, "GNP_V2_CHUNK", chunk)
 
     def measure():
         with profile_phases(trace=True) as prof:
-            ga = arrays_mod.gnp_arrays_v2(n, p, seed=5, stream=True)
+            ga = arrays_mod.gnp_arrays_v2(n, p, seed=5)
             current, peak = tracemalloc.get_traced_memory()
         return ga, prof, current, peak
 
@@ -75,7 +77,12 @@ def test_streaming_build_memory_scale_check(benchmark, monkeypatch):
     )
     report = prof.report()
     assert {"sample", "csr_build"} <= set(report)
-    assert report["sample"]["calls"] >= 2  # two passes over the stream
+    # One pass over the chunk stream: one sample call per chunk pulled,
+    # plus the pull that finds the stream exhausted.
+    chunks = arrays_mod._gnp_v2_pair_chunks(
+        n, p, np.uint64(graph_stream_key(5)), chunk
+    )
+    assert report["sample"]["calls"] == sum(1 for _ in chunks) + 1
     print()
     record(
         benchmark,
@@ -97,11 +104,16 @@ def test_gnp_1e8_sampler_pipeline(benchmark):
 
     assert ga.n == N
     assert int(ga.deg.sum()) == ga.m
-    # CSR invariants, spot-checked (see PROBE): grev is the reverse-edge
-    # involution, so src[grev[i]] == dst[i] at every probed edge.
+    # CSR symmetry, spot-checked (see PROBE): every probed edge (u, v)
+    # has its reverse, found by a binary search for u in row v.
     probe = np.linspace(0, ga.m - 1, PROBE).astype(np.int64)
-    assert (ga.src[ga.grev[probe]] == ga.dst[probe]).all()
-    assert (ga.dst[ga.grev[probe]] == ga.src[probe]).all()
+    rows = ga.dst[probe]
+    starts = np.searchsorted(ga.src, rows, side="left")
+    ends = np.searchsorted(ga.src, rows, side="right")
+    for u, start, end in zip(ga.src[probe].tolist(), starts, ends):
+        row = ga.dst[start:end]
+        j = int(np.searchsorted(row, u))
+        assert j < len(row) and row[j] == u
 
     summary = prof.summary()
     peak_traced_mb = max(

@@ -19,22 +19,21 @@ each against the committed ``benchmarks/artifacts/BENCH_perf_smoke.json``:
   struct-of-arrays result wins;
 * ``gnp_1e6_sampler_batched`` -- a 10^6-node gnp-sparse sample on the v2
   (``graph_rng="batched"``) vectorized sampling stream, guarding the
-  whole-array geometric-skip sampler and the ``from_distinct_pairs``
-  CSR build that break the 10^6 barrier (the full 10^6 *pipeline*
-  comparison lives in ``bench_scale_1e6.py``, outside the smoke budget);
+  whole-array geometric-skip sampler and the chunked
+  ``from_distinct_pair_chunks`` CSR build that break the 10^6 barrier
+  (the full 10^6 *pipeline* comparison lives in ``bench_scale_1e6.py``,
+  outside the smoke budget);
 * ``fast_sleeping_dense_2e3_batched`` / ``luby_dense_2e3_batched`` -- a
   2-trial sweep of Algorithm 2 and of Luby on ``gnp-dense`` n = 2000
   (~2x10^6 directed edges, both streams batched), the only configs whose
   engine time is edge-bound rather than node-bound: in-call edge
   filtering and receipt counting in the recursion, the carried edge
   frontier of the phase loop;
-* ``gnp_dense_4e3_stream_build`` -- a ``gnp_arrays_v2(4000, 0.5,
-  stream=True)`` build (~4x10^6 pairs, under the 2^24-pair
-  ``stream="auto"`` threshold, so forced): the only row that reaches the
-  two-pass streaming CSR build (``from_distinct_pair_chunks``) and the
-  run-length row decode it re-samples through.  Its plan records the
-  family, size and seed; no ``RunPlan`` knob selects the streaming
-  build, so the row calls ``gnp_arrays_v2(..., stream=True)`` itself.
+* ``gnp_dense_4e3_stream_build`` -- a ``gnp_arrays_v2(4000, 0.5)``
+  build (~4x10^6 pairs): the only row whose graph spans more than one
+  ``GNP_V2_CHUNK`` refill, so the chunked CSR build keeps and scatters
+  several chunks and the run-length row decode crosses chunk
+  boundaries.  Its plan records the family, size and seed.
 
 (The sweep-based measurements run on the sweep defaults --
 ``graph_source="auto"``/``result="auto"`` -- so a change that silently
@@ -201,9 +200,7 @@ def _measurements(plans: dict) -> dict:
             )
         ),
         "gnp_dense_4e3_stream_build": _best_of(
-            lambda: gnp_arrays_v2(
-                stream_plan.n, 0.5, seed=stream_plan.seed, stream=True
-            )
+            lambda: gnp_arrays_v2(stream_plan.n, 0.5, seed=stream_plan.seed)
         ),
     }
 

@@ -61,9 +61,9 @@ def trial_from_result(
     Accepts either a legacy :class:`RunResult` or an
     :class:`~repro.sim.array_result.ArrayRunResult`; measures are
     integer-exact either way.  Validation runs against the graph recorded
-    in the result (vectorized O(m) passes for array-backed results, the
-    dict oracle otherwise), so rows can be built from batch-runner output
-    without re-threading graphs.
+    in the result (a vectorized scan of the members' CSR rows for
+    array-backed results, the dict oracle otherwise), so rows can be built
+    from batch-runner output without re-threading graphs.
     """
     if isinstance(result, ArrayRunResult):
         valid = result.is_valid_mis()

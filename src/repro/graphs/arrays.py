@@ -156,28 +156,13 @@ def gnp_arrays(n: int, p: float, seed: int = 0) -> GraphArrays:
 
 
 #: Uniform draws per refill chunk of the v2 sampler.  Bounds the peak
-#: *transient* memory of a dense sample: however many edges G(n, p) has,
-#: the sampler never holds more than this many uniforms/skips in flight
-#: (~128 MB of float64+int64 temporaries), refilling until the pair space
-#: is exhausted.  Chunking changes nothing about the sampled graph -- draw
-#: ``j`` is a pure function of ``(key, j)`` -- so the constant can move
-#: without versioning.
-GNP_V2_CHUNK = 1 << 23
-
-#: Draws per refill in **streaming** mode, where the CSR build holds one
-#: chunk's index temporaries on top of the sampler's float64+int64 pair
-#: (~60 bytes per pair all told): smaller chunks keep the whole
-#: sample-plus-build transient near the same ~128 MB envelope.
-GNP_V2_STREAM_CHUNK = 1 << 21
-
-#: ``stream="auto"`` switches to the bounded-memory two-pass build once
-#: the *expected* edge count crosses this many pairs -- below it the
-#: one-shot build is faster (no second sampling pass) and its transient
-#: memory is small anyway.
-GNP_V2_STREAM_THRESHOLD = 1 << 24
-
-#: ``stream=`` choices accepted by :func:`gnp_arrays_v2`.
-GNP_V2_STREAM_MODES = ("auto", True, False)
+#: *transient* memory of a sample plus its CSR build: however many edges
+#: G(n, p) has, no more than this many uniforms/skips and one chunk's
+#: index temporaries are in flight (~60 bytes per pair all told, ~128 MB),
+#: refilling until the pair space is exhausted.  Chunking changes nothing
+#: about the sampled graph -- draw ``j`` is a pure function of ``(key,
+#: j)`` -- so the constant can move without versioning.
+GNP_V2_CHUNK = 1 << 21
 
 
 def _gnp_v2_pair_chunks(n: int, p: float, key: np.uint64, chunk: int):
@@ -185,10 +170,9 @@ def _gnp_v2_pair_chunks(n: int, p: float, key: np.uint64, chunk: int):
 
     The chunks concatenate to the full edge list in strictly increasing
     ``(hi, lo)``-lex order (= ascending flat position).  Every draw is a
-    pure function of ``(key, counter)``, so iterating twice replays the
-    identical stream -- which is what lets the streaming CSR build
-    re-sample instead of buffering pairs.  Each chunk's flat positions
-    are decoded to pairs by run length (:func:`_pair_rows`).
+    pure function of ``(key, counter)``, so the stream does not depend on
+    the chunk size.  Each chunk's flat positions are decoded to pairs by
+    run length (:func:`_pair_rows`).
     """
     total = n * (n - 1) // 2
     log1mp = math.log1p(-p)
@@ -236,9 +220,7 @@ def _pair_rows(positions: np.ndarray):
     return positions - np.repeat(tri, counts), np.repeat(rows, counts)
 
 
-def gnp_arrays_v2(
-    n: int, p: float, seed: int = 0, stream: object = "auto"
-) -> GraphArrays:
+def gnp_arrays_v2(n: int, p: float, seed: int = 0) -> GraphArrays:
     """Erdos--Renyi ``G(n, p)`` on the v2 (``"batched"``) sampling stream.
 
     Batagelj--Brandes geometric-skip sampling, vectorized: whole arrays of
@@ -262,45 +244,18 @@ def gnp_arrays_v2(
 
     Skips are strictly positive, so positions are strictly increasing: the
     edge list needs no deduplication and arrives pre-sorted, which is what
-    lets :meth:`GraphArrays.from_distinct_pairs` take the direct O(m)
-    CSR build.
-
-    ``stream`` picks the build strategy -- **never** the sampled graph
-    (both modes consume the identical counter stream): ``False`` buffers
-    every pair chunk and builds the CSR in one shot; ``True`` makes two
-    passes with :meth:`GraphArrays.from_distinct_pair_chunks`,
-    re-sampling on the second, so peak transient memory stays bounded by
-    the chunk size instead of growing with ``m``; ``"auto"`` (default)
-    streams exactly when the expected edge count crosses
-    :data:`GNP_V2_STREAM_THRESHOLD`.
+    lets :meth:`GraphArrays.from_distinct_pair_chunks` build the CSR in
+    one pass over the sampled chunks, holding one chunk of temporaries at
+    a time (:data:`GNP_V2_CHUNK` draws) instead of the whole pair list.
     """
-    if stream not in GNP_V2_STREAM_MODES:
-        raise ValueError(
-            f"unknown stream mode {stream!r}; known: {GNP_V2_STREAM_MODES}"
-        )
     if p >= 1.0:
         return gnp_arrays(n, 1.0)
     if p <= 0.0 or n < 2:
         return _from_pairs(n, [])
     key = np.uint64(graph_stream_key(seed))
-    if stream == "auto":
-        stream = n * (n - 1) / 2 * p >= GNP_V2_STREAM_THRESHOLD
-    if stream:
-        return GraphArrays.from_distinct_pair_chunks(
-            n, lambda: _gnp_v2_pair_chunks(n, p, key, GNP_V2_STREAM_CHUNK)
-        )
-    parts_w: List[np.ndarray] = []
-    parts_v: List[np.ndarray] = []
-    with phase("sample"):
-        for w, v in _gnp_v2_pair_chunks(n, p, key, GNP_V2_CHUNK):
-            parts_w.append(w)
-            parts_v.append(v)
-    if not parts_v:
-        return _from_pairs(n, [])
-    with phase("csr_build"):
-        hi = np.concatenate(parts_v)
-        lo = np.concatenate(parts_w)
-        return GraphArrays.from_distinct_pairs(n, lo, hi)
+    return GraphArrays.from_distinct_pair_chunks(
+        n, _gnp_v2_pair_chunks(n, p, key, GNP_V2_CHUNK)
+    )
 
 
 def ring_arrays(n: int) -> GraphArrays:

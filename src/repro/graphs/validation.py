@@ -59,9 +59,12 @@ def is_maximal_independent_set_arrays(arrays: Any, mis_mask: Any) -> bool:
     """Vectorized MIS oracle over a CSR graph view.
 
     ``arrays`` is a :class:`repro.sim.fast_engine.GraphArrays` (or
-    anything exposing ``n``, ``src``, ``dst`` directed-edge index arrays);
-    ``mis_mask`` a boolean membership column aligned with node indices.
-    Two O(m) numpy passes -- no adjacency dict is ever built -- returning
+    anything exposing ``n`` and the CSR ``deg``/``dst`` arrays of a
+    symmetric directed edge list); ``mis_mask`` a boolean membership
+    column aligned with node indices.  Only the members' CSR rows are
+    read, O(n + sum of the members' degrees) -- no adjacency dict is ever
+    built.  A member found in a member's row breaks independence; a
+    non-member that no member's row reaches breaks maximality.  That is
     exactly what :func:`is_maximal_independent_set` returns for the same
     graph and member set (undecided nodes are simply non-members, as in
     the dict oracle).
@@ -73,12 +76,20 @@ def is_maximal_independent_set_arrays(arrays: Any, mis_mask: Any) -> bool:
         raise ValueError(
             f"mis_mask has shape {mask.shape}, expected ({arrays.n},)"
         )
-    src, dst = arrays.src, arrays.dst
-    if bool(np.any(mask[src] & mask[dst])):
+    deg = arrays.deg
+    members = np.flatnonzero(mask)
+    lens = deg[members]
+    starts = (np.cumsum(deg) - deg)[members]
+    # Entry positions of the members' rows, concatenated: each row's
+    # start, shifted back by the entries of the rows before it, plus a
+    # running index.
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    neighbors = arrays.dst[shift + np.arange(len(shift))]
+    if bool(mask[neighbors].any()):
         return False  # adjacent members: not independent
-    covered = np.zeros(arrays.n, dtype=bool)
-    covered[dst[mask[src]]] = True
-    return bool(np.all(mask | covered))  # non-members need a member neighbor
+    covered = mask.copy()
+    covered[neighbors] = True
+    return bool(covered.all())  # non-members need a member neighbor
 
 
 def assert_valid_mis(graph: Any, candidate: Iterable[Any]) -> None:

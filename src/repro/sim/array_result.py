@@ -272,7 +272,8 @@ class ArrayRunResult:
     def is_valid_mis(self) -> bool:
         """Whether the output is a maximal independent set.
 
-        Vectorized (two O(m) passes over the edge arrays) when the graph's
+        Vectorized (reading only the members' CSR rows, O(n + sum of the
+        members' degrees)) when the graph's
         :class:`~repro.sim.fast_engine.GraphArrays` rode along; falls back
         to the dict-based oracle otherwise.  Same verdict either way.
         Raises if no graph representation is attached at all -- an empty

@@ -27,9 +27,10 @@ sequential calls:
 * **streaming** -- graphs are built and results yielded one seed at a
   time, so a 10^4..10^7-node sweep holds one graph and one result in
   memory, not ``len(seeds)`` of each (at 10^7 the graph itself also
-  builds in bounded transient memory: the v2 sampler streams its pair
-  chunks through :meth:`GraphArrays.from_distinct_pair_chunks` instead
-  of buffering them -- see docs/performance.md, "Scaling to 10^7").
+  builds in bounded transient memory: the v2 sampler feeds its pair
+  chunks through :meth:`GraphArrays.from_distinct_pair_chunks`, which
+  keeps them as int32 pairs instead of buffering int64 ones -- see
+  docs/performance.md, "Scaling to 10^7").
   With ``n_jobs`` workers, seed chunks fan out over a
   :class:`concurrent.futures.ProcessPoolExecutor` with a bounded
   in-flight window; graphs cross process boundaries as plain adjacency

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -325,7 +325,8 @@ def _grouped_slots(
     """
     c = len(key)
     bits = (c - 1).bit_length()
-    packed = key << bits
+    packed = key.astype(np.int64)
+    packed <<= bits
     packed |= np.arange(c, dtype=np.int64)
     packed.sort()
     key_s = packed >> bits
@@ -374,9 +375,9 @@ def _stream_chunk(
 class GraphArrays:
     """The seed-independent array view of one graph.
 
-    Building these (normalization, directed-edge arrays, reverse-edge
-    permutation) is the engine's fixed cost per graph; the batch runner
-    reuses one instance across every seed run on the same graph.
+    Building these (normalization, directed-edge arrays) is the engine's
+    fixed cost per graph; the batch runner reuses one instance across
+    every seed run on the same graph.
 
     Two construction paths exist.  ``GraphArrays(graph)`` converts an
     existing ``networkx.Graph`` or adjacency mapping (normalizing it
@@ -389,22 +390,22 @@ class GraphArrays:
     ``RunResult.adjacency``, :meth:`to_networkx`).
 
     Memory audit (the CSR-shaped buffers that bound sweep scale): with
-    ``m`` directed edges, the persistent footprint is ``src``/``dst``/
-    ``grev`` at 4 bytes each (int32 -- node indices fit comfortably, and
-    int32 halves the edge memory that dominates at n = 10^4..10^5) plus
-    ``deg`` at 8 bytes per node (kept int64 because it feeds straight into
-    the int64 message/bit accumulators).  A gnp(10^5, 10/n) graph is
-    m ~ 2x10^6 directed edges ~ 24 MB of edge arrays; per-run engine state
-    is ~13 int64/int8 node arrays and nothing per edge (received messages
-    are counted per node; live sets follow from in-loop membership, and no
-    engine reads ``grev``).  Edge-sized transients live only for one
+    ``m`` directed edges, the persistent footprint is ``src``/``dst`` at
+    4 bytes each (int32 -- node indices fit comfortably, and int32 halves
+    the edge memory that dominates at n = 10^4..10^5) plus ``deg`` at 8
+    bytes per node (kept int64 because it feeds straight into the int64
+    message/bit accumulators).  A gnp(10^5, 10/n) graph is m ~ 2x10^6
+    directed edges ~ 16 MB of edge arrays; per-run engine state is ~13
+    int64/int8 node arrays and nothing per edge (received messages are
+    counted per node, and live sets follow from in-loop membership, so
+    no reverse-edge index is kept).  Edge-sized transients live only for one
     recursion call or phase: the top call's int32 edge ids (it reads
     ``src``/``dst`` in place), each sub-call's edge ids and endpoints, and
     the phased engines' carried frontier.
     """
 
     __slots__ = (
-        "_adjacency", "_node_ids", "n", "src", "dst", "grev", "deg",
+        "_adjacency", "_node_ids", "n", "src", "dst", "deg",
         "_id_bits", "_ids_are_range",
     )
 
@@ -427,10 +428,6 @@ class GraphArrays:
             count=self.n,
         )
         self.src = np.repeat(np.arange(self.n, dtype=np.int32), self.deg)
-        # Sorting the edges by (dst, src) enumerates exactly the reversed
-        # pairs in (src, dst) order, so the permutation IS the reverse-edge
-        # index: grev[e] = index of e's reverse.
-        self.grev = np.lexsort((self.src, self.dst)).astype(np.int32)
         self._id_bits: Optional[np.ndarray] = None
 
     @classmethod
@@ -490,20 +487,19 @@ class GraphArrays:
         """Trusted array-native constructor: edges as **distinct**
         undirected pairs with ``lo[i] < hi[i]``.
 
-        The fast exit shared by :meth:`from_edges` and the v2 gnp sampler
-        (whose strictly increasing flat positions guarantee distinctness
-        for free, skipping the dedup sort).  Both callers hand over pairs
-        that are already lex-sorted -- ``from_edges`` by ``(lo, hi)``
-        (``np.unique`` output), the sampler by ``(hi, lo)`` (ascending
-        flat positions) -- and a strictly increasing composite key
-        certifies either order in one vectorized compare, so the common
-        case takes the **direct O(m) build**: the sorted direction's CSR
+        The fast exit of :meth:`from_edges`, whose ``np.unique`` output
+        arrives ``(lo, hi)``-lex sorted.  A strictly increasing composite
+        key certifies a lex order in one vectorized compare, so sorted
+        input takes a **direct O(m) build**: the sorted direction's CSR
         slots are pure prefix-sum arithmetic and only the other direction
-        pays a sort, one value sort of ``m`` packed keys instead of the
-        historical ``2m``-key argsort (see :meth:`_from_sorted_pairs`).
-        Unsorted input falls back to the ``2m``-key argsort build
-        (:meth:`_from_pairs_argsort`).  Duplicate pairs or ``lo >= hi``
-        entries violate the contract; bounds are still checked.
+        pays a sort, one value sort of ``m`` packed keys instead of a
+        ``2m``-key argsort.  ``(lo, hi)``-sorted input builds through
+        :meth:`_from_sorted_pairs`; ``(hi, lo)``-sorted input (the v2 gnp
+        sampler's native order) is one chunk for
+        :meth:`from_distinct_pair_chunks`.  Unsorted input falls back to
+        the ``2m``-key argsort build (:meth:`_from_pairs_argsort`).
+        Duplicate pairs or ``lo >= hi`` entries violate the contract;
+        bounds are still checked.
         """
         lo = np.asarray(lo, dtype=np.int64)
         hi = np.asarray(hi, dtype=np.int64)
@@ -516,74 +512,59 @@ class GraphArrays:
             self = cls._pair_shell(n)
             self.src = np.empty(0, dtype=np.int32)
             self.dst = np.empty(0, dtype=np.int32)
-            self.grev = np.empty(0, dtype=np.int32)
             self.deg = np.zeros(n, dtype=np.int64)
             return self
         # A strictly increasing composite key both certifies the lex
         # order and re-verifies pair distinctness for free.
         nn = np.int64(n)
-        key = hi * nn + lo
-        if m == 1 or bool((key[1:] > key[:-1]).all()):
-            return cls._from_sorted_pairs(n, lo, hi, hi_major=True)
         key = lo * nn + hi
+        if m == 1 or bool((key[1:] > key[:-1]).all()):
+            return cls._from_sorted_pairs(n, lo, hi)
+        key = hi * nn + lo
         if bool((key[1:] > key[:-1]).all()):
-            return cls._from_sorted_pairs(n, lo, hi, hi_major=False)
+            return cls.from_distinct_pair_chunks(n, [(lo, hi)])
         return cls._from_pairs_argsort(n, lo, hi)
 
     @classmethod
-    def _from_sorted_pairs(
-        cls, n: int, lo: Any, hi: Any, *, hi_major: bool
-    ) -> "GraphArrays":
-        """Direct O(m) CSR build for lex-sorted distinct pairs.
+    def _from_sorted_pairs(cls, n: int, lo: Any, hi: Any) -> "GraphArrays":
+        """Direct O(m) CSR build for ``(lo, hi)``-lex sorted distinct pairs.
 
         Row ``s`` of the (src, dst)-sorted directed edge list is the
         backward block (reverses ``(s, w)`` of pairs ``(w, s)``, ``w``
         ascending) followed by the forward block (pairs ``(s, w)``, ``w``
-        ascending).  Whichever direction matches the input's lex order
-        needs no sort at all: its within-block rank is ``input position -
-        exclusive prefix count of its block's node``, because the groups
-        arrive contiguous and in order.  The other direction's slots come
-        from one value sort of ``m`` packed keys (:func:`_grouped_slots`);
+        ascending).  The forward direction matches the input's lex order
+        and needs no sort at all: pair ``i``'s forward entry follows the
+        ``i`` forward entries before it and every backward entry of rows
+        up to its own, so its slot is ``i`` plus the inclusive prefix sum
+        of the backward counts at ``lo``.  The backward slots come from
+        one value sort of ``m`` packed keys (:func:`_grouped_slots`);
         within each of its groups the input order already is the CSR
-        order.  ``grev`` is the cross-link between the two slot arrays --
-        no extra sort.  Slot arithmetic runs in int32: ``2m`` already must
-        fit int32 for the ``grev`` format, and halving the index
-        temporaries is what keeps the 1e7 build in bounded memory.
+        order.  Slot arithmetic runs in int32 (``2m`` must fit int32 for
+        the format anyway), halving the index temporaries.
         """
         m = len(lo)
         self = cls._pair_shell(n)
         degF = np.bincount(lo, minlength=n)  # forward  (lo -> hi) counts
         degB = np.bincount(hi, minlength=n)  # backward (hi -> lo) counts
         deg = degF + degB
-        csum = np.cumsum(deg)
-        startB = (csum - deg).astype(np.int32)  # row start = backward block
-        startF = (csum - degF).astype(np.int32)  # forward block start
-        idx = np.arange(m, dtype=np.int32)
-        if hi_major:
-            cumB = (np.cumsum(degB) - degB).astype(np.int32)
-            back = startB[hi] + (idx - cumB[hi])
-            fwd = _grouped_slots(lo, startF)
-        else:
-            cumF = (np.cumsum(degF) - degF).astype(np.int32)
-            fwd = startF[lo] + (idx - cumF[lo])
-            back = _grouped_slots(hi, startB)
+        startB = (np.cumsum(deg) - deg).astype(np.int32)  # row starts
+        fwd = np.cumsum(degB).astype(np.int32)[lo]
+        fwd += np.arange(m, dtype=np.int32)
+        back = _grouped_slots(hi, startB)
         # src never needs a scatter: row s holds deg[s] copies of s.
         src = np.repeat(np.arange(n, dtype=np.int32), deg)
         dst = np.empty(2 * m, dtype=np.int32)
-        grev = np.empty(2 * m, dtype=np.int32)
         dst[back] = lo
         dst[fwd] = hi
-        grev[back] = fwd
-        grev[fwd] = back
-        self.src, self.dst, self.grev, self.deg = src, dst, grev, deg
+        self.src, self.dst, self.deg = src, dst, deg
         return self
 
     @classmethod
     def _from_pairs_argsort(cls, n: int, lo: Any, hi: Any) -> "GraphArrays":
         """The order-agnostic fallback: one int64 argsort of all ``2m``
-        directed keys.  Kept as the reference build the sorted fast path
-        is pinned against, and the path unsorted (but distinct) pairs
-        still take.
+        directed keys.  Kept as the reference build the sorted and chunked
+        paths are pinned against, and the path unsorted (but distinct)
+        pairs still take.
         """
         m = len(lo)
         self = cls._pair_shell(n)
@@ -598,59 +579,55 @@ class GraphArrays:
         dst_pre[m:] = lo
         self.src = src_pre[order]
         self.dst = dst_pre[order]
-        # Pre-sort slot i's reverse partner is slot i +- m; mapping both
-        # through the sort permutation yields grev without another sort.
-        pos = np.empty(2 * m, dtype=np.int32)
-        pos[order] = np.arange(2 * m, dtype=np.int32)
-        partner = np.concatenate([pos[m:], pos[:m]])
-        self.grev = partner[order]
         self.deg = np.bincount(self.src, minlength=n).astype(np.int64)
         return self
 
     @classmethod
     def from_distinct_pair_chunks(
-        cls, n: int, chunks: Any
+        cls, n: int, chunks: Iterable[Tuple[Any, Any]]
     ) -> "GraphArrays":
-        """Streaming CSR build: two passes over re-iterable pair chunks.
+        """Chunked CSR build: one pass over an iterable of pair chunks.
 
-        ``chunks`` is a zero-argument callable returning a fresh iterable
-        of ``(lo, hi)`` array pairs whose concatenation is the edge list
-        in strictly increasing ``(hi, lo)``-lex order (the v2 gnp
-        sampler's native order) -- distinct pairs with ``lo < hi``, both
-        validated chunk by chunk on both passes.  Pass 1 only accumulates
-        the per-node degree counts; pass 2 re-pulls the chunks and
-        scatters each straight into its final CSR slots, so peak
-        transient memory is O(n) node arrays plus a few index temporaries
-        per *chunk*, never per graph -- the whole point for dense
-        families at 1e7 (see ``docs/performance.md``).  The factory must
-        replay the identical chunk stream twice (counter-based samplers
-        re-sample for free).  Pass 2 is held to pass 1: every backward
-        slot must fall inside the block pass 1 sized for it, and the pair
-        count and the per-node forward counts must match, or the build
-        raises.  So both directions' per-node counts (and with them any
-        sum of the keys ``hi * n + lo``) agree exactly between passes.
+        ``chunks`` yields ``(lo, hi)`` array pairs whose concatenation is
+        the edge list in strictly increasing ``(hi, lo)``-lex order (the
+        v2 gnp sampler's native order) -- distinct pairs with ``lo < hi``,
+        validated chunk by chunk.  The pass counts per-node degrees and
+        keeps each chunk as int32 ``(lo, hi)``: 8 bytes per pair, the
+        bytes ``src`` takes once the chunks are gone.  The kept chunks are
+        then scattered into ``dst`` in order, each freed as soon as it is
+        placed, and only then is ``src`` built.  So the edge-array peak is
+        16 bytes per pair (kept chunks plus ``dst``, then ``src`` plus
+        ``dst``), and everything else in flight is O(n) node arrays plus
+        index temporaries per *chunk*, never per graph (see
+        ``docs/performance.md``).
 
-        Slot math: the backward (``hi``-major) direction's rank is pure
-        arithmetic off the global input position, exactly as in
-        :meth:`_from_sorted_pairs`; the forward direction's global rank
-        splits into a per-node carry (``occF``, pairs seen in earlier
+        Slot math: the backward (``hi``-major) direction needs no sort --
+        pair ``i``'s backward entry follows the ``i`` backward entries
+        before it and every forward entry of the rows above its own, so
+        its slot is ``i`` plus the exclusive prefix sum of the forward
+        counts at ``hi``.  The forward direction's global rank splits
+        into a per-node carry (``occF``, pairs placed from earlier
         chunks) plus a within-chunk rank from one value sort per chunk
         (:func:`_grouped_slots`).  ``deg`` is summed into the backward
-        count buffer and the other int64 scratch is freed before pass 2,
-        so the pass-2 peak is the persistent CSR plus four int32 node
-        arrays -- at 10^8 nodes that is ~2.4 GB less than three live
-        int64 scratch arrays (see ``docs/performance.md``, "Scaling to
-        10^8").
+        count buffer and the other int64 scratch is freed before the
+        scatter, so its peak is the kept chunks and ``dst`` plus three
+        int32 node arrays.
         """
         from ..profiling import phase, profiled_pulls
 
+        if callable(chunks):
+            raise TypeError(
+                "from_distinct_pair_chunks takes the chunk iterable itself, "
+                "not a factory returning one: pass `make_chunks(...)`, not "
+                "`lambda: make_chunks(...)`"
+            )
         degF = np.zeros(n, dtype=np.int64)
         degB = np.zeros(n, dtype=np.int64)
+        kept: List[Tuple[np.ndarray, np.ndarray]] = []
         m = 0
         last_key = -1
-        first_pass = chunks()
         with phase("csr_build"):
-            for lo, hi in profiled_pulls("sample", first_pass):
+            for lo, hi in profiled_pulls("sample", chunks):
                 lo, hi, key = _stream_chunk(n, lo, hi, last_key)
                 if not len(key):
                     continue
@@ -658,99 +635,36 @@ class GraphArrays:
                 degF += np.bincount(lo, minlength=n)
                 # hi ascends within a chunk: count over its span only.
                 degB[hi[0] : hi[-1] + 1] += np.bincount(hi - hi[0])
+                kept.append((lo.astype(np.int32), hi.astype(np.int32)))
                 m += len(key)
-        self = cls._pair_shell(n)
-        cumB = (np.cumsum(degB) - degB).astype(np.int32)
-        # deg takes over degB's buffer: no third int64 node array, and the
-        # persistent array sits where it was allocated before any chunk
-        # temporaries, so it cannot pin freed heap above it.
-        deg = degB
-        deg += degF
-        if not m:
-            self.src = np.empty(0, dtype=np.int32)
-            self.dst = np.empty(0, dtype=np.int32)
-            self.grev = np.empty(0, dtype=np.int32)
-            self.deg = deg
-            return self
-        second_pass = chunks()
-        if second_pass is first_pass and iter(second_pass) is second_pass:
-            # A re-iterable (a list of chunks) may legitimately be the
-            # same object twice; the same *iterator* object cannot -- it
-            # was consumed by pass 1 and pass 2 would silently see an
-            # empty stream.
-            raise ValueError(
-                "chunk factory is not replayable: it returned the same "
-                "(already consumed) iterator for both passes -- the "
-                "factory must build a fresh chunk iterable per call "
-                "(e.g. `lambda: make_chunks(...)`), not close over one "
-                "generator object"
-            )
-        replay_error = (
-            "chunk factory is not replayable: pass 2 yielded a different "
-            "pair stream than pass 1 -- the factory must re-produce the "
-            "identical chunks on every call"
-        )
-        with phase("csr_build"):
-            csum = np.cumsum(deg)
-            startB = (csum - deg).astype(np.int32)
-            startF = (csum - degF).astype(np.int32)
-            # Pass 2 needs only the int32 start/carry arrays built above:
-            # drop the int64 scratch (2 x 8n bytes) before the big CSR
-            # allocations so it never coexists with the edge arrays.
+            self = cls._pair_shell(n)
+            # deg takes over degB's buffer: no third int64 node array.
+            deg = degB
+            deg += degF
+            csum = np.cumsum(degF)
+            cumF = (csum - degF).astype(np.int32)  # forward rows above
+            np.cumsum(deg, out=csum)
+            startF = (csum - degF).astype(np.int32)  # forward block starts
+            # The scatter needs only the int32 node arrays: drop the int64
+            # scratch (2 x 8n bytes) before allocating dst.
             del csum, degF
-            occF = np.zeros(n, dtype=np.int32)  # forward pairs in prior chunks
+            occF = np.zeros(n, dtype=np.int32)  # forward pairs placed so far
+            dst = np.empty(2 * m, dtype=np.int32)
+            base = 0
+            kept.reverse()  # pop() hands the chunks back in stream order
+            while kept:
+                lo, hi = kept.pop()
+                c = len(lo)
+                back = np.arange(base, base + c, dtype=np.int32)
+                back += cumF[hi]
+                dst[back] = lo
+                dst[_grouped_slots(lo, startF, occF)] = hi
+                base += c
+                del lo, hi, back  # free the chunk before the next one
+            del cumF, startF, occF
             # src never needs a scatter: row s holds deg[s] copies of s.
             src = np.repeat(np.arange(n, dtype=np.int32), deg)
-            dst = np.empty(2 * m, dtype=np.int32)
-            grev = np.empty(2 * m, dtype=np.int32)
-        base = 0
-        last_key = -1
-        with phase("csr_build"):
-            for lo, hi in profiled_pulls("sample", second_pass):
-                lo, hi, key = _stream_chunk(n, lo, hi, last_key)
-                c = len(key)
-                if not c:
-                    continue
-                last_key = key[-1]
-                rank = (base + np.arange(c, dtype=np.int32)) - cumB[hi]
-                back = startB[hi] + rank
-                fwd = _grouped_slots(lo, startF, occF)
-                # Each backward slot must stay in the block pass 1 sized
-                # for it.  That also keeps every forward slot inside the
-                # CSR (each forward pair has its backward twin); the
-                # forward counts are compared once pass 2 is done.
-                if rank.min() < 0 or not bool((back < startF[hi]).all()):
-                    raise ValueError(replay_error)
-                dst[back] = lo
-                dst[fwd] = hi
-                grev[back] = fwd
-                grev[fwd] = back
-                base += c
-        if not base:
-            # An empty second pass is the signature of a factory that
-            # hands back fresh-but-drained generators (it consumed its
-            # underlying source on pass 1): name the fix instead of
-            # reporting a bare count mismatch.
-            raise ValueError(
-                f"chunk factory is not replayable: pass 2 yielded no "
-                f"pairs where pass 1 saw {m} -- the factory consumed its "
-                f"underlying stream on the first pass; it must re-produce "
-                f"the identical chunks on every call (counter-based "
-                f"samplers re-sample for free)"
-            )
-        if base != m:
-            raise ValueError(
-                f"chunk factory is not replayable: pass 1 saw {m} pairs, "
-                f"pass 2 saw {base}"
-            )
-        # Forward counts: occF must equal degF = deg - (startF - startB),
-        # compared in place (startF is dead) to add no node array.
-        del cumB
-        startF -= startB
-        startF += occF
-        if not np.array_equal(startF, deg):
-            raise ValueError(replay_error)
-        self.src, self.dst, self.grev, self.deg = src, dst, grev, deg
+        self.src, self.dst, self.deg = src, dst, deg
         return self
 
     @property
@@ -841,10 +755,7 @@ class GraphArrays:
 
     def nbytes(self) -> int:
         """Bytes held by the persistent edge/degree buffers."""
-        return (
-            self.src.nbytes + self.dst.nbytes + self.grev.nbytes
-            + self.deg.nbytes
-        )
+        return self.src.nbytes + self.dst.nbytes + self.deg.nbytes
 
 
 class EngineScratch:

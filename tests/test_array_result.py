@@ -181,17 +181,58 @@ class TestDownstreamConsumers:
             is_maximal_independent_set_arrays,
         )
 
-        rng = np.random.default_rng(7)
-        for name, builder in GRAPH_CASES:
-            from repro.sim.fast_engine import GraphArrays
+        from repro.graphs.arrays import gnp_arrays_v2
+        from repro.sim.batch import make_vectorized_engine
+        from repro.sim.fast_engine import GraphArrays
 
-            arrays = GraphArrays(builder())
+        def near_mis_masks(arrays, rng):
+            """Random masks, a true MIS from an engine run, and the MIS
+            one member short or one member's neighbor too many."""
             for _ in range(4):
-                mask = rng.random(arrays.n) < 0.4
+                yield "random", rng.random(arrays.n) < 0.4
+            mis = make_vectorized_engine(
+                arrays, "luby", seed=3, rng="batched", result="arrays"
+            ).run().mis_mask
+            yield "mis", mis
+            members = np.flatnonzero(mis)
+            if len(members):
+                fewer = mis.copy()
+                fewer[rng.choice(members)] = False
+                yield "mis-minus-member", fewer
+            deg = arrays.deg
+            rows = members[deg[members] > 0]
+            if len(rows):
+                v = rng.choice(rows)
+                start = int(deg[:v].sum())
+                more = mis.copy()
+                more[rng.choice(arrays.dst[start : start + deg[v]])] = True
+                yield "mis-plus-neighbor", more
+
+        rng = np.random.default_rng(7)
+        cases = [(name, GraphArrays(build())) for name, build in GRAPH_CASES]
+        cases += [
+            (f"gnp-v2-{n}-{p}", gnp_arrays_v2(n, p, seed=seed))
+            for n, p, seed in ((40, 0.1, 1), (200, 0.02, 2), (300, 0.3, 4))
+        ]
+        isolated = np.array([0, 3, 3, 9], dtype=np.int64)
+        cases.append((
+            "isolated-nodes",
+            GraphArrays.from_edges(12, isolated, isolated[::-1] + 1),
+        ))
+        seen = set()
+        for name, arrays in cases:
+            for kind, mask in near_mis_masks(arrays, rng):
                 members = {arrays.node_ids[i] for i in np.flatnonzero(mask)}
+                verdict = is_maximal_independent_set(arrays.adjacency, members)
                 assert is_maximal_independent_set_arrays(
                     arrays, mask
-                ) == is_maximal_independent_set(arrays.adjacency, members), name
+                ) == verdict, (name, kind)
+                seen.add((kind, verdict))
+        # The near-MIS masks reach both verdicts' interesting sides: true
+        # MISs pass, a dropped member fails maximality, an added neighbor
+        # fails independence.
+        assert {("mis", True), ("mis-minus-member", False),
+                ("mis-plus-neighbor", False)} <= seen
 
     def test_energy_model_tallies_arrays(self):
         graph = make_family_graph("gnp-sparse", 100, seed=3)

@@ -11,17 +11,14 @@ on ``gnp-sparse`` n = 5000, and the two edge-bound workhorses on
 optimisation that changes any count, round label, or decision fails here
 at sizes the equivalence suite never runs.
 
-The streaming CSR build (:meth:`GraphArrays.from_distinct_pair_chunks`)
-only runs past 2^24 expected pairs, far above what the equivalence suite
-or the cases above reach, so two streaming builds forced through small
-chunks pin a sha256 of ``src``/``dst``/``grev``/``deg``: a dense family
-and a sparse one whose early chunks span more rows than they hold pairs.
-
-:data:`CSR_CASES` pin a sha256 of ``src``/``dst``/``deg`` alone for the
-same two streaming builds and for two graphs built in one shot
-(``gnp_arrays_v2(400, 0.05, seed=3)`` and a sparse n = 10^5 graph), so
-the digests outlive any change of builder or of which arrays a
-``GraphArrays`` carries.
+Every v2 gnp graph is built by the chunked CSR build
+(:meth:`GraphArrays.from_distinct_pair_chunks`), so :data:`CSR_CASES`
+pin a sha256 of ``src``/``dst``/``deg`` for four of them: a dense family
+and a sparse one forced through small chunks (the sparse one's early
+chunks span more rows than they hold pairs), and two graphs that fit in
+one default chunk, ``gnp_arrays_v2(400, 0.05, seed=3)`` and a sparse
+n = 10^5 graph.  The digests were generated before the build changed
+from two passes to one, and must not move with any builder change.
 
 Engine and builder optimisations must leave every digest unchanged.  A
 deliberate change of execution (a new stream format, a protocol fix)
@@ -122,57 +119,8 @@ def test_result_digest_is_pinned(case):
     assert result_digest(run_case(*case)) == GOLDEN[case]
 
 
-#: ((n, mean degree or None for p = 1/2, graph seed), sha256 of the CSR)
-#: for ``gnp_arrays_v2(..., stream=True)`` at :data:`STREAM_CHUNK`.
-STREAM_CASES = (
-    (
-        (3000, None, 21),
-        "00a70d9fa91df9178623939dd383da5f7dd4d5c2a9d01570e31fd8f465d5a69b",
-    ),
-    (
-        (200_000, 8, 22),
-        "55457783c70ba3e39b8418dc40f6bdb21590dbbf7293e6865447022533d92753",
-    ),
-)
-STREAM_GOLDEN = dict(STREAM_CASES)
-
-#: Small refills, so both streams split into hundreds of chunks.
+#: Small refills, so both streamed cases split into hundreds of chunks.
 STREAM_CHUNK = 1 << 12
-
-#: The CSR arrays and the dtype each is hashed at.
-CSR_FIELDS = (
-    ("src", np.int32),
-    ("dst", np.int32),
-    ("grev", np.int32),
-    ("deg", np.int64),
-)
-
-
-def csr_digest(ga) -> str:
-    """sha256 over ``(n, m)`` and the CSR arrays at fixed dtypes."""
-    h = hashlib.sha256()
-    h.update(f"{ga.n}:{ga.m}".encode())
-    for name, dtype in CSR_FIELDS:
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(getattr(ga, name), dtype=dtype).tobytes())
-    return h.hexdigest()
-
-
-def build_streamed(n, mean_degree, seed):
-    p = 0.5 if mean_degree is None else mean_degree / n
-    return arrays_mod.gnp_arrays_v2(n, p, seed=seed, stream=True)
-
-
-@pytest.mark.parametrize(
-    "case",
-    list(STREAM_GOLDEN),
-    ids=["-".join(map(str, c)) for c in STREAM_GOLDEN],
-)
-def test_streaming_csr_digest_is_pinned(case, monkeypatch):
-    monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_CHUNK", STREAM_CHUNK)
-    assert csr_digest(build_streamed(*case)) == STREAM_GOLDEN[case]
-
-
 
 #: ((n, mean degree or None for p = 1/2, graph seed, refill chunk or None
 #: for the default), sha256 of ``src``/``dst``/``deg``) for
@@ -198,34 +146,40 @@ CSR_CASES = (
 CSR_GOLDEN = dict(CSR_CASES)
 
 
+#: The CSR arrays and the dtype each is hashed at.
+CSR_FIELDS = (
+    ("src", np.int32),
+    ("dst", np.int32),
+    ("deg", np.int64),
+)
+
+
 def edge_digest(ga) -> str:
     """sha256 over ``(n, m)`` and ``src``/``dst``/``deg`` at fixed dtypes."""
     h = hashlib.sha256()
     h.update(f"{ga.n}:{ga.m}".encode())
     for name, dtype in CSR_FIELDS:
-        if name != "grev":
-            h.update(name.encode())
-            h.update(
-                np.ascontiguousarray(getattr(ga, name), dtype=dtype).tobytes()
-            )
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(getattr(ga, name), dtype=dtype).tobytes())
     return h.hexdigest()
 
 
 def build_csr(n, mean_degree, seed, chunk):
-    if chunk is None:
-        p = 0.5 if mean_degree is None else mean_degree / n
-        return arrays_mod.gnp_arrays_v2(n, p, seed=seed, stream=False)
-    arrays_mod.GNP_V2_STREAM_CHUNK = chunk
-    return build_streamed(n, mean_degree, seed)
+    """``gnp_arrays_v2`` refilling ``chunk`` draws at a time (``None``:
+    the default :data:`~repro.graphs.arrays.GNP_V2_CHUNK`)."""
+    p = 0.5 if mean_degree is None else mean_degree / n
+    default = arrays_mod.GNP_V2_CHUNK
+    arrays_mod.GNP_V2_CHUNK = chunk or default
+    try:
+        return arrays_mod.gnp_arrays_v2(n, p, seed=seed)
+    finally:
+        arrays_mod.GNP_V2_CHUNK = default
 
 
 @pytest.mark.parametrize(
     "case", list(CSR_GOLDEN), ids=["-".join(map(str, c)) for c in CSR_GOLDEN]
 )
-def test_csr_digest_is_pinned(case, monkeypatch):
-    monkeypatch.setattr(
-        arrays_mod, "GNP_V2_STREAM_CHUNK", arrays_mod.GNP_V2_STREAM_CHUNK
-    )
+def test_csr_digest_is_pinned(case):
     assert edge_digest(build_csr(*case)) == CSR_GOLDEN[case]
 
 def float_sqrt_rows(positions):
@@ -287,6 +241,4 @@ def _print_table(cases, digest_of):
 
 if __name__ == "__main__":  # regenerate the tables above
     _print_table(GOLDEN, lambda case: result_digest(run_case(*case)))
-    arrays_mod.GNP_V2_STREAM_CHUNK = STREAM_CHUNK
-    _print_table(STREAM_GOLDEN, lambda case: csr_digest(build_streamed(*case)))
     _print_table(CSR_GOLDEN, lambda case: edge_digest(build_csr(*case)))

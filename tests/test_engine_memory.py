@@ -231,7 +231,7 @@ class TestLazyNodeIds:
         assert list(clone.node_ids) == list(ga.node_ids)
         import numpy as np
 
-        for field in ("src", "dst", "grev", "deg"):
+        for field in ("src", "dst", "deg"):
             assert np.array_equal(getattr(clone, field), getattr(ga, field))
 
 
@@ -239,14 +239,16 @@ class TestChunkedCsrBuild:
     def test_streaming_build_transient_memory_is_chunk_bounded(
         self, monkeypatch
     ):
-        """The two-pass streaming CSR build must hold chunk-sized (plus
-        O(n) node-array) transients, never pair-count-sized ones.
+        """The chunked CSR build must hold chunk-sized (plus O(n)
+        node-array) transients, never pair-count-sized ones.
 
         A dense ~10^6-edge family forced through tiny chunks: with
         ~2x10^3 pairs in flight at a time, the peak traced memory above
         the persistent CSR arrays has to stay orders of magnitude below
-        the ~50 MB the one-shot build transiently holds for this graph
-        (pair buffers, composite keys, argsort).  The documented bound
+        the ~50 MB a build from the whole buffered pair list transiently
+        holds for this graph (pair buffers, composite keys, argsort).  The
+        kept int32 chunks take exactly the bytes ``src`` takes once they
+        are freed, so they are not transient.  The documented bound
         (docs/performance.md, "Scaling to 10^7"): O(n) node arrays plus
         ~64 bytes per in-flight pair.
         """
@@ -254,11 +256,11 @@ class TestChunkedCsrBuild:
 
         n, p = 2000, 0.5  # ~10^6 undirected pairs
         chunk = 1 << 11
-        monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_CHUNK", chunk)
+        monkeypatch.setattr(arrays_mod, "GNP_V2_CHUNK", chunk)
         gc.collect()
         tracemalloc.start()
         try:
-            ga = arrays_mod.gnp_arrays_v2(n, p, seed=5, stream=True)
+            ga = arrays_mod.gnp_arrays_v2(n, p, seed=5)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -273,15 +275,21 @@ class TestChunkedCsrBuild:
         )
 
     def test_streaming_build_equals_one_shot(self, monkeypatch):
-        """stream=True is a build strategy, never a different graph."""
+        """Small chunks build the same CSR as the argsort reference does
+        from the whole pair list at once."""
         import numpy as np
 
         import repro.graphs.arrays as arrays_mod
 
-        monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_CHUNK", 1 << 11)
-        one_shot = arrays_mod.gnp_arrays_v2(500, 0.3, seed=9, stream=False)
-        streamed = arrays_mod.gnp_arrays_v2(500, 0.3, seed=9, stream=True)
-        for field in ("src", "dst", "grev", "deg"):
+        monkeypatch.setattr(arrays_mod, "GNP_V2_CHUNK", 1 << 11)
+        streamed = arrays_mod.gnp_arrays_v2(500, 0.3, seed=9)
+        fwd = streamed.src < streamed.dst
+        one_shot = GraphArrays._from_pairs_argsort(
+            500,
+            streamed.src[fwd].astype(np.int64),
+            streamed.dst[fwd].astype(np.int64),
+        )
+        for field in ("src", "dst", "deg"):
             assert np.array_equal(
                 getattr(one_shot, field), getattr(streamed, field)
             ), field
@@ -305,7 +313,7 @@ class TestNoCopyEngineHandoff:
         ga = make_family_arrays("gnp-sparse", 400, seed=7)
         eng = PhasedVectorizedEngine(ga, "luby", seed=0, rng="batched")
         assert eng.arrays is ga
-        for field in ("src", "dst", "grev", "deg"):
+        for field in ("src", "dst", "deg"):
             assert getattr(eng.arrays, field) is getattr(ga, field)
 
     def test_engine_construction_does_not_duplicate_the_csr(self):

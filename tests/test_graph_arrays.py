@@ -58,7 +58,14 @@ def assert_same_graph(arrays: GraphArrays, graph) -> None:
     np.testing.assert_array_equal(arrays.src, reference.src)
     np.testing.assert_array_equal(arrays.dst, reference.dst)
     np.testing.assert_array_equal(arrays.deg, reference.deg)
-    np.testing.assert_array_equal(arrays.grev, reference.grev)
+
+
+def assert_symmetric(ga: GraphArrays) -> None:
+    """Every directed edge's reverse is an edge: the ``(dst, src)`` pairs,
+    sorted, equal the ``(src, dst)`` pairs (which the CSR keeps sorted)."""
+    forward = ga.src.astype(np.int64) * ga.n + ga.dst
+    reverse = np.sort(ga.dst.astype(np.int64) * ga.n + ga.src)
+    np.testing.assert_array_equal(reverse, forward)
 
 
 class TestGnpParity:
@@ -133,10 +140,8 @@ class TestFromEdges:
         with pytest.raises(ValueError):
             GraphArrays.from_edges(3, np.array([0, 1]), np.array([1]))
 
-    def test_grev_is_reverse_edge_permutation(self):
-        ga = gnp_arrays(80, 0.1, seed=6)
-        np.testing.assert_array_equal(ga.src[ga.grev], ga.dst)
-        np.testing.assert_array_equal(ga.dst[ga.grev], ga.src)
+    def test_reversed_pairs_are_the_edge_list(self):
+        assert_symmetric(gnp_arrays(80, 0.1, seed=6))
 
     def test_lazy_adjacency_not_built_until_asked(self):
         ga = gnp_arrays(50, 0.1, seed=1)
@@ -312,8 +317,7 @@ class TestGraphRngV2:
 
     def test_structure_invariants(self):
         ga = gnp_arrays_v2(400, 0.03, seed=2)
-        np.testing.assert_array_equal(ga.src[ga.grev], ga.dst)
-        np.testing.assert_array_equal(ga.dst[ga.grev], ga.src)
+        assert_symmetric(ga)
         np.testing.assert_array_equal(
             ga.deg, np.bincount(ga.src, minlength=ga.n)
         )
@@ -432,7 +436,7 @@ class TestEndToEnd:
 
 # ----------------------------------------------------------------------
 # The direct O(m) CSR build (sorted fast path, argsort fallback, and the
-# two-pass streaming builder).
+# one-pass chunked builder).
 # ----------------------------------------------------------------------
 
 
@@ -445,7 +449,7 @@ def _distinct_pairs_of(graph):
 
 def _assert_same_arrays(a: GraphArrays, b: GraphArrays) -> None:
     assert a.n == b.n
-    for field in ("src", "dst", "grev", "deg"):
+    for field in ("src", "dst", "deg"):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
@@ -458,10 +462,7 @@ def _assert_csr_invariants(ga: GraphArrays) -> None:
     # (src, dst) strictly ascending: sorted, no duplicate directed edges.
     key = ga.src.astype(np.int64) * ga.n + ga.dst
     assert (key[1:] > key[:-1]).all()
-    # grev is the reverse-edge involution.
-    np.testing.assert_array_equal(ga.src[ga.grev], ga.dst)
-    np.testing.assert_array_equal(ga.dst[ga.grev], ga.src)
-    np.testing.assert_array_equal(ga.grev[ga.grev], np.arange(m))
+    assert_symmetric(ga)
 
 
 class TestDirectCsrBuild:
@@ -500,7 +501,7 @@ class TestDirectCsrBuild:
 
     def test_empty_graph(self):
         ga = GraphArrays.from_distinct_pairs(7, [], [])
-        assert (len(ga.src), len(ga.dst), len(ga.grev)) == (0, 0, 0)
+        assert (len(ga.src), len(ga.dst)) == (0, 0)
         np.testing.assert_array_equal(ga.deg, np.zeros(7, dtype=np.int64))
 
     def test_isolated_high_id_nodes(self):
@@ -527,7 +528,7 @@ class TestDirectCsrBuild:
 
     def test_composite_key_headroom_at_int32_id_bound(self):
         """Document the arithmetic ceiling: even at the int32 id bound
-        (the format's hard limit -- src/dst/grev are int32), the (hi, lo)
+        (the format's hard limit -- src/dst are int32), the (hi, lo)
         composite key stays inside int64."""
         n = 2**31 - 1
         assert (n - 1) * n + (n - 2) < 2**63 - 1
@@ -577,19 +578,16 @@ class TestDirectCsrBuild:
 
 
 class TestChunkedCsrBuild:
-    """`from_distinct_pair_chunks`: the two-pass streaming builder."""
+    """`from_distinct_pair_chunks`: the one-pass chunked builder."""
 
     @staticmethod
     def _chunked(lo, hi, size):
-        def make():
-            for i in range(0, max(len(lo), 1), size):
-                yield lo[i : i + size], hi[i : i + size]
-
-        return make
+        for i in range(0, max(len(lo), 1), size):
+            yield lo[i : i + size], hi[i : i + size]
 
     @pytest.mark.parametrize("size", [1, 3, 7, 10_000])
-    def test_equals_one_shot_across_chunk_splits(self, size):
-        ga = gnp_arrays_v2(400, 0.05, seed=3, stream=False)
+    def test_equals_argsort_reference_across_chunk_splits(self, size):
+        ga = gnp_arrays_v2(400, 0.05, seed=3)
         fwd = ga.src < ga.dst
         lo64 = ga.src[fwd].astype(np.int64)
         hi64 = ga.dst[fwd].astype(np.int64)
@@ -598,25 +596,22 @@ class TestChunkedCsrBuild:
         chunked = GraphArrays.from_distinct_pair_chunks(
             400, self._chunked(lo64, hi64, size)
         )
-        _assert_same_arrays(chunked, ga)
+        _assert_same_arrays(
+            chunked, GraphArrays._from_pairs_argsort(400, lo64, hi64)
+        )
         _assert_csr_invariants(chunked)
 
     def test_empty_stream(self):
-        ga = GraphArrays.from_distinct_pair_chunks(5, lambda: iter(()))
+        ga = GraphArrays.from_distinct_pair_chunks(5, iter(()))
         assert len(ga.src) == 0
         np.testing.assert_array_equal(ga.deg, np.zeros(5, dtype=np.int64))
 
     def test_empty_chunks_are_skipped(self):
         lo = np.array([0, 0], dtype=np.int64)
         hi = np.array([1, 2], dtype=np.int64)
-
-        def make():
-            yield lo[:0], hi[:0]
-            yield lo[:1], hi[:1]
-            yield lo[:0], hi[:0]
-            yield lo[1:], hi[1:]
-
-        ga = GraphArrays.from_distinct_pair_chunks(3, make)
+        chunks = [(lo[:0], hi[:0]), (lo[:1], hi[:1]), (lo[:0], hi[:0]),
+                  (lo[1:], hi[1:])]
+        ga = GraphArrays.from_distinct_pair_chunks(3, chunks)
         _assert_same_arrays(ga, GraphArrays.from_distinct_pairs(3, lo, hi))
 
     def test_out_of_order_chunks_rejected(self):
@@ -651,102 +646,32 @@ class TestChunkedCsrBuild:
                 ),
             )
 
-    def test_non_replayable_factory_detected(self):
-        lo = np.array([0, 0], dtype=np.int64)
-        hi = np.array([1, 2], dtype=np.int64)
-        passes = iter([2, 1])  # second pass yields fewer pairs
+    def test_a_factory_is_rejected_with_the_fix(self):
+        """The builder reads its chunks once: a zero-argument factory
+        (the old two-pass contract) must fail loudly, not build an empty
+        graph."""
+        lo = np.array([0], dtype=np.int64)
+        hi = np.array([1], dtype=np.int64)
+        with pytest.raises(TypeError, match="iterable itself"):
+            GraphArrays.from_distinct_pair_chunks(
+                3, lambda: self._chunked(lo, hi, 1)
+            )
 
-        def make():
-            k = next(passes)
-            yield lo[:k], hi[:k]
+    def test_producer_may_reuse_its_buffers(self):
+        """Each chunk is copied when it is kept, so a producer that refills
+        one buffer between yields still builds the right graph."""
+        lo = np.array([0, 0, 1, 0], dtype=np.int64)
+        hi = np.array([1, 2, 2, 3], dtype=np.int64)
 
-        with pytest.raises(ValueError, match="not replayable"):
-            GraphArrays.from_distinct_pair_chunks(3, make)
+        def refill():
+            buf_lo = np.empty(2, dtype=np.int64)
+            buf_hi = np.empty(2, dtype=np.int64)
+            for i in (0, 2):
+                buf_lo[:] = lo[i : i + 2]
+                buf_hi[:] = hi[i : i + 2]
+                yield buf_lo, buf_hi
 
-    @staticmethod
-    def _replaying(*passes):
-        """A factory whose k-th call yields ``passes[k]``'s pairs."""
-        calls = iter(passes)
-
-        def make():
-            for lo, hi in next(calls):
-                yield np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
-
-        return make
-
-    def test_same_length_different_replay_detected(self):
-        """Pass 2 replaying a *different* stream of the same length must
-        raise instead of returning a corrupt CSR (here it would report
-        deg [1, 1, 0] while dst holds node 2)."""
-        make = self._replaying([([0], [1])], [([0], [2])])
-        with pytest.raises(ValueError, match="not replayable"):
-            GraphArrays.from_distinct_pair_chunks(3, make)
-
-    def test_replay_with_other_backward_counts_detected(self):
-        """Same count, key sum and forward (lo) counts, different backward
-        (hi) counts: (0,2),(1,2) then (0,1),(1,3) on 5 nodes."""
-        make = self._replaying([([0, 1], [2, 2])], [([0, 1], [1, 3])])
-        with pytest.raises(ValueError, match="not replayable"):
-            GraphArrays.from_distinct_pair_chunks(5, make)
-
-    def test_replay_with_other_forward_counts_detected(self):
-        """Same count, key sum and backward (hi) counts, different forward
-        (lo) counts: (0,3),(2,4) then (1,3),(1,4) on 5 nodes."""
-        make = self._replaying([([0, 2], [3, 4])], [([1], [3]), ([1], [4])])
-        with pytest.raises(ValueError, match="not replayable"):
-            GraphArrays.from_distinct_pair_chunks(5, make)
-
-    def test_pass2_is_validated_like_pass1(self):
-        make = self._replaying([([0], [1])], [([1], [0])])
-        with pytest.raises(ValueError, match="lo < hi"):
-            GraphArrays.from_distinct_pair_chunks(3, make)
-        make = self._replaying([([0], [1]), ([0], [2])], [([0, 0], [2, 1])])
-        with pytest.raises(ValueError, match="strictly increasing"):
-            GraphArrays.from_distinct_pair_chunks(3, make)
-
-    def test_replay_may_split_the_stream_differently(self):
-        """Only the pair stream is the contract, not its chunking."""
-        lo, hi = [0, 0, 1, 2], [1, 2, 2, 3]
-        make = self._replaying([(lo, hi)], [(lo[:1], hi[:1]), (lo[1:], hi[1:])])
         _assert_same_arrays(
-            GraphArrays.from_distinct_pair_chunks(4, make),
-            GraphArrays.from_distinct_pairs(4, np.array(lo), np.array(hi)),
+            GraphArrays.from_distinct_pair_chunks(4, refill()),
+            GraphArrays._from_pairs_argsort(4, lo, hi),
         )
-
-    def test_consumed_iterator_reuse_names_the_fix(self):
-        """Passing the *same* generator object for both passes is the
-        classic mistake (``chunks=gen()`` instead of ``chunks=gen``); the
-        builder must say what went wrong instead of reporting a confusing
-        pair-count mismatch on the empty second pass."""
-        lo = np.array([0, 0], dtype=np.int64)
-        hi = np.array([1, 2], dtype=np.int64)
-        gen = self._chunked(lo, hi, 1)()  # one generator, not a factory
-
-        with pytest.raises(
-            ValueError,
-            match=r"not replayable.*same \(already consumed\) iterator",
-        ):
-            GraphArrays.from_distinct_pair_chunks(3, lambda: gen)
-
-    def test_reiterable_factory_may_return_the_same_object(self):
-        """A list-backed (re-iterable) chunk source is fine to hand out
-        twice -- only a consumed one-shot iterator is an error."""
-        lo = np.array([0, 1], dtype=np.int64)
-        hi = np.array([1, 2], dtype=np.int64)
-        chunks = [(lo[:1], hi[:1]), (lo[1:], hi[1:])]
-        ga = GraphArrays.from_distinct_pair_chunks(3, lambda: chunks)
-        _assert_same_arrays(ga, GraphArrays.from_distinct_pairs(3, lo, hi))
-
-    def test_gnp_v2_stream_knob_is_not_part_of_the_format(self):
-        """Every stream mode samples the identical seeded graph."""
-        expected = gnp_arrays_v2(200, 0.1, seed=6, stream=False)
-        _assert_same_arrays(
-            expected, gnp_arrays_v2(200, 0.1, seed=6, stream=True)
-        )
-        _assert_same_arrays(
-            expected, gnp_arrays_v2(200, 0.1, seed=6, stream="auto")
-        )
-
-    def test_unknown_stream_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown stream mode"):
-            gnp_arrays_v2(10, 0.1, stream="yes")

@@ -17,6 +17,7 @@ instrumentation depends on:
 
 import time
 
+import numpy as np
 import pytest
 
 import repro.profiling as prof_mod
@@ -185,28 +186,32 @@ class TestReporting:
 
 class TestPipelineIntegration:
     def test_streamed_trial_populates_all_four_phases(self, monkeypatch):
-        """One profiled end-to-end trial on the streaming v2 sampler
-        books time to every pipeline phase with deterministic call
-        counts (the artifact drift check compares ``calls``)."""
+        """One profiled end-to-end trial on the chunked v2 sampler books
+        time to every pipeline phase with deterministic call counts (the
+        artifact drift check compares ``calls``)."""
         import repro.graphs.arrays as arrays_mod
         from repro.api import solve_mis
         from repro.plan import RunPlan
+        from repro.sim.rng import graph_stream_key
 
-        monkeypatch.setattr(arrays_mod, "GNP_V2_STREAM_CHUNK", 1 << 11)
+        monkeypatch.setattr(arrays_mod, "GNP_V2_CHUNK", 1 << 11)
         plan = RunPlan(
             algorithm="fast-sleeping", family="gnp-dense", n=400, seed=3,
             engine="vectorized", rng="batched", graph_rng="batched",
             graph_source="arrays", result="arrays",
         )
         with profile_phases(trace=True) as prof:
-            graph = arrays_mod.gnp_arrays_v2(400, 0.5, seed=3, stream=True)
+            graph = arrays_mod.gnp_arrays_v2(400, 0.5, seed=3)
             result = solve_mis(graph, plan=plan)
         assert result.is_valid_mis()
         report = prof.report()
         assert set(PIPELINE_PHASES) <= set(report)
-        # Streaming makes two passes over the same chunk stream: pass 2
-        # re-samples, so sample calls double relative to one pass.
-        assert report["sample"]["calls"] >= 2
+        # One pass over the chunk stream: one sample call per chunk
+        # pulled, plus the pull that finds the stream exhausted.
+        chunks = arrays_mod._gnp_v2_pair_chunks(
+            400, 0.5, np.uint64(graph_stream_key(3)), 1 << 11
+        )
+        assert report["sample"]["calls"] == sum(1 for _ in chunks) + 1 > 2
         assert report["result_build"]["calls"] == 1
 
     def test_rerunning_the_same_plan_gives_identical_calls(self):
