@@ -308,6 +308,58 @@ class TestDownstreamConsumers:
         assert row_a.node_averaged_awake == row_b.node_averaged_awake
 
 
+#: Path 0-1-2-3, the star 0-{1..4}, and two edges around isolated node 2.
+PATH4 = (4, [0, 1, 2], [1, 2, 3])
+STAR5 = (5, [0, 0, 0, 0], [1, 2, 3, 4])
+SPLIT5 = (5, [0, 3], [1, 4])
+
+#: (graph, members, expected verdict).
+AUDIT_CASES = {
+    "no-nodes": ((0, [], []), [], True),
+    "isolated-all-members": ((3, [], []), [0, 1, 2], True),
+    "isolated-non-member": ((3, [], []), [0, 1], False),
+    "path-adjacent-members": (PATH4, [1, 2], False),
+    "path-mis": (PATH4, [0, 2], True),
+    "path-mis-ends-in-last-row": (PATH4, [1, 3], True),
+    "path-conflict-in-last-row": (PATH4, [0, 2, 3], False),
+    "path-uncovered-behind-non-member": (PATH4, [0], False),
+    "star-center": (STAR5, [0], True),
+    "star-leaves": (STAR5, [1, 2, 3, 4], True),
+    "star-center-and-leaf": (STAR5, [0, 4], False),
+    "empty-row-between-members": (SPLIT5, [0, 2, 4], True),
+    "empty-row-left-out": (SPLIT5, [0, 4], False),
+}
+
+
+class TestMemberRowAudit:
+    """`is_maximal_independent_set_arrays` reads only the members' CSR
+    rows; these cases put members at the first and last rows, next to
+    empty rows, and leave non-members reachable only from non-members."""
+
+    @pytest.mark.parametrize("case", list(AUDIT_CASES))
+    def test_verdict_matches_dict_oracle(self, case):
+        from repro.graphs.validation import (
+            is_maximal_independent_set,
+            is_maximal_independent_set_arrays,
+        )
+        from repro.sim.fast_engine import GraphArrays
+
+        (n, u, v), members, expected = AUDIT_CASES[case]
+        arrays = GraphArrays.from_edges(n, u, v)
+        mask = np.zeros(n, dtype=bool)
+        mask[members] = True
+        assert is_maximal_independent_set_arrays(arrays, mask) is expected
+        assert is_maximal_independent_set(arrays.adjacency, members) is expected
+
+    def test_mask_of_the_wrong_length_rejected(self):
+        from repro.graphs.validation import is_maximal_independent_set_arrays
+        from repro.sim.fast_engine import GraphArrays
+
+        arrays = GraphArrays.from_edges(*PATH4)
+        with pytest.raises(ValueError, match="expected \\(4,\\)"):
+            is_maximal_independent_set_arrays(arrays, np.ones(3, dtype=bool))
+
+
 class TestExactSummation:
     """Column reductions must not wrap where legacy Python ints would not."""
 
