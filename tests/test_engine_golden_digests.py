@@ -19,6 +19,9 @@ chunks span more rows than they hold pairs), and two graphs that fit in
 one default chunk, ``gnp_arrays_v2(400, 0.05, seed=3)`` and a sparse
 n = 10^5 graph.  The digests were generated before the build changed
 from two passes to one, and must not move with any builder change.
+:data:`FROM_EDGES_CASES` do the same for graphs built by
+:meth:`GraphArrays.from_edges`: the legacy samplers, the deterministic
+topologies, and one raw call with self-loops and duplicates.
 
 Engine and builder optimisations must leave every digest unchanged.  A
 deliberate change of execution (a new stream format, a protocol fix)
@@ -33,6 +36,7 @@ import pytest
 import repro.graphs.arrays as arrays_mod
 from repro.graphs.arrays import make_family_arrays
 from repro.sim.batch import make_vectorized_engine
+from repro.sim.fast_engine import GraphArrays
 
 #: ((family, n, graph seed, algorithm, trial seed), sha256 of the result).
 GOLDEN_CASES = (
@@ -182,6 +186,84 @@ def build_csr(n, mean_degree, seed, chunk):
 def test_csr_digest_is_pinned(case):
     assert edge_digest(build_csr(*case)) == CSR_GOLDEN[case]
 
+#: Graphs built through :meth:`GraphArrays.from_edges` (the legacy
+#: samplers, the deterministic topologies, and one raw call whose input
+#: has self-loops and duplicates in both orientations), by name.  Their
+#: ``src``/``dst``/``deg`` digests were generated while ``from_edges``
+#: still built through its own lo-major path, and must not move when it
+#: feeds the chunked build instead.
+FROM_EDGES_BUILDS = {
+    "ring-1": lambda: arrays_mod.ring_arrays(1),
+    "ring-2": lambda: arrays_mod.ring_arrays(2),
+    "ring-1000": lambda: arrays_mod.ring_arrays(1000),
+    "path-7": lambda: arrays_mod.path_arrays(7),
+    "star-50": lambda: arrays_mod.star_arrays(50),
+    "grid-7x9": lambda: arrays_mod.grid_arrays(7, 9),
+    "complete-40": lambda: arrays_mod.complete_arrays(40),
+    "empty-5": lambda: arrays_mod.empty_arrays(5),
+    "gnp-3000-0.003-5": lambda: arrays_mod.gnp_arrays(3000, 0.003, seed=5),
+    "gnp-300-0.5-6": lambda: arrays_mod.gnp_arrays(300, 0.5, seed=6),
+    "raw-loops-dups": lambda: GraphArrays.from_edges(
+        12,
+        np.array([0, 3, 3, 5, 1, 7, 7, 11, 2, 9, 4, 11, 0, 6, 10, 10]),
+        np.array([3, 0, 3, 5, 7, 1, 1, 2, 11, 4, 9, 0, 11, 6, 8, 8]),
+    ),
+}
+
+FROM_EDGES_CASES = (
+    (
+        "ring-1",
+        "2e2a6931f9f16f6c7a1d2c956586c468d01aecc1a2418b1a36dcaa2d6fa45812",
+    ),
+    (
+        "ring-2",
+        "2c582e62bd28ed5c7128e0740a740ef7e7fb03bbcc9f5f112c1b5d8d2ef7035d",
+    ),
+    (
+        "ring-1000",
+        "cebf8b43fd41e73f6a6bfe89f8177a88344eef1a30f9bd61b8115f0710907a8d",
+    ),
+    (
+        "path-7",
+        "51b0575cb9b725136d6402cb9e89856969a8874270588e2de5cf115da917bed4",
+    ),
+    (
+        "star-50",
+        "a8e37bd6af260c113ddd075fc15ef70e967844a53bc60bce364d342e2de741ef",
+    ),
+    (
+        "grid-7x9",
+        "1ae2c766979eaf664ba9154e1b3f4eeeada84e5ea1aebe7ee69c49722dfabf94",
+    ),
+    (
+        "complete-40",
+        "05b3272be29193bd0cf09c43784ccf9d5f9cf2284c5451d48b966d4f92d305fa",
+    ),
+    (
+        "empty-5",
+        "efcef13d2fe88a2f528aa78375fab74e101d6b83e690913333770de8d823adf2",
+    ),
+    (
+        "gnp-3000-0.003-5",
+        "4e91043ffb1bb493c893fb031c744594980cf42cb1400fca6f10a47ef1d1c2e2",
+    ),
+    (
+        "gnp-300-0.5-6",
+        "575b2f23801e7c01fa3667e9056f7a2ae7cadf9c9ed65bc13964cd78b9dd96a9",
+    ),
+    (
+        "raw-loops-dups",
+        "f4116d2ae9ca8b7e3ac0f40f783b11159273d12fe878bc5bee549d738b44f6f5",
+    ),
+)
+FROM_EDGES_GOLDEN = dict(FROM_EDGES_CASES)
+
+
+@pytest.mark.parametrize("name", list(FROM_EDGES_BUILDS))
+def test_from_edges_digest_is_pinned(name):
+    assert edge_digest(FROM_EDGES_BUILDS[name]()) == FROM_EDGES_GOLDEN[name]
+
+
 def float_sqrt_rows(positions):
     """Reference decode: the float triangular root the v2 sampler used
     before run-length decoding, corrected in exact integer arithmetic."""
@@ -242,3 +324,6 @@ def _print_table(cases, digest_of):
 if __name__ == "__main__":  # regenerate the tables above
     _print_table(GOLDEN, lambda case: result_digest(run_case(*case)))
     _print_table(CSR_GOLDEN, lambda case: edge_digest(build_csr(*case)))
+    _print_table(
+        FROM_EDGES_BUILDS, lambda name: edge_digest(FROM_EDGES_BUILDS[name]())
+    )
