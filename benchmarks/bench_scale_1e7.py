@@ -5,8 +5,7 @@ ROADMAP named the three constraints left after the 10^6 push: v1
 engines, and the CSR-build argsort plus unbounded pair buffering in the
 sampler.  This file pins the state after removing all three (memoized
 bulk seeding in :mod:`repro.sim.rng`, the node-frontier phased engine,
-and the direct O(m) / chunked one-pass CSR build of
-:meth:`GraphArrays.from_distinct_pairs` /
+and the direct O(m), chunked one-pass CSR build of
 :meth:`GraphArrays.from_distinct_pair_chunks`), in two stages:
 
 * ``test_gnp_1e7_sampler_smoke`` -- the sampler alone: a 10^7-node

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..graphs.arrays import DEFAULT_GRAPH_RNG, make_family
+from ..graphs.csr import GraphArrays
 from ..sim.batch import iter_trials
-from ..sim.fast_engine import GraphArrays
 from .complexity import Trial, summarize, trial_from_result, trial_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

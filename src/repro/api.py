@@ -113,7 +113,7 @@ def solve_mis(
     ----------
     graph:
         ``networkx.Graph``, adjacency mapping, or a prebuilt
-        :class:`repro.sim.fast_engine.GraphArrays` (e.g. from the
+        :class:`repro.graphs.csr.GraphArrays` (e.g. from the
         array-native samplers in :mod:`repro.graphs.arrays` -- at
         n = 10^4..10^5 building the graph array-natively is the
         difference between the graph costing more than the run and being

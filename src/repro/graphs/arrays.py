@@ -2,7 +2,7 @@
 
 The classic pipeline builds a ``networkx.Graph``
 (:mod:`repro.graphs.generators`), normalizes it into an adjacency dict,
-and only then converts to the :class:`repro.sim.fast_engine.GraphArrays`
+and only then converts to the :class:`repro.graphs.csr.GraphArrays`
 CSR view the vectorized engines consume.  At n = 10^5 those first two
 steps -- a dict-of-dicts graph object plus a Python normalization pass --
 cost more than the simulation itself (~70% of a batched sleeping trial).
@@ -68,8 +68,8 @@ import numpy as np
 
 from .._registry import unknown_name_error
 from ..profiling import phase
-from ..sim.fast_engine import GraphArrays
 from ..sim.rng import graph_stream_key, mix64_array, u64_to_unit_float
+from .csr import GraphArrays
 from .generators import FAMILIES, GNP_FAST_THRESHOLD
 
 #: Graph-source choices accepted by ``graph_source=`` throughout the

@@ -1,0 +1,402 @@
+"""The CSR graph format every vectorized engine consumes.
+
+:class:`GraphArrays` holds one graph as sorted directed-edge arrays
+(``src``/``dst``) plus per-node degrees.  It has two constructors:
+``GraphArrays(graph)`` for any graph object or adjacency mapping (the
+only path for arbitrary node labels), and the chunked pair build
+:meth:`GraphArrays.from_distinct_pair_chunks` that every array-native
+graph goes through -- the v2 gnp sampler streams into it directly, and
+:meth:`GraphArrays.from_edges` dedupes raw endpoint arrays into one
+sorted chunk for it.
+
+This module sits below the engines: it imports nothing from
+:mod:`repro.sim` beyond graph normalization and the bit-width helpers,
+so :mod:`repro.graphs.arrays` and the analysis layer can build graphs
+without reaching up into an engine module.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
+
+from ..profiling import phase, profiled_pulls
+from ..sim.messages import payload_bits
+from ..sim.network import NormalizedAdjacency, normalize_graph
+from ..sim.rng import bit_length_u64
+
+
+def _grouped_slots(
+    key: np.ndarray, start: np.ndarray, carry: np.ndarray
+) -> np.ndarray:
+    """CSR slots for the direction of a pair list that is *not* sorted by
+    its row node ``key``.
+
+    Entry ``i`` lands at ``start[key[i]]``, plus ``carry[key[i]]`` (the
+    entries earlier chunks placed in that block), plus its rank among
+    the entries sharing its key, in input order.  One value sort groups
+    them: the packed int64 values ``(key << B) | i`` with ``B =
+    bit_length(c - 1)`` order by key, then by input position, and unpack
+    into the sorted keys and the permutation without a gather (``n, c <=
+    2^31`` keeps the packing inside int64).  ``carry`` advances in place
+    by each key's count.
+    """
+    c = len(key)
+    bits = (c - 1).bit_length()
+    packed = key.astype(np.int64)
+    packed <<= bits
+    packed |= np.arange(c, dtype=np.int64)
+    packed.sort()
+    key_s = packed >> bits
+    order = packed
+    order &= (1 << bits) - 1
+    head = np.ones(c, dtype=bool)
+    np.not_equal(key_s[1:], key_s[:-1], out=head[1:])
+    run_starts = np.flatnonzero(head).astype(np.int32)
+    run_lens = np.diff(run_starts, append=np.int32(c))
+    heads = key_s[run_starts]
+    base = start[heads] - run_starts
+    base += carry[heads]
+    carry[heads] += run_lens
+    slots = np.empty(c, dtype=np.int32)
+    slots[order] = np.arange(c, dtype=np.int32) + np.repeat(base, run_lens)
+    return slots
+
+
+def _endpoints(values: Any) -> np.ndarray:
+    """``values`` as a 1-D int64 endpoint array, or a ``ValueError``.
+
+    Only integer dtypes are node indices: a float or boolean array would
+    be truncated into some other node without complaint, so it is
+    rejected, as is any array that is not one-dimensional.  An empty
+    input of any dtype (``[]`` is float64) is an empty edge list.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(
+            f"edge endpoints must be 1-D arrays, got shape {arr.shape}: "
+            f"pass one array of first endpoints and one of second endpoints"
+        )
+    if len(arr) and arr.dtype.kind not in "iu":
+        raise ValueError(
+            f"edge endpoints must be integer node indices, got dtype "
+            f"{arr.dtype}: convert them with .astype(np.int64) once you "
+            f"have checked they are whole numbers"
+        )
+    return arr.astype(np.int64, copy=False)
+
+
+def _stream_chunk(
+    n: int, lo: Any, hi: Any, last_key: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate one chunk of a ``(hi, lo)``-ordered distinct pair stream.
+
+    Returns the chunk as int64 ``(lo, hi)`` plus its keys ``hi * n +
+    lo``, which must rise strictly and continue above ``last_key`` (the
+    previous chunk's last key).  Empty chunks come back empty, unchecked.
+    """
+    lo = _endpoints(lo)
+    hi = _endpoints(hi)
+    if not len(lo):
+        return lo, hi, lo
+    if lo.min() < 0 or hi.max() >= n:
+        raise ValueError(f"edge endpoints must lie in [0, {n})")
+    if not (lo < hi).all():
+        raise ValueError("pairs must satisfy lo < hi")
+    key = hi * np.int64(n) + lo
+    if key[0] <= last_key or not bool((key[1:] > key[:-1]).all()):
+        raise ValueError(
+            "chunked pairs must arrive distinct and in strictly "
+            "increasing (hi, lo)-lex order"
+        )
+    return lo, hi, key
+
+
+class GraphArrays:
+    """The seed-independent array view of one graph.
+
+    Building these (normalization, directed-edge arrays) is the engine's
+    fixed cost per graph; the batch runner reuses one instance across
+    every seed run on the same graph.
+
+    ``GraphArrays(graph)`` converts an existing ``networkx.Graph`` or
+    adjacency mapping (normalizing it first); it is the only constructor
+    that accepts arbitrary node labels.  Every **array-native** graph
+    (nodes ``0..n-1``, as :mod:`repro.graphs.arrays` samples them) is
+    built by :meth:`from_distinct_pair_chunks`, either straight from a
+    sorted pair stream or through :meth:`from_edges`, which dedupes raw
+    endpoint arrays into one sorted chunk first.  Neither ever
+    materializes a networkx object or a Python adjacency dict.  For
+    array-native instances the ``adjacency`` dict is a *lazy* view: it is
+    only built (and cached) if something dict-shaped asks for it (the
+    generator engine, legacy ``RunResult.adjacency``, :meth:`to_networkx`).
+
+    Memory audit (the CSR-shaped buffers that bound sweep scale): with
+    ``m`` directed edges, the persistent footprint is ``src``/``dst`` at
+    4 bytes each (int32 -- node indices fit comfortably, and int32 halves
+    the edge memory that dominates at n = 10^4..10^5) plus ``deg`` at 8
+    bytes per node (kept int64 because it feeds straight into the int64
+    message/bit accumulators).  A gnp(10^5, 10/n) graph is m ~ 2x10^6
+    directed edges ~ 16 MB of edge arrays; per-run engine state is ~13
+    int64/int8 node arrays and nothing per edge (received messages are
+    counted per node, and live sets follow from in-loop membership, so
+    no reverse-edge index is kept).  Edge-sized transients live only for one
+    recursion call or phase: the top call's int32 edge ids (it reads
+    ``src``/``dst`` in place), each sub-call's edge ids and endpoints, and
+    the phased engines' carried frontier.
+    """
+
+    __slots__ = (
+        "_adjacency", "_node_ids", "n", "src", "dst", "deg",
+        "_id_bits", "_ids_are_range",
+    )
+
+    def __init__(self, graph: Any):
+        self._adjacency = normalize_graph(graph)
+        self._node_ids: Optional[List[Any]] = sorted(self._adjacency)
+        self.n = len(self._node_ids)
+        self._ids_are_range = False
+        adjacency = self._adjacency
+        index = {v: i for i, v in enumerate(self._node_ids)}
+        # Directed edge arrays, sorted by (src, dst): each undirected edge
+        # appears once per direction.
+        self.dst = np.fromiter(
+            (index[u] for v in self._node_ids for u in adjacency[v]),
+            dtype=np.int32,
+        )
+        self.deg = np.fromiter(
+            (len(adjacency[v]) for v in self._node_ids),
+            dtype=np.int64,
+            count=self.n,
+        )
+        self.src = np.repeat(np.arange(self.n, dtype=np.int32), self.deg)
+        self._id_bits: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_edges(cls, n: int, u: Any, v: Any) -> "GraphArrays":
+        """Array-native constructor: ``n`` nodes ``0..n-1`` and undirected
+        edges ``(u[i], v[i])`` given as 1-D integer arrays.
+
+        Self-loops are dropped and duplicate edges (in either orientation)
+        collapse, mirroring :func:`repro.sim.network.normalize_graph` --
+        but no Python dict is ever built; the adjacency view stays lazy.
+        One ``np.unique`` of the keys ``hi * n + lo`` dedupes the pairs
+        and leaves them in ``(hi, lo)``-lex order, which makes them one
+        chunk for :meth:`from_distinct_pair_chunks`.
+        """
+        u = _endpoints(u)
+        v = _endpoints(v)
+        if u.shape != v.shape:
+            raise ValueError("edge endpoint arrays must have equal length")
+        if len(u) and (
+            u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n
+        ):
+            raise ValueError(f"edge endpoints must lie in [0, {n})")
+        lo = np.minimum(u, v)
+        hi = np.maximum(u, v)
+        keep = lo != hi  # drop self-loops
+        lo, hi = lo[keep], hi[keep]
+        if len(lo):
+            key = np.unique(hi * np.int64(n) + lo)  # dedupe + sort
+            lo, hi = key % n, key // n
+        return cls.from_distinct_pair_chunks(n, [(lo, hi)])
+
+    @property
+    def node_ids(self) -> Any:
+        """Node labels in sorted order (column order of every engine).
+
+        Array-native graphs (``_ids_are_range``) never materialize the
+        list: their labels are exactly ``0..n-1``, so this serves a
+        ``range`` -- same iteration, indexing, and ``len`` behavior, zero
+        allocation (a materialized list is ~400 MB at n = 10^7, pinned by
+        ``tests/test_engine_memory.py``).  Graphs built from arbitrary
+        labels keep the real sorted list.
+        """
+        if self._node_ids is None:
+            return range(self.n)
+        return self._node_ids
+
+    @classmethod
+    def from_distinct_pair_chunks(
+        cls, n: int, chunks: Iterable[Tuple[Any, Any]]
+    ) -> "GraphArrays":
+        """Chunked CSR build: one pass over an iterable of pair chunks.
+
+        ``chunks`` yields ``(lo, hi)`` array pairs whose concatenation is
+        the edge list in strictly increasing ``(hi, lo)``-lex order (the
+        v2 gnp sampler's native order) -- distinct pairs with ``lo < hi``,
+        validated chunk by chunk.  The pass counts per-node degrees and
+        keeps each chunk as int32 ``(lo, hi)``: 8 bytes per pair, the
+        bytes ``src`` takes once the chunks are gone.  The kept chunks are
+        then scattered into ``dst`` in order, each freed as soon as it is
+        placed, and only then is ``src`` built.  So the edge-array peak is
+        16 bytes per pair (kept chunks plus ``dst``, then ``src`` plus
+        ``dst``), and everything else in flight is O(n) node arrays plus
+        index temporaries per *chunk*, never per graph (see
+        ``docs/performance.md``).  The degree counts are allocated at the
+        first pair, so an edgeless build holds ``deg`` and nothing else.
+
+        Slot math: the backward (``hi``-major) direction needs no sort --
+        pair ``i``'s backward entry follows the ``i`` backward entries
+        before it and every forward entry of the rows above its own, so
+        its slot is ``i`` plus the exclusive prefix sum of the forward
+        counts at ``hi``.  The forward direction's global rank splits
+        into a per-node carry (``occF``, pairs placed from earlier
+        chunks) plus a within-chunk rank from one value sort per chunk
+        (:func:`_grouped_slots`).  ``deg`` is summed into the backward
+        count buffer and the other int64 scratch is freed before the
+        scatter, so its peak is the kept chunks and ``dst`` plus three
+        int32 node arrays.
+        """
+        if callable(chunks):
+            raise TypeError(
+                "from_distinct_pair_chunks takes the chunk iterable itself, "
+                "not a factory returning one: pass `make_chunks(...)`, not "
+                "`lambda: make_chunks(...)`"
+            )
+        degF = degB = None
+        kept: List[Tuple[np.ndarray, np.ndarray]] = []
+        m = 0
+        last_key = -1
+        with phase("csr_build"):
+            for lo, hi in profiled_pulls("sample", chunks):
+                lo, hi, key = _stream_chunk(n, lo, hi, last_key)
+                if not len(key):
+                    continue
+                if degF is None:
+                    degF = np.zeros(n, dtype=np.int64)
+                    degB = np.zeros(n, dtype=np.int64)
+                last_key = key[-1]
+                degF += np.bincount(lo, minlength=n)
+                # hi ascends within a chunk: count over its span only.
+                degB[hi[0] : hi[-1] + 1] += np.bincount(hi - hi[0])
+                kept.append((lo.astype(np.int32), hi.astype(np.int32)))
+                m += len(key)
+            self = cls.__new__(cls)
+            self._adjacency = None
+            self._node_ids = None  # ids are 0..n-1; node_ids serves a range
+            self.n = n
+            self._ids_are_range = True
+            self._id_bits = None
+            if not m:
+                self.src = np.empty(0, dtype=np.int32)
+                self.dst = np.empty(0, dtype=np.int32)
+                self.deg = np.zeros(n, dtype=np.int64)
+                return self
+            # deg takes over degB's buffer: no third int64 node array.
+            deg = degB
+            deg += degF
+            csum = np.cumsum(degF)
+            cumF = (csum - degF).astype(np.int32)  # forward rows above
+            np.cumsum(deg, out=csum)
+            startF = (csum - degF).astype(np.int32)  # forward block starts
+            # The scatter needs only the int32 node arrays: drop the int64
+            # scratch (2 x 8n bytes) before allocating dst.
+            del csum, degF
+            occF = np.zeros(n, dtype=np.int32)  # forward pairs placed so far
+            dst = np.empty(2 * m, dtype=np.int32)
+            base = 0
+            kept.reverse()  # pop() hands the chunks back in stream order
+            while kept:
+                lo, hi = kept.pop()
+                c = len(lo)
+                back = np.arange(base, base + c, dtype=np.int32)
+                back += cumF[hi]
+                dst[back] = lo
+                dst[_grouped_slots(lo, startF, occF)] = hi
+                base += c
+                del lo, hi, back  # free the chunk before the next one
+            del cumF, startF, occF
+            # src never needs a scatter: row s holds deg[s] copies of s.
+            src = np.repeat(np.arange(n, dtype=np.int32), deg)
+        self.src, self.dst, self.deg = src, dst, deg
+        return self
+
+    @property
+    def adjacency(self) -> Dict[Any, Tuple[Any, ...]]:
+        """The ``{node: sorted neighbor tuple}`` view, built lazily.
+
+        Instances constructed from a graph object carry the normalized
+        dict from day one; array-native instances reconstruct it from the
+        CSR arrays on first access and cache it.
+        """
+        if self._adjacency is None:
+            ids = self.node_ids
+            dst = self.dst.tolist()
+            bounds = np.concatenate(
+                ([0], np.cumsum(self.deg))
+            ).tolist()
+            # dst is sorted within each src block, so tuples come out in
+            # normalize_graph's sorted order.
+            self._adjacency = NormalizedAdjacency(
+                (v, tuple(ids[j] for j in dst[bounds[i]:bounds[i + 1]]))
+                for i, v in enumerate(ids)
+            )
+        return self._adjacency
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Never pickle the adjacency dict: receivers rebuild the identical
+        # view lazily from the CSR arrays if (and only if) they need it,
+        # so the wire carries int32 edge arrays instead of a dict that can
+        # dwarf them at n = 10^4..10^5 (the batch runner ships GraphArrays
+        # to pool workers).
+        return {
+            slot: getattr(self, slot)
+            for slot in self.__slots__
+            if slot != "_adjacency"
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        for slot in self.__slots__:
+            setattr(self, slot, state.get(slot))
+
+    def to_networkx(self) -> Any:
+        """Escape hatch: the same graph as a ``networkx.Graph``.
+
+        Node labels are ``node_ids``; the edge set round-trips exactly
+        (``GraphArrays(ga.to_networkx())`` rebuilds identical arrays).
+        """
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(self.node_ids)
+        ids = self.node_ids
+        half = self.src < self.dst  # one orientation per undirected edge
+        graph.add_edges_from(
+            (ids[a], ids[b])
+            for a, b in zip(self.src[half].tolist(), self.dst[half].tolist())
+        )
+        return graph
+
+    @property
+    def m(self) -> int:
+        """Number of directed edges."""
+        return len(self.src)
+
+    @property
+    def id_bits(self) -> np.ndarray:
+        """Per-node ``payload_bits(node_id)``, computed once per graph.
+
+        The phased baselines and the batched-RNG base case account message
+        bits for ``(rank, id)`` payloads; hashing the id part out to an
+        array once keeps that accounting vectorized.  Array-native graphs
+        (whose ids are always ``0..n-1``) take a pure-numpy path --
+        ``payload_bits(int) = max(bit_length, 1) + 2`` -- instead of a
+        10^6-call Python loop.
+        """
+        if self._id_bits is None:
+            if self._ids_are_range:
+                idx = np.arange(self.n, dtype=np.uint64)
+                self._id_bits = np.maximum(bit_length_u64(idx), 1) + 2
+            else:
+                self._id_bits = np.fromiter(
+                    (payload_bits(v) for v in self.node_ids),
+                    dtype=np.int64,
+                    count=self.n,
+                )
+        return self._id_bits
+
+    def nbytes(self) -> int:
+        """Bytes held by the persistent edge/degree buffers."""
+        return self.src.nbytes + self.dst.nbytes + self.deg.nbytes

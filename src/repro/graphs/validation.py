@@ -58,7 +58,7 @@ def is_maximal_independent_set(graph: Any, candidate: Iterable[Any]) -> bool:
 def is_maximal_independent_set_arrays(arrays: Any, mis_mask: Any) -> bool:
     """Vectorized MIS oracle over a CSR graph view.
 
-    ``arrays`` is a :class:`repro.sim.fast_engine.GraphArrays` (or
+    ``arrays`` is a :class:`repro.graphs.csr.GraphArrays` (or
     anything exposing ``n`` and the CSR ``deg``/``dst`` arrays of a
     symmetric directed edge list); ``mis_mask`` a boolean membership
     column aligned with node indices.  Only the members' CSR rows are

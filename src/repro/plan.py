@@ -235,7 +235,7 @@ class RunPlan:
         """Sample this plan's seeded family graph from its resolved source.
 
         Requires ``family`` and ``n``; ``seed`` defaults to the plan's
-        own.  Returns a :class:`repro.sim.fast_engine.GraphArrays` when
+        own.  Returns a :class:`repro.graphs.csr.GraphArrays` when
         the resolved source is ``"arrays"``, a ``networkx.Graph``
         otherwise (same seeded edge set under ``graph_rng="legacy"``).
         """

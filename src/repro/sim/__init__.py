@@ -47,9 +47,9 @@ from .errors import (
     ProtocolError,
     SimulationError,
 )
+from ..graphs.csr import GraphArrays
 from .fast_engine import (
     EngineScratch,
-    GraphArrays,
     VectorizedEngine,
     simulate_vectorized,
 )

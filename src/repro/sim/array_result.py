@@ -14,7 +14,7 @@ vectorized engines already hold, with
   totals) computed by whole-array reductions -- integer-exact, so they
   equal the legacy properties bit for bit;
 * MIS validity checkable in O(m) numpy passes against the attached
-  :class:`~repro.sim.fast_engine.GraphArrays` (no adjacency dict);
+  :class:`~repro.graphs.csr.GraphArrays` (no adjacency dict);
 * a **lazy legacy view**: ``result.node_stats`` / ``result.outputs`` /
   ``result.adjacency`` materialize the classic dictionaries on first
   access (cached), so code written against :class:`RunResult` keeps
@@ -274,7 +274,7 @@ class ArrayRunResult:
 
         Vectorized (reading only the members' CSR rows, O(n + sum of the
         members' degrees)) when the graph's
-        :class:`~repro.sim.fast_engine.GraphArrays` rode along; falls back
+        :class:`~repro.graphs.csr.GraphArrays` rode along; falls back
         to the dict-based oracle otherwise.  Same verdict either way.
         Raises if no graph representation is attached at all -- an empty
         adjacency would validate any output vacuously.

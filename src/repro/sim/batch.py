@@ -19,7 +19,7 @@ sequential calls:
 
 * **graph-structure reuse** -- consecutive seeds sharing one graph object
   normalize it once and share one
-  :class:`repro.sim.fast_engine.GraphArrays`;
+  :class:`repro.graphs.csr.GraphArrays`;
 * **scratch reuse** -- sequential vectorized trials borrow their state
   arrays from one :class:`repro.sim.fast_engine.EngineScratch`, so a
   10^4-trial sweep does not reallocate a dozen node-sized buffers per
@@ -57,13 +57,13 @@ from typing import (
     Union,
 )
 
+from ..graphs.csr import GraphArrays
 from ..profiling import phase
 from . import fast_engine
 from .array_result import ArrayRunResult, resolve_result_kind
 from .fast_engine import (
     PHASED_ALGORITHMS,
     EngineScratch,
-    GraphArrays,
     VectorizedEngine,
 )
 from .fast_phased import PhasedVectorizedEngine

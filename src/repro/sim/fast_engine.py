@@ -38,15 +38,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..core import schedule
+from ..graphs.csr import GraphArrays
 from .errors import MaxRoundsExceededError
-from .messages import payload_bits
 from .metrics import NodeStats, RunResult
-from .network import normalize_graph
 from .rng import (
     DEFAULT_STREAM,
     bit_length_u64,
@@ -306,456 +305,6 @@ def unsupported_reason(
 def supports(algorithm: str, **constraints: Any) -> bool:
     """Whether a vectorized engine can run this configuration exactly."""
     return unsupported_reason(algorithm, **constraints) is None
-
-
-def _grouped_slots(
-    key: np.ndarray, start: np.ndarray, carry: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """CSR slots for the direction of a pair list that is *not* sorted by
-    its row node ``key``.
-
-    Entry ``i`` lands at ``start[key[i]]``, plus ``carry[key[i]]`` (the
-    entries earlier chunks placed in that block), plus its rank among
-    the entries sharing its key, in input order.  One value sort groups
-    them: the packed int64 values ``(key << B) | i`` with ``B =
-    bit_length(c - 1)`` order by key, then by input position, and unpack
-    into the sorted keys and the permutation without a gather (``n, c <=
-    2^31`` keeps the packing inside int64).  ``carry`` advances in place
-    by each key's count.
-    """
-    c = len(key)
-    bits = (c - 1).bit_length()
-    packed = key.astype(np.int64)
-    packed <<= bits
-    packed |= np.arange(c, dtype=np.int64)
-    packed.sort()
-    key_s = packed >> bits
-    order = packed
-    order &= (1 << bits) - 1
-    head = np.ones(c, dtype=bool)
-    np.not_equal(key_s[1:], key_s[:-1], out=head[1:])
-    run_starts = np.flatnonzero(head).astype(np.int32)
-    run_lens = np.diff(run_starts, append=np.int32(c))
-    heads = key_s[run_starts]
-    base = start[heads] - run_starts
-    if carry is not None:
-        base += carry[heads]
-        carry[heads] += run_lens
-    slots = np.empty(c, dtype=np.int32)
-    slots[order] = np.arange(c, dtype=np.int32) + np.repeat(base, run_lens)
-    return slots
-
-
-def _stream_chunk(
-    n: int, lo: Any, hi: Any, last_key: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate one chunk of a ``(hi, lo)``-ordered distinct pair stream.
-
-    Returns the chunk as int64 ``(lo, hi)`` plus its keys ``hi * n +
-    lo``, which must rise strictly and continue above ``last_key`` (the
-    previous chunk's last key).  Empty chunks come back empty, unchecked.
-    """
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    if not len(lo):
-        return lo, hi, lo
-    if lo.min() < 0 or hi.max() >= n:
-        raise ValueError(f"edge endpoints must lie in [0, {n})")
-    if not (lo < hi).all():
-        raise ValueError("pairs must satisfy lo < hi")
-    key = hi * np.int64(n) + lo
-    if key[0] <= last_key or not bool((key[1:] > key[:-1]).all()):
-        raise ValueError(
-            "chunked pairs must arrive distinct and in strictly "
-            "increasing (hi, lo)-lex order"
-        )
-    return lo, hi, key
-
-
-class GraphArrays:
-    """The seed-independent array view of one graph.
-
-    Building these (normalization, directed-edge arrays) is the engine's
-    fixed cost per graph; the batch runner reuses one instance across
-    every seed run on the same graph.
-
-    Two construction paths exist.  ``GraphArrays(graph)`` converts an
-    existing ``networkx.Graph`` or adjacency mapping (normalizing it
-    first).  :meth:`from_edges` builds the arrays straight from edge-index
-    arrays -- the **array-native** path used by
-    :mod:`repro.graphs.arrays`, which never materializes a networkx object
-    or a Python adjacency dict at all.  For array-native instances the
-    ``adjacency`` dict is a *lazy* view: it is only built (and cached) if
-    something dict-shaped asks for it (the generator engine, legacy
-    ``RunResult.adjacency``, :meth:`to_networkx`).
-
-    Memory audit (the CSR-shaped buffers that bound sweep scale): with
-    ``m`` directed edges, the persistent footprint is ``src``/``dst`` at
-    4 bytes each (int32 -- node indices fit comfortably, and int32 halves
-    the edge memory that dominates at n = 10^4..10^5) plus ``deg`` at 8
-    bytes per node (kept int64 because it feeds straight into the int64
-    message/bit accumulators).  A gnp(10^5, 10/n) graph is m ~ 2x10^6
-    directed edges ~ 16 MB of edge arrays; per-run engine state is ~13
-    int64/int8 node arrays and nothing per edge (received messages are
-    counted per node, and live sets follow from in-loop membership, so
-    no reverse-edge index is kept).  Edge-sized transients live only for one
-    recursion call or phase: the top call's int32 edge ids (it reads
-    ``src``/``dst`` in place), each sub-call's edge ids and endpoints, and
-    the phased engines' carried frontier.
-    """
-
-    __slots__ = (
-        "_adjacency", "_node_ids", "n", "src", "dst", "deg",
-        "_id_bits", "_ids_are_range",
-    )
-
-    def __init__(self, graph: Any):
-        self._adjacency = normalize_graph(graph)
-        self._node_ids: Optional[List[Any]] = sorted(self._adjacency)
-        self.n = len(self._node_ids)
-        self._ids_are_range = False
-        adjacency = self._adjacency
-        index = {v: i for i, v in enumerate(self._node_ids)}
-        # Directed edge arrays, sorted by (src, dst): each undirected edge
-        # appears once per direction.
-        self.dst = np.fromiter(
-            (index[u] for v in self._node_ids for u in adjacency[v]),
-            dtype=np.int32,
-        )
-        self.deg = np.fromiter(
-            (len(adjacency[v]) for v in self._node_ids),
-            dtype=np.int64,
-            count=self.n,
-        )
-        self.src = np.repeat(np.arange(self.n, dtype=np.int32), self.deg)
-        self._id_bits: Optional[np.ndarray] = None
-
-    @classmethod
-    def from_edges(cls, n: int, u: Any, v: Any) -> "GraphArrays":
-        """Array-native constructor: ``n`` nodes ``0..n-1`` and undirected
-        edges ``(u[i], v[i])`` given as integer arrays.
-
-        Self-loops are dropped and duplicate edges (in either orientation)
-        collapse, mirroring :func:`repro.sim.network.normalize_graph` --
-        but no Python dict is ever built; the adjacency view stays lazy.
-        """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if u.shape != v.shape:
-            raise ValueError("edge endpoint arrays must have equal length")
-        if len(u) and (
-            u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n
-        ):
-            raise ValueError(f"edge endpoints must lie in [0, {n})")
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        keep = lo != hi  # drop self-loops
-        lo, hi = lo[keep], hi[keep]
-        if len(lo):
-            key = np.unique(lo * np.int64(n) + hi)  # dedupe + sort
-            lo, hi = key // n, key % n
-        return cls.from_distinct_pairs(n, lo, hi)
-
-    @classmethod
-    def _pair_shell(cls, n: int) -> "GraphArrays":
-        """The empty array-native instance the pair builders fill in."""
-        self = cls.__new__(cls)
-        self._adjacency = None
-        self._node_ids = None  # ids are 0..n-1; node_ids serves a range
-        self.n = n
-        self._ids_are_range = True
-        self._id_bits = None
-        return self
-
-    @property
-    def node_ids(self) -> Any:
-        """Node labels in sorted order (column order of every engine).
-
-        Array-native graphs (``_ids_are_range``) never materialize the
-        list: their labels are exactly ``0..n-1``, so this serves a
-        ``range`` -- same iteration, indexing, and ``len`` behavior, zero
-        allocation (a materialized list is ~400 MB at n = 10^7, pinned by
-        ``tests/test_engine_memory.py``).  Graphs built from arbitrary
-        labels keep the real sorted list.
-        """
-        if self._node_ids is None:
-            return range(self.n)
-        return self._node_ids
-
-    @classmethod
-    def from_distinct_pairs(cls, n: int, lo: Any, hi: Any) -> "GraphArrays":
-        """Trusted array-native constructor: edges as **distinct**
-        undirected pairs with ``lo[i] < hi[i]``.
-
-        The fast exit of :meth:`from_edges`, whose ``np.unique`` output
-        arrives ``(lo, hi)``-lex sorted.  A strictly increasing composite
-        key certifies a lex order in one vectorized compare, so sorted
-        input takes a **direct O(m) build**: the sorted direction's CSR
-        slots are pure prefix-sum arithmetic and only the other direction
-        pays a sort, one value sort of ``m`` packed keys instead of a
-        ``2m``-key argsort.  ``(lo, hi)``-sorted input builds through
-        :meth:`_from_sorted_pairs`; ``(hi, lo)``-sorted input (the v2 gnp
-        sampler's native order) is one chunk for
-        :meth:`from_distinct_pair_chunks`.  Unsorted input falls back to
-        the ``2m``-key argsort build (:meth:`_from_pairs_argsort`).
-        Duplicate pairs or ``lo >= hi`` entries violate the contract;
-        bounds are still checked.
-        """
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        m = len(lo)
-        if m and (lo.min() < 0 or hi.max() >= n):
-            raise ValueError(f"edge endpoints must lie in [0, {n})")
-        if m and not (lo < hi).all():
-            raise ValueError("pairs must satisfy lo < hi")
-        if not m:
-            self = cls._pair_shell(n)
-            self.src = np.empty(0, dtype=np.int32)
-            self.dst = np.empty(0, dtype=np.int32)
-            self.deg = np.zeros(n, dtype=np.int64)
-            return self
-        # A strictly increasing composite key both certifies the lex
-        # order and re-verifies pair distinctness for free.
-        nn = np.int64(n)
-        key = lo * nn + hi
-        if m == 1 or bool((key[1:] > key[:-1]).all()):
-            return cls._from_sorted_pairs(n, lo, hi)
-        key = hi * nn + lo
-        if bool((key[1:] > key[:-1]).all()):
-            return cls.from_distinct_pair_chunks(n, [(lo, hi)])
-        return cls._from_pairs_argsort(n, lo, hi)
-
-    @classmethod
-    def _from_sorted_pairs(cls, n: int, lo: Any, hi: Any) -> "GraphArrays":
-        """Direct O(m) CSR build for ``(lo, hi)``-lex sorted distinct pairs.
-
-        Row ``s`` of the (src, dst)-sorted directed edge list is the
-        backward block (reverses ``(s, w)`` of pairs ``(w, s)``, ``w``
-        ascending) followed by the forward block (pairs ``(s, w)``, ``w``
-        ascending).  The forward direction matches the input's lex order
-        and needs no sort at all: pair ``i``'s forward entry follows the
-        ``i`` forward entries before it and every backward entry of rows
-        up to its own, so its slot is ``i`` plus the inclusive prefix sum
-        of the backward counts at ``lo``.  The backward slots come from
-        one value sort of ``m`` packed keys (:func:`_grouped_slots`);
-        within each of its groups the input order already is the CSR
-        order.  Slot arithmetic runs in int32 (``2m`` must fit int32 for
-        the format anyway), halving the index temporaries.
-        """
-        m = len(lo)
-        self = cls._pair_shell(n)
-        degF = np.bincount(lo, minlength=n)  # forward  (lo -> hi) counts
-        degB = np.bincount(hi, minlength=n)  # backward (hi -> lo) counts
-        deg = degF + degB
-        startB = (np.cumsum(deg) - deg).astype(np.int32)  # row starts
-        fwd = np.cumsum(degB).astype(np.int32)[lo]
-        fwd += np.arange(m, dtype=np.int32)
-        back = _grouped_slots(hi, startB)
-        # src never needs a scatter: row s holds deg[s] copies of s.
-        src = np.repeat(np.arange(n, dtype=np.int32), deg)
-        dst = np.empty(2 * m, dtype=np.int32)
-        dst[back] = lo
-        dst[fwd] = hi
-        self.src, self.dst, self.deg = src, dst, deg
-        return self
-
-    @classmethod
-    def _from_pairs_argsort(cls, n: int, lo: Any, hi: Any) -> "GraphArrays":
-        """The order-agnostic fallback: one int64 argsort of all ``2m``
-        directed keys.  Kept as the reference build the sorted and chunked
-        paths are pinned against, and the path unsorted (but distinct)
-        pairs still take.
-        """
-        m = len(lo)
-        self = cls._pair_shell(n)
-        nn = np.int64(n)
-        keys = np.concatenate([lo * nn + hi, hi * nn + lo])
-        order = np.argsort(keys)  # (src, dst) ascending == key ascending
-        src_pre = np.empty(2 * m, dtype=np.int32)
-        src_pre[:m] = lo
-        src_pre[m:] = hi
-        dst_pre = np.empty(2 * m, dtype=np.int32)
-        dst_pre[:m] = hi
-        dst_pre[m:] = lo
-        self.src = src_pre[order]
-        self.dst = dst_pre[order]
-        self.deg = np.bincount(self.src, minlength=n).astype(np.int64)
-        return self
-
-    @classmethod
-    def from_distinct_pair_chunks(
-        cls, n: int, chunks: Iterable[Tuple[Any, Any]]
-    ) -> "GraphArrays":
-        """Chunked CSR build: one pass over an iterable of pair chunks.
-
-        ``chunks`` yields ``(lo, hi)`` array pairs whose concatenation is
-        the edge list in strictly increasing ``(hi, lo)``-lex order (the
-        v2 gnp sampler's native order) -- distinct pairs with ``lo < hi``,
-        validated chunk by chunk.  The pass counts per-node degrees and
-        keeps each chunk as int32 ``(lo, hi)``: 8 bytes per pair, the
-        bytes ``src`` takes once the chunks are gone.  The kept chunks are
-        then scattered into ``dst`` in order, each freed as soon as it is
-        placed, and only then is ``src`` built.  So the edge-array peak is
-        16 bytes per pair (kept chunks plus ``dst``, then ``src`` plus
-        ``dst``), and everything else in flight is O(n) node arrays plus
-        index temporaries per *chunk*, never per graph (see
-        ``docs/performance.md``).
-
-        Slot math: the backward (``hi``-major) direction needs no sort --
-        pair ``i``'s backward entry follows the ``i`` backward entries
-        before it and every forward entry of the rows above its own, so
-        its slot is ``i`` plus the exclusive prefix sum of the forward
-        counts at ``hi``.  The forward direction's global rank splits
-        into a per-node carry (``occF``, pairs placed from earlier
-        chunks) plus a within-chunk rank from one value sort per chunk
-        (:func:`_grouped_slots`).  ``deg`` is summed into the backward
-        count buffer and the other int64 scratch is freed before the
-        scatter, so its peak is the kept chunks and ``dst`` plus three
-        int32 node arrays.
-        """
-        from ..profiling import phase, profiled_pulls
-
-        if callable(chunks):
-            raise TypeError(
-                "from_distinct_pair_chunks takes the chunk iterable itself, "
-                "not a factory returning one: pass `make_chunks(...)`, not "
-                "`lambda: make_chunks(...)`"
-            )
-        degF = np.zeros(n, dtype=np.int64)
-        degB = np.zeros(n, dtype=np.int64)
-        kept: List[Tuple[np.ndarray, np.ndarray]] = []
-        m = 0
-        last_key = -1
-        with phase("csr_build"):
-            for lo, hi in profiled_pulls("sample", chunks):
-                lo, hi, key = _stream_chunk(n, lo, hi, last_key)
-                if not len(key):
-                    continue
-                last_key = key[-1]
-                degF += np.bincount(lo, minlength=n)
-                # hi ascends within a chunk: count over its span only.
-                degB[hi[0] : hi[-1] + 1] += np.bincount(hi - hi[0])
-                kept.append((lo.astype(np.int32), hi.astype(np.int32)))
-                m += len(key)
-            self = cls._pair_shell(n)
-            # deg takes over degB's buffer: no third int64 node array.
-            deg = degB
-            deg += degF
-            csum = np.cumsum(degF)
-            cumF = (csum - degF).astype(np.int32)  # forward rows above
-            np.cumsum(deg, out=csum)
-            startF = (csum - degF).astype(np.int32)  # forward block starts
-            # The scatter needs only the int32 node arrays: drop the int64
-            # scratch (2 x 8n bytes) before allocating dst.
-            del csum, degF
-            occF = np.zeros(n, dtype=np.int32)  # forward pairs placed so far
-            dst = np.empty(2 * m, dtype=np.int32)
-            base = 0
-            kept.reverse()  # pop() hands the chunks back in stream order
-            while kept:
-                lo, hi = kept.pop()
-                c = len(lo)
-                back = np.arange(base, base + c, dtype=np.int32)
-                back += cumF[hi]
-                dst[back] = lo
-                dst[_grouped_slots(lo, startF, occF)] = hi
-                base += c
-                del lo, hi, back  # free the chunk before the next one
-            del cumF, startF, occF
-            # src never needs a scatter: row s holds deg[s] copies of s.
-            src = np.repeat(np.arange(n, dtype=np.int32), deg)
-        self.src, self.dst, self.deg = src, dst, deg
-        return self
-
-    @property
-    def adjacency(self) -> Dict[Any, Tuple[Any, ...]]:
-        """The ``{node: sorted neighbor tuple}`` view, built lazily.
-
-        Instances constructed from a graph object carry the normalized
-        dict from day one; array-native instances (:meth:`from_edges`)
-        reconstruct it from the CSR arrays on first access and cache it.
-        """
-        if self._adjacency is None:
-            from .network import NormalizedAdjacency
-
-            ids = self.node_ids
-            dst = self.dst.tolist()
-            bounds = np.concatenate(
-                ([0], np.cumsum(self.deg))
-            ).tolist()
-            # dst is sorted within each src block, so tuples come out in
-            # normalize_graph's sorted order.
-            self._adjacency = NormalizedAdjacency(
-                (v, tuple(ids[j] for j in dst[bounds[i]:bounds[i + 1]]))
-                for i, v in enumerate(ids)
-            )
-        return self._adjacency
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # Never pickle the adjacency dict: receivers rebuild the identical
-        # view lazily from the CSR arrays if (and only if) they need it,
-        # so the wire carries int32 edge arrays instead of a dict that can
-        # dwarf them at n = 10^4..10^5 (the batch runner ships GraphArrays
-        # to pool workers).
-        return {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot != "_adjacency"
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for slot in self.__slots__:
-            setattr(self, slot, state.get(slot))
-
-    def to_networkx(self) -> Any:
-        """Escape hatch: the same graph as a ``networkx.Graph``.
-
-        Node labels are ``node_ids``; the edge set round-trips exactly
-        (``GraphArrays(ga.to_networkx())`` rebuilds identical arrays).
-        """
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self.node_ids)
-        ids = self.node_ids
-        half = self.src < self.dst  # one orientation per undirected edge
-        graph.add_edges_from(
-            (ids[a], ids[b])
-            for a, b in zip(self.src[half].tolist(), self.dst[half].tolist())
-        )
-        return graph
-
-    @property
-    def m(self) -> int:
-        """Number of directed edges."""
-        return len(self.src)
-
-    @property
-    def id_bits(self) -> np.ndarray:
-        """Per-node ``payload_bits(node_id)``, computed once per graph.
-
-        The phased baselines and the batched-RNG base case account message
-        bits for ``(rank, id)`` payloads; hashing the id part out to an
-        array once keeps that accounting vectorized.  Array-native graphs
-        (whose ids are always ``0..n-1``) take a pure-numpy path --
-        ``payload_bits(int) = max(bit_length, 1) + 2`` -- instead of a
-        10^6-call Python loop.
-        """
-        if self._id_bits is None:
-            if self._ids_are_range:
-                idx = np.arange(self.n, dtype=np.uint64)
-                self._id_bits = np.maximum(bit_length_u64(idx), 1) + 2
-            else:
-                self._id_bits = np.fromiter(
-                    (payload_bits(v) for v in self.node_ids),
-                    dtype=np.int64,
-                    count=self.n,
-                )
-        return self._id_bits
-
-    def nbytes(self) -> int:
-        """Bytes held by the persistent edge/degree buffers."""
-        return self.src.nbytes + self.dst.nbytes + self.deg.nbytes
 
 
 class EngineScratch:

@@ -76,11 +76,11 @@ from typing import Any, List, Optional
 
 import numpy as np
 
+from ..graphs.csr import GraphArrays
 from .errors import MaxRoundsExceededError
 from .fast_engine import (
     _FLAG_BITS,
     EngineScratch,
-    GraphArrays,
     PHASED_ALGORITHMS,
     assemble_result,
     draw_dense_ranks,

@@ -61,7 +61,7 @@ def normalize_graph(graph: Any) -> Dict[int, Tuple[int, ...]]:
 
     Accepts a ``networkx.Graph``, any mapping from node to an iterable of
     neighbors, or an object exposing an already-normalized ``adjacency``
-    view (a :class:`repro.sim.fast_engine.GraphArrays`, whose lazy dict is
+    view (a :class:`repro.graphs.csr.GraphArrays`, whose lazy dict is
     materialized here exactly when a dict consumer needs it).  Self-loops
     are dropped; the neighbor relation is symmetrized.  Output that is
     already normalized (a :class:`NormalizedAdjacency`) passes through

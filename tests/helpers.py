@@ -11,6 +11,7 @@ structurally impossible.  ``tests/conftest.py`` re-exports the fixtures.
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 
 from repro.api import solve_mis
 
@@ -42,3 +43,19 @@ GRAPH_BUILDERS = [builder for _, builder in GRAPH_CASES]
 def run_mis(graph, algorithm, seed=0, **kwargs):
     """Thin wrapper so tests read uniformly."""
     return solve_mis(graph, algorithm=algorithm, seed=seed, **kwargs)
+
+
+def argsort_csr(n, lo, hi):
+    """Reference CSR build for distinct pairs ``lo[i] < hi[i]`` in any
+    order: one int64 argsort of all ``2m`` directed keys ``src * n +
+    dst``.  Returns ``(src, dst, deg)`` at the library's dtypes (int32,
+    int32, int64), the arrays every ``GraphArrays`` build must reproduce.
+    """
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    order = np.argsort(src * np.int64(n) + dst)
+    src = src[order].astype(np.int32)
+    dst = dst[order].astype(np.int32)
+    return src, dst, np.bincount(src, minlength=n).astype(np.int64)

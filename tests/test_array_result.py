@@ -183,7 +183,7 @@ class TestDownstreamConsumers:
 
         from repro.graphs.arrays import gnp_arrays_v2
         from repro.sim.batch import make_vectorized_engine
-        from repro.sim.fast_engine import GraphArrays
+        from repro.graphs.csr import GraphArrays
 
         def near_mis_masks(arrays, rng):
             """Random masks, a true MIS from an engine run, and the MIS
@@ -342,7 +342,7 @@ class TestMemberRowAudit:
             is_maximal_independent_set,
             is_maximal_independent_set_arrays,
         )
-        from repro.sim.fast_engine import GraphArrays
+        from repro.graphs.csr import GraphArrays
 
         (n, u, v), members, expected = AUDIT_CASES[case]
         arrays = GraphArrays.from_edges(n, u, v)
@@ -353,7 +353,7 @@ class TestMemberRowAudit:
 
     def test_mask_of_the_wrong_length_rejected(self):
         from repro.graphs.validation import is_maximal_independent_set_arrays
-        from repro.sim.fast_engine import GraphArrays
+        from repro.graphs.csr import GraphArrays
 
         arrays = GraphArrays.from_edges(*PATH4)
         with pytest.raises(ValueError, match="expected \\(4,\\)"):

@@ -8,8 +8,10 @@ diff complete :class:`NodeStats` across every corner-case graph, all six
 vectorized algorithms (the two sleeping algorithms plus the four phased
 baselines: Luby, greedy, Ghaffari, ABI), several seeds, and both RNG
 stream formats, plus the protocol knobs and the engine selection logic in
-the API.  A Hypothesis differential test extends the same diff to random
-graphs the fixed corner-case list never tried.
+the API.  Hypothesis differential tests extend the same diff to random
+graphs the fixed corner-case list never tried, including graphs the
+array-native CSR build makes (``GraphArrays.from_edges`` on raw endpoints,
+the v2 gnp sampler, the deterministic topologies).
 """
 
 from dataclasses import asdict
@@ -21,6 +23,15 @@ from hypothesis import strategies as st
 
 from helpers import GRAPH_CASES, run_mis
 
+from repro.graphs.arrays import (
+    gnp_arrays_v2,
+    grid_arrays,
+    path_arrays,
+    ring_arrays,
+    star_arrays,
+)
+from repro.graphs.csr import GraphArrays
+from repro.graphs.generators import caterpillar
 from repro.sim.batch import resolve_engine
 from repro.sim.fast_engine import supports
 from repro.sim.trace import make_trace
@@ -215,11 +226,44 @@ class TestEngineSelection:
 
 
 @st.composite
+def builder_made_arrays(draw):
+    """A small array-native :class:`GraphArrays` from the one CSR build:
+    ``from_edges`` on raw endpoints (self-loops and duplicates in both
+    orientations included), a v2 gnp graph, or a deterministic topology."""
+    kind = draw(
+        st.sampled_from(("edges", "gnp-v2", "ring", "path", "star", "grid"))
+    )
+    n = draw(st.integers(min_value=1, max_value=32))
+    if kind == "edges":
+        k = draw(st.integers(min_value=0, max_value=3 * n))
+        node = st.integers(min_value=0, max_value=n - 1)
+        u = draw(st.lists(node, min_size=k, max_size=k))
+        v = draw(st.lists(node, min_size=k, max_size=k))
+        return GraphArrays.from_edges(n, u, v)
+    if kind == "gnp-v2":
+        p = draw(st.sampled_from((0.05, 0.15, 0.3, 0.6)))
+        return gnp_arrays_v2(n, p, seed=draw(st.integers(0, 2**16)))
+    if kind == "grid":
+        rows = draw(st.integers(min_value=1, max_value=6))
+        return grid_arrays(rows, draw(st.integers(min_value=1, max_value=6)))
+    return {"ring": ring_arrays, "path": path_arrays, "star": star_arrays}[
+        kind
+    ](n)
+
+
+@st.composite
 def random_small_graphs(draw):
-    """A small random graph: gnp, Barabasi-Albert, random geometric or a
-    random tree, optionally padded with isolated nodes or joined to a
-    second component."""
-    kind = draw(st.sampled_from(("gnp", "ba", "geometric", "tree")))
+    """A small random graph: gnp, Barabasi-Albert, random geometric, a
+    random tree or caterpillar, optionally padded with isolated nodes or
+    joined to a second component -- or a builder-made :class:`GraphArrays`
+    (:func:`builder_made_arrays`), taken as it is."""
+    kind = draw(
+        st.sampled_from(
+            ("gnp", "ba", "geometric", "tree", "caterpillar", "arrays")
+        )
+    )
+    if kind == "arrays":
+        return draw(builder_made_arrays())
     n = draw(st.integers(min_value=1, max_value=32))
     seed = draw(st.integers(min_value=0, max_value=2**16))
     if kind == "gnp":
@@ -235,6 +279,8 @@ def random_small_graphs(draw):
         radius = draw(st.sampled_from((0.15, 0.3, 0.5)))
         graph = nx.Graph(nx.random_geometric_graph(n, radius, seed=seed).edges)
         graph.add_nodes_from(range(n))
+    elif kind == "caterpillar":
+        graph = caterpillar(n, seed=seed)
     else:
         graph = nx.random_labeled_tree(n, seed=seed)
     if draw(st.booleans()):
@@ -248,11 +294,12 @@ def random_small_graphs(draw):
 
 
 #: (algorithm, protocol kwargs) pairs the differential test draws from:
-#: every phased baseline under a tiny, small, and absent phase budget, and
+#: every phased baseline under a tiny, small, and absent phase budget,
 #: Algorithm 2 with greedy windows short enough to truncate base cases --
 #: at the default depth and at depths 0 and 1, whose base calls are large
-#: enough to run (and truncate) multi-phase greedy loops on these sizes.
-DIFFERENTIAL_CONFIGS = [
+#: enough to run (and truncate) multi-phase greedy loops on these sizes --
+#: and Algorithm 1 at its defaults.
+DIFFERENTIAL_CONFIGS = [("sleeping", {})] + [
     (algorithm, {"max_phases": max_phases})
     for algorithm in PHASED
     for max_phases in (1, 3, None)
@@ -272,6 +319,23 @@ class TestRandomGraphDifferential:
     diverge shows up here as a ``NodeStats`` diff.
     """
 
+    @staticmethod
+    def _assert_engines_agree(graph, config, rng, seed):
+        algorithm, kwargs = config
+        # A builder-made graph runs as it is on the vectorized engine and
+        # as its adjacency view on the generator engine.
+        reference = graph.adjacency if isinstance(graph, GraphArrays) else graph
+        assert_equivalent(
+            run_mis(
+                reference, algorithm, seed=seed, engine="generators", rng=rng,
+                **kwargs,
+            ),
+            run_mis(
+                graph, algorithm, seed=seed, engine="vectorized", rng=rng,
+                **kwargs,
+            ),
+        )
+
     @settings(
         max_examples=800,
         deadline=None,
@@ -284,14 +348,22 @@ class TestRandomGraphDifferential:
         st.integers(min_value=0, max_value=2**16),
     )
     def test_engines_agree_on_random_graphs(self, graph, config, rng, seed):
-        algorithm, kwargs = config
-        assert_equivalent(
-            run_mis(
-                graph, algorithm, seed=seed, engine="generators", rng=rng,
-                **kwargs,
-            ),
-            run_mis(
-                graph, algorithm, seed=seed, engine="vectorized", rng=rng,
-                **kwargs,
-            ),
-        )
+        self._assert_engines_agree(graph, config, rng, seed)
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        builder_made_arrays(),
+        st.sampled_from(DIFFERENTIAL_CONFIGS),
+        st.sampled_from(("pernode", "batched")),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_engines_agree_on_builder_made_graphs(
+        self, graph, config, rng, seed
+    ):
+        """Hypothesis draws few builder-made graphs among the others, so
+        they get a budget of their own."""
+        self._assert_engines_agree(graph, config, rng, seed)

@@ -35,8 +35,8 @@ import pytest
 
 import repro.graphs.arrays as arrays_mod
 from repro.graphs.arrays import make_family_arrays
+from repro.graphs.csr import GraphArrays
 from repro.sim.batch import make_vectorized_engine
-from repro.sim.fast_engine import GraphArrays
 
 #: ((family, n, graph seed, algorithm, trial seed), sha256 of the result).
 GOLDEN_CASES = (

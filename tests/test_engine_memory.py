@@ -17,9 +17,12 @@ import tracemalloc
 import pytest
 
 from repro.graphs.arrays import make_family_arrays
+from repro.graphs.csr import GraphArrays
 from repro.sim.batch import iter_trials
-from repro.sim.fast_engine import EngineScratch, GraphArrays, VectorizedEngine
+from repro.sim.fast_engine import EngineScratch, VectorizedEngine
 from repro.sim.fast_phased import PhasedVectorizedEngine
+
+from helpers import argsort_csr
 
 #: The scratch-borrowed per-node state buffers of the sleeping engine.
 SLEEPING_BUFFERS = (
@@ -206,7 +209,7 @@ class TestLazyNodeIds:
         gc.collect()
         tracemalloc.start()
         try:
-            ga = GraphArrays.from_distinct_pairs(n, [], [])
+            ga = GraphArrays.from_edges(n, [], [])
             ids = ga.node_ids  # serving the view must stay allocation-free
             assert len(ids) == n
             current, peak = tracemalloc.get_traced_memory()
@@ -284,15 +287,9 @@ class TestChunkedCsrBuild:
         monkeypatch.setattr(arrays_mod, "GNP_V2_CHUNK", 1 << 11)
         streamed = arrays_mod.gnp_arrays_v2(500, 0.3, seed=9)
         fwd = streamed.src < streamed.dst
-        one_shot = GraphArrays._from_pairs_argsort(
-            500,
-            streamed.src[fwd].astype(np.int64),
-            streamed.dst[fwd].astype(np.int64),
-        )
-        for field in ("src", "dst", "deg"):
-            assert np.array_equal(
-                getattr(one_shot, field), getattr(streamed, field)
-            ), field
+        one_shot = argsort_csr(500, streamed.src[fwd], streamed.dst[fwd])
+        for field, want in zip(("src", "dst", "deg"), one_shot):
+            assert np.array_equal(want, getattr(streamed, field)), field
 
 
 class TestNoCopyEngineHandoff:

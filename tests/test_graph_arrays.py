@@ -13,6 +13,8 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.graphs.arrays
 from repro.graphs.arrays import (
@@ -34,6 +36,7 @@ from repro.graphs.arrays import (
     star_arrays,
     validate_graph_rng,
 )
+from repro.graphs.csr import GraphArrays
 from repro.graphs.generators import (
     FAMILIES,
     GNP_FAST_THRESHOLD,
@@ -44,10 +47,9 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
-from repro.sim.fast_engine import GraphArrays
 from repro.sim.network import normalize_graph
 
-from helpers import GRAPH_BUILDERS, GRAPH_IDS
+from helpers import GRAPH_BUILDERS, GRAPH_IDS, argsort_csr
 
 
 def assert_same_graph(arrays: GraphArrays, graph) -> None:
@@ -353,7 +355,7 @@ class TestGraphRngV2:
             np.testing.assert_array_equal(a.dst, legacy.dst)
 
     def test_make_family_routes_batched_to_arrays(self):
-        from repro.sim.fast_engine import GraphArrays
+        from repro.graphs.csr import GraphArrays
 
         built = make_family("gnp-sparse", 80, seed=1, graph_source="auto",
                             graph_rng="batched")
@@ -435,8 +437,8 @@ class TestEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# The direct O(m) CSR build (sorted fast path, argsort fallback, and the
-# one-pass chunked builder).
+# The one array-native CSR build: from_edges feeding the chunked
+# from_distinct_pair_chunks, pinned to the test-only argsort reference.
 # ----------------------------------------------------------------------
 
 
@@ -453,6 +455,16 @@ def _assert_same_arrays(a: GraphArrays, b: GraphArrays) -> None:
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
+def _assert_matches_reference(ga: GraphArrays, n, lo, hi) -> None:
+    """``ga`` holds exactly the argsort reference's arrays and dtypes for
+    the distinct pairs ``(lo, hi)``."""
+    assert ga.n == n
+    for field, want in zip(("src", "dst", "deg"), argsort_csr(n, lo, hi)):
+        got = getattr(ga, field)
+        assert got.dtype == want.dtype, field
+        np.testing.assert_array_equal(got, want, err_msg=field)
+
+
 def _assert_csr_invariants(ga: GraphArrays) -> None:
     """The structural contract every build path must satisfy."""
     m = len(ga.src)
@@ -466,14 +478,13 @@ def _assert_csr_invariants(ga: GraphArrays) -> None:
 
 
 class TestDirectCsrBuild:
-    """`from_distinct_pairs`' sorted fast path vs the argsort reference."""
+    """`from_edges` on every input order, pinned to the argsort reference."""
 
     @pytest.mark.parametrize("builder", GRAPH_BUILDERS, ids=GRAPH_IDS)
     def test_parity_with_argsort_path_across_graph_cases(self, builder):
         n, lo, hi = _distinct_pairs_of(builder())
-        built = GraphArrays.from_distinct_pairs(n, lo, hi)
-        reference = GraphArrays._from_pairs_argsort(n, lo, hi)
-        _assert_same_arrays(built, reference)
+        built = GraphArrays.from_edges(n, lo, hi)
+        _assert_matches_reference(built, n, lo, hi)
         _assert_csr_invariants(built)
 
     @pytest.mark.parametrize("builder", GRAPH_BUILDERS, ids=GRAPH_IDS)
@@ -482,35 +493,36 @@ class TestDirectCsrBuild:
         n, lo, hi = _distinct_pairs_of(builder())
         order = np.lexsort((lo, hi))
         lo, hi = lo[order], hi[order]
-        built = GraphArrays.from_distinct_pairs(n, lo, hi)
-        reference = GraphArrays._from_pairs_argsort(n, lo, hi)
-        _assert_same_arrays(built, reference)
+        _assert_matches_reference(GraphArrays.from_edges(n, lo, hi), n, lo, hi)
 
     @pytest.mark.parametrize("builder", GRAPH_BUILDERS, ids=GRAPH_IDS)
-    def test_unsorted_input_falls_back_to_argsort_parity(self, builder):
+    def test_unsorted_input_parity(self, builder):
+        """Shuffled pairs, every other one given as (hi, lo)."""
         import random
 
         n, lo, hi = _distinct_pairs_of(builder())
         idx = list(range(len(lo)))
         random.Random(7).shuffle(idx)
         lo, hi = lo[idx], hi[idx]
-        built = GraphArrays.from_distinct_pairs(n, lo, hi)
-        reference = GraphArrays._from_pairs_argsort(n, lo, hi)
-        _assert_same_arrays(built, reference)
+        u, v = lo.copy(), hi.copy()
+        u[::2], v[::2] = hi[::2], lo[::2]
+        built = GraphArrays.from_edges(n, u, v)
+        _assert_matches_reference(built, n, lo, hi)
         _assert_csr_invariants(built)
 
     def test_empty_graph(self):
-        ga = GraphArrays.from_distinct_pairs(7, [], [])
+        ga = GraphArrays.from_edges(7, [], [])
         assert (len(ga.src), len(ga.dst)) == (0, 0)
         np.testing.assert_array_equal(ga.deg, np.zeros(7, dtype=np.int64))
+        _assert_matches_reference(ga, 7, [], [])
 
     def test_isolated_high_id_nodes(self):
         """Trailing nodes past every edge keep zero-degree CSR rows."""
         n = 5000
         lo = np.arange(10, dtype=np.int64)
         hi = lo + 1
-        ga = GraphArrays.from_distinct_pairs(n, lo, hi)
-        _assert_same_arrays(ga, GraphArrays._from_pairs_argsort(n, lo, hi))
+        ga = GraphArrays.from_edges(n, lo, hi)
+        _assert_matches_reference(ga, n, lo, hi)
         assert (ga.deg[12:] == 0).all()
         assert int(ga.deg.sum()) == 20
 
@@ -520,10 +532,8 @@ class TestDirectCsrBuild:
         n = 1 << 24
         hi = np.array([n - 1, n - 1, n - 2], dtype=np.int64)
         lo = np.array([0, n - 3, n - 3], dtype=np.int64)
-        order = np.lexsort((lo, hi))
-        ga = GraphArrays.from_distinct_pairs(n, lo[order], hi[order])
-        reference = GraphArrays._from_pairs_argsort(n, lo[order], hi[order])
-        _assert_same_arrays(ga, reference)
+        ga = GraphArrays.from_edges(n, hi, lo)
+        _assert_matches_reference(ga, n, lo, hi)
         _assert_csr_invariants(ga)
 
     def test_composite_key_headroom_at_int32_id_bound(self):
@@ -533,24 +543,20 @@ class TestDirectCsrBuild:
         n = 2**31 - 1
         assert (n - 1) * n + (n - 2) < 2**63 - 1
 
-    def test_duplicate_pairs_violate_the_contract_identically(self):
-        """Duplicates break the strictly-increasing-key certificate, so
-        the fast path can never take them: they land on the argsort
-        reference and misbehave exactly as they always did."""
-        lo = np.array([0, 0, 1], dtype=np.int64)
-        hi = np.array([1, 1, 2], dtype=np.int64)
-        built = GraphArrays.from_distinct_pairs(4, lo, hi)
-        _assert_same_arrays(built, GraphArrays._from_pairs_argsort(4, lo, hi))
-
     def test_bounds_and_orientation_still_checked(self):
         with pytest.raises(ValueError, match=r"lie in \[0, 3\)"):
-            GraphArrays.from_distinct_pairs(3, [0], [3])
+            GraphArrays.from_edges(3, [0], [3])
+        with pytest.raises(ValueError, match=r"lie in \[0, 3\)"):
+            GraphArrays.from_edges(3, [-1], [1])
+        with pytest.raises(ValueError, match=r"lie in \[0, 3\)"):
+            GraphArrays.from_distinct_pair_chunks(3, [([0], [3])])
         with pytest.raises(ValueError, match="lo < hi"):
-            GraphArrays.from_distinct_pairs(3, [2], [1])
+            GraphArrays.from_distinct_pair_chunks(3, [([2], [1])])
 
     def test_randomized_cross_check(self):
-        """Hypothesis-style sweep, deterministic: random sizes, densities
-        and input orders, every build pinned to the argsort reference."""
+        """Deterministic sweep: random sizes and densities, raw endpoints
+        with self-loops, duplicates and both orientations, every build
+        pinned to the argsort reference over the distinct pairs."""
         import random
 
         pyrng = random.Random(0)
@@ -563,18 +569,75 @@ class TestDirectCsrBuild:
             lo, hi = np.minimum(u, v), np.maximum(u, v)
             keep = lo != hi
             key = np.unique(lo[keep] * np.int64(n) + hi[keep])
-            lo, hi = key // n, key % n
-            variants = [(lo, hi)]
-            order = np.lexsort((lo, hi))
-            variants.append((lo[order], hi[order]))
-            shuffled = rng.permutation(len(lo))
-            variants.append((lo[shuffled], hi[shuffled]))
-            for vlo, vhi in variants:
-                built = GraphArrays.from_distinct_pairs(n, vlo, vhi)
-                _assert_same_arrays(
-                    built, GraphArrays._from_pairs_argsort(n, vlo, vhi)
-                )
-                _assert_csr_invariants(built)
+            built = GraphArrays.from_edges(n, u, v)
+            _assert_matches_reference(built, n, key // n, key % n)
+            _assert_csr_invariants(built)
+
+
+@st.composite
+def _raw_edges(draw):
+    """``n`` from 0 and raw endpoint lists over ``0..n-1``: self-loops,
+    duplicates and reversed pairs all occur."""
+    n = draw(st.integers(0, 30))
+    node = st.integers(0, max(n - 1, 0))
+    k = draw(st.integers(0, 60)) if n else 0
+    u = draw(st.lists(node, min_size=k, max_size=k))
+    v = draw(st.lists(node, min_size=k, max_size=k))
+    return n, u, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(_raw_edges())
+def test_from_edges_matches_reference_and_dict_build(case):
+    n, u, v = case
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in zip(u, v) if a != b})
+    lo = [a for a, _ in pairs]
+    hi = [b for _, b in pairs]
+    built = GraphArrays.from_edges(n, np.array(u, dtype=np.int64), v)
+    _assert_matches_reference(built, n, lo, hi)
+    adjacency = {i: set() for i in range(n)}
+    for a, b in pairs:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    _assert_same_arrays(built, GraphArrays(adjacency))
+
+
+class TestMalformedEndpoints:
+    """Only 1-D integer arrays are endpoint lists; the error names the fix."""
+
+    @pytest.mark.parametrize(
+        "u,v",
+        [
+            ([0.5], [1.7]),
+            (np.array([0.9]), np.array([2.2])),
+            (np.array([0]), np.array([2.0])),
+        ],
+        ids=["float-lists", "float-arrays", "one-float-side"],
+    )
+    def test_float_endpoints_rejected(self, u, v):
+        with pytest.raises(ValueError, match=r"integer node indices.*astype"):
+            GraphArrays.from_edges(3, u, v)
+
+    def test_boolean_endpoints_rejected(self):
+        with pytest.raises(ValueError, match="got dtype bool"):
+            GraphArrays.from_edges(3, [True], [0])
+
+    def test_two_dimensional_endpoints_rejected(self):
+        with pytest.raises(ValueError, match=r"1-D arrays, got shape \(1, 2\)"):
+            GraphArrays.from_edges(3, np.array([[0, 1]]), np.array([[1, 2]]))
+
+    def test_empty_endpoints_of_any_dtype_accepted(self):
+        for empty in ([], np.empty(0), np.empty(0, dtype=bool)):
+            ga = GraphArrays.from_edges(3, empty, empty)
+            assert ga.m == 0 and ga.deg.tolist() == [0, 0, 0]
+
+    def test_chunk_endpoints_checked_too(self):
+        with pytest.raises(ValueError, match="got dtype float64"):
+            GraphArrays.from_distinct_pair_chunks(3, [([0.0], [1.0])])
+        with pytest.raises(ValueError, match="1-D arrays"):
+            GraphArrays.from_distinct_pair_chunks(
+                3, [(np.array([[0]]), np.array([[1]]))]
+            )
 
 
 class TestChunkedCsrBuild:
@@ -596,9 +659,7 @@ class TestChunkedCsrBuild:
         chunked = GraphArrays.from_distinct_pair_chunks(
             400, self._chunked(lo64, hi64, size)
         )
-        _assert_same_arrays(
-            chunked, GraphArrays._from_pairs_argsort(400, lo64, hi64)
-        )
+        _assert_matches_reference(chunked, 400, lo64, hi64)
         _assert_csr_invariants(chunked)
 
     def test_empty_stream(self):
@@ -612,7 +673,7 @@ class TestChunkedCsrBuild:
         chunks = [(lo[:0], hi[:0]), (lo[:1], hi[:1]), (lo[:0], hi[:0]),
                   (lo[1:], hi[1:])]
         ga = GraphArrays.from_distinct_pair_chunks(3, chunks)
-        _assert_same_arrays(ga, GraphArrays.from_distinct_pairs(3, lo, hi))
+        _assert_matches_reference(ga, 3, lo, hi)
 
     def test_out_of_order_chunks_rejected(self):
         lo = np.array([0, 0], dtype=np.int64)
@@ -671,7 +732,6 @@ class TestChunkedCsrBuild:
                 buf_hi[:] = hi[i : i + 2]
                 yield buf_lo, buf_hi
 
-        _assert_same_arrays(
-            GraphArrays.from_distinct_pair_chunks(4, refill()),
-            GraphArrays._from_pairs_argsort(4, lo, hi),
+        _assert_matches_reference(
+            GraphArrays.from_distinct_pair_chunks(4, refill()), 4, lo, hi
         )

@@ -1,0 +1,61 @@
+"""The graph layer sits below the engines.
+
+:mod:`repro.graphs` owns the CSR format (:mod:`repro.graphs.csr`), so no
+module under ``src/repro/graphs/`` may import an engine, the batch runner
+or the result types -- not at the top, not inside a function.  The
+engines import ``GraphArrays`` from the graph layer, and the historical
+``repro.sim.fast_engine.GraphArrays`` name must stay the same class.
+"""
+
+import ast
+from pathlib import Path
+
+import repro.graphs
+
+#: Modules of the engine layer the graph layer must never import.
+ENGINE_MODULES = ("fast_engine", "fast_phased", "batch", "array_result")
+
+GRAPHS_DIR = Path(repro.graphs.__file__).parent
+
+
+def _imported_modules(path):
+    """Every module an ``import``/``from ... import`` in ``path`` names,
+    as a dotted path relative to the ``repro`` package, plus the imported
+    names of ``from`` imports (``from ..sim import batch``)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    package = ["repro", "graphs"]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            found.append(module)
+            found.extend(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_graph_layer_imports_no_engine_module():
+    offenders = []
+    for path in sorted(GRAPHS_DIR.glob("*.py")):
+        for module in _imported_modules(path):
+            parts = module.split(".")
+            if "sim" in parts and any(m in parts for m in ENGINE_MODULES):
+                offenders.append(f"{path.name}: {module}")
+    assert not offenders, offenders
+
+
+def test_relative_imports_resolve_against_the_package():
+    """The parser resolves ``..sim.fast_engine`` as the engine module, so
+    the check above cannot pass by misreading a relative import."""
+    here = _imported_modules(GRAPHS_DIR / "arrays.py")
+    assert "repro.sim.rng" in here and "repro.graphs.csr" in here
+
+
+def test_engine_name_is_the_graph_layer_class():
+    import repro.graphs.csr
+    import repro.sim.fast_engine
+
+    assert repro.sim.fast_engine.GraphArrays is repro.graphs.csr.GraphArrays
+    assert repro.graphs.csr.GraphArrays.__module__ == "repro.graphs.csr"

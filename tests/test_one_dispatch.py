@@ -16,11 +16,11 @@ import pytest
 from repro import solve_mis
 from repro.analysis.complexity import run_trial, trial_from_result
 from repro.api import algorithm_names
+from repro.graphs.csr import GraphArrays
 from repro.plan import RunPlan
 from repro.service.executor import solve_payload
 from repro.sim import MaxRoundsExceededError, run_trials
 from repro.sim.batch import run_planned_trial
-from repro.sim.fast_engine import GraphArrays
 from repro.sweeps import execute_trial
 
 SEED = 11
