@@ -123,6 +123,119 @@ def test_result_digest_is_pinned(case):
     assert result_digest(run_case(*case)) == GOLDEN[case]
 
 
+def star_with_isolated_nodes():
+    """400 nodes: a star on 0..60 (centre 0), a sparse random component
+    on 100..349, and the rest isolated -- so some senders have no ports
+    and every broadcast splits into tx and idle rounds."""
+    rng = np.random.default_rng(24)
+    u = np.concatenate(
+        [np.zeros(60, dtype=np.int64), rng.integers(100, 350, 600)]
+    )
+    v = np.concatenate([np.arange(1, 61), rng.integers(100, 350, 600)])
+    return GraphArrays.from_edges(400, u, v)
+
+
+#: Graphs of :data:`PATH_CASES` and :data:`FLOAT_CASES`, by name.
+PATH_GRAPHS = {
+    "gnp-sparse-2000": lambda: make_family_arrays(
+        "gnp-sparse", 2000, seed=13, graph_rng="batched"
+    ),
+    "star-plus-isolated": star_with_isolated_nodes,
+    "gnp-sparse-300": lambda: make_family_arrays(
+        "gnp-sparse", 300, seed=14, graph_rng="batched"
+    ),
+}
+
+#: Engine paths :data:`GOLDEN_CASES` never take, pinned the same way:
+#: the per-node stream (``rng="pernode"``, the eager coin matrix and
+#: per-node rank draws), and a graph with isolated nodes.  ((graph name,
+#: algorithm, rng stream, trial seed), sha256 of the result).
+PATH_CASES = (
+    (
+        ("gnp-sparse-2000", "sleeping", "pernode", 5),
+        "36c2859b8b0209eb61046cf5419834c0a3647d59b34526ef94107f41a0e97fc0",
+    ),
+    (
+        ("gnp-sparse-2000", "fast-sleeping", "pernode", 5),
+        "464cc0a0d413331109f5d7f13a40026ea74a1621bd083a8db978b1d847e74098",
+    ),
+    (
+        ("star-plus-isolated", "sleeping", "batched", 6),
+        "cdcc1aa40637f243ecb86b0a5791c91158261b4be3349b3d7583f6dda74191b7",
+    ),
+    (
+        ("star-plus-isolated", "fast-sleeping", "batched", 6),
+        "1a031868688188cf668ee6926a068fb0a689a78c7371e69cceb9b2365f36d7d7",
+    ),
+    (
+        ("star-plus-isolated", "fast-sleeping", "pernode", 6),
+        "2a0d136f0b9dd58560c308688bed15735dfb06a96d45c07258a20c5cfaa7d0f2",
+    ),
+)
+PATH_GOLDEN = dict(PATH_CASES)
+
+
+def run_path_case(graph, algorithm, rng, seed, **protocol_kwargs):
+    result = make_vectorized_engine(
+        PATH_GRAPHS[graph](), algorithm, seed=seed, rng=rng,
+        result="arrays", **protocol_kwargs,
+    ).run()
+    assert result.is_valid_mis() and result.all_finished
+    return result
+
+
+@pytest.mark.parametrize(
+    "case", list(PATH_GOLDEN), ids=["-".join(map(str, c)) for c in PATH_GOLDEN]
+)
+def test_engine_path_digest_is_pinned(case):
+    assert result_digest(run_path_case(*case)) == PATH_GOLDEN[case]
+
+
+def float_result_digest(result) -> str:
+    """sha256 over ``(n, rounds)`` and every column at its own dtype.
+
+    For runs deep enough that the round labels (``sleep_rounds``,
+    ``decision_round``, ``finish_round``) are float64, which
+    :func:`result_digest` refuses; the dtype is hashed too.
+    """
+    h = hashlib.sha256()
+    h.update(f"{result.n}:{result.rounds}".encode())
+    for name, _ in COLUMNS:
+        column = np.ascontiguousarray(getattr(result, name))
+        h.update(f"{name}:{column.dtype.str}".encode())
+        h.update(column.tobytes())
+    return h.hexdigest()
+
+
+#: Depth 64 on gnp-sparse n = 300: every round label is past 2^63, so
+#: the label columns are float64.  (algorithm, sha256 of the result).
+FLOAT_CASES = (
+    (
+        "sleeping",
+        "8dcdfae67757c0c6e7124abe31f8f4ef3134e80f13adca79f84eb276653cb7f6",
+    ),
+    (
+        "fast-sleeping",
+        "c5fe7e77c2f0ef061d69aafc7f90fd94b2054ce3abdc0c31fc486fe4f147af2b",
+    ),
+)
+FLOAT_GOLDEN = dict(FLOAT_CASES)
+
+
+def run_float_case(algorithm):
+    result = run_path_case("gnp-sparse-300", algorithm, "batched", 7, depth=64)
+    assert result.sleep_rounds.dtype == np.float64
+    assert result.decision_round.dtype == np.float64
+    return result
+
+
+@pytest.mark.parametrize("algorithm", list(FLOAT_GOLDEN))
+def test_float_regime_digest_is_pinned(algorithm):
+    assert float_result_digest(run_float_case(algorithm)) == FLOAT_GOLDEN[
+        algorithm
+    ]
+
+
 #: Small refills, so both streamed cases split into hundreds of chunks.
 STREAM_CHUNK = 1 << 12
 
@@ -323,6 +436,12 @@ def _print_table(cases, digest_of):
 
 if __name__ == "__main__":  # regenerate the tables above
     _print_table(GOLDEN, lambda case: result_digest(run_case(*case)))
+    _print_table(
+        PATH_GOLDEN, lambda case: result_digest(run_path_case(*case))
+    )
+    _print_table(
+        FLOAT_GOLDEN, lambda alg: float_result_digest(run_float_case(alg))
+    )
     _print_table(CSR_GOLDEN, lambda case: edge_digest(build_csr(*case)))
     _print_table(
         FROM_EDGES_BUILDS, lambda name: edge_digest(FROM_EDGES_BUILDS[name]())
