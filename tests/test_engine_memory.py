@@ -379,3 +379,26 @@ class TestRunPeakPerEdge:
             f"{algorithm} run traced {peak / ga.m:.1f} bytes per directed "
             f"edge (bound {bytes_per_edge}): per-edge state is back?"
         )
+
+    def test_sleeping_recursion_peak_per_edge(self):
+        """Algorithm 1's recursion on gnp-dense n = 1500: the traced peak
+        of a run stays at or below 8 bytes per directed edge, the peak
+        (7.97 B) of the recursion that still carried edge ids and
+        gathered both endpoint columns per call."""
+        ga = make_family_arrays("gnp-dense", 1500, seed=7)
+        assert ga.m > 1_000_000
+        ga.id_bits  # warm per-graph lazy caches outside the window
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = VectorizedEngine(
+                ga, "sleeping", seed=0, rng="batched", result="arrays"
+            ).run()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.is_valid_mis()
+        assert peak <= 8 * ga.m, (
+            f"sleeping run traced {peak / ga.m:.2f} bytes per directed "
+            f"edge (bound 8)"
+        )
