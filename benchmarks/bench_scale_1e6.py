@@ -53,11 +53,12 @@ def test_gnp_1e6_sampler_smoke(benchmark):
 
     assert ga.n == N
     # Symmetric CSR: the (dst, src) pairs, sorted, are the (src, dst) pairs.
-    forward = ga.src.astype(np.int64) * N + ga.dst
-    reverse = ga.dst.astype(np.int64) * N + ga.src
+    src = ga.src  # built on demand: derive it once
+    forward = src.astype(np.int64) * N + ga.dst
+    reverse = ga.dst.astype(np.int64) * N + src
     reverse.sort()
     assert (reverse == forward).all()
-    del forward, reverse
+    del src, forward, reverse
     assert int(ga.deg.sum()) == ga.m
     print()
     record(

@@ -105,15 +105,19 @@ def test_gnp_1e8_sampler_pipeline(benchmark):
     assert ga.n == N
     assert int(ga.deg.sum()) == ga.m
     # CSR symmetry, spot-checked (see PROBE): every probed edge (u, v)
-    # has its reverse, found by a binary search for u in row v.
+    # has its reverse, found by a binary search for u in row v.  Row s
+    # ends at row_ends[s], so an entry's row is found by binary search
+    # too (ga.src would build 4 bytes per directed edge).
+    row_ends = np.cumsum(ga.deg)
     probe = np.linspace(0, ga.m - 1, PROBE).astype(np.int64)
+    sources = np.searchsorted(row_ends, probe, side="right")
     rows = ga.dst[probe]
-    starts = np.searchsorted(ga.src, rows, side="left")
-    ends = np.searchsorted(ga.src, rows, side="right")
-    for u, start, end in zip(ga.src[probe].tolist(), starts, ends):
-        row = ga.dst[start:end]
+    for u, v in zip(sources.tolist(), rows.tolist()):
+        end = int(row_ends[v])
+        row = ga.dst[end - int(ga.deg[v]) : end]
         j = int(np.searchsorted(row, u))
         assert j < len(row) and row[j] == u
+    del row_ends
 
     summary = prof.summary()
     peak_traced_mb = max(

@@ -1,7 +1,9 @@
 """The CSR graph format every vectorized engine consumes.
 
-:class:`GraphArrays` holds one graph as sorted directed-edge arrays
-(``src``/``dst``) plus per-node degrees.  It has two constructors:
+:class:`GraphArrays` holds one graph as CSR rows: the neighbor column
+``dst`` (node ``s``'s neighbors, ascending, fill the ``deg[s]`` entries
+after the rows of ``0..s-1``) plus per-node degrees.  It has two
+constructors:
 ``GraphArrays(graph)`` for any graph object or adjacency mapping (the
 only path for arbitrary node labels), and the chunked pair build
 :meth:`GraphArrays.from_distinct_pair_chunks` that every array-native
@@ -133,22 +135,23 @@ class GraphArrays:
     generator engine, legacy ``RunResult.adjacency``, :meth:`to_networkx`).
 
     Memory audit (the CSR-shaped buffers that bound sweep scale): with
-    ``m`` directed edges, the persistent footprint is ``src``/``dst`` at
-    4 bytes each (int32 -- node indices fit comfortably, and int32 halves
-    the edge memory that dominates at n = 10^4..10^5) plus ``deg`` at 8
-    bytes per node (kept int64 because it feeds straight into the int64
-    message/bit accumulators).  A gnp(10^5, 10/n) graph is m ~ 2x10^6
-    directed edges ~ 16 MB of edge arrays; per-run engine state is ~13
-    int64/int8 node arrays and nothing per edge (received messages are
-    counted per node, and live sets follow from in-loop membership, so
-    no reverse-edge index is kept).  Edge-sized transients live only for one
-    recursion call or phase: the top call's int32 edge ids (it reads
-    ``src``/``dst`` in place), each sub-call's edge ids and endpoints, and
-    the phased engines' carried frontier.
+    ``m`` directed edges, the persistent footprint is ``dst`` at 4 bytes
+    per edge (int32 -- node indices fit comfortably, and int32 halves the
+    edge memory that dominates at n = 10^4..10^5) plus ``deg`` at 8 bytes
+    per node (kept int64 because it feeds straight into the int64
+    message/bit accumulators).  ``src`` is not stored: it is
+    ``repeat(arange(n), deg)``, served on demand by :attr:`src`.  A
+    gnp(10^5, 10/n) graph is m ~ 2x10^6 directed edges ~ 8 MB of edge
+    array; per-run engine state is ~12 int64/int8 node arrays and
+    nothing per edge (received messages are counted per node, and live
+    sets follow from in-loop membership, so no reverse-edge index is
+    kept).  Edge-sized transients live only for one recursion call or
+    phase: each sub-call's CSR rows (the top call reads ``deg``/``dst``
+    in place), and the phased engines' carried frontier.
     """
 
     __slots__ = (
-        "_adjacency", "_node_ids", "n", "src", "dst", "deg",
+        "_adjacency", "_node_ids", "n", "dst", "deg",
         "_id_bits", "_ids_are_range",
     )
 
@@ -159,7 +162,7 @@ class GraphArrays:
         self._ids_are_range = False
         adjacency = self._adjacency
         index = {v: i for i, v in enumerate(self._node_ids)}
-        # Directed edge arrays, sorted by (src, dst): each undirected edge
+        # CSR rows in node order, each ascending: each undirected edge
         # appears once per direction.
         self.dst = np.fromiter(
             (index[u] for v in self._node_ids for u in adjacency[v]),
@@ -170,7 +173,6 @@ class GraphArrays:
             dtype=np.int64,
             count=self.n,
         )
-        self.src = np.repeat(np.arange(self.n, dtype=np.int32), self.deg)
         self._id_bits: Optional[np.ndarray] = None
 
     @classmethod
@@ -227,13 +229,12 @@ class GraphArrays:
         the edge list in strictly increasing ``(hi, lo)``-lex order (the
         v2 gnp sampler's native order) -- distinct pairs with ``lo < hi``,
         validated chunk by chunk.  The pass counts per-node degrees and
-        keeps each chunk as int32 ``(lo, hi)``: 8 bytes per pair, the
-        bytes ``src`` takes once the chunks are gone.  The kept chunks are
-        then scattered into ``dst`` in order, each freed as soon as it is
-        placed, and only then is ``src`` built.  So the edge-array peak is
-        16 bytes per pair (kept chunks plus ``dst``, then ``src`` plus
-        ``dst``), and everything else in flight is O(n) node arrays plus
-        index temporaries per *chunk*, never per graph (see
+        keeps each chunk as int32 ``(lo, hi)``: 8 bytes per pair.  The
+        kept chunks are then scattered into ``dst`` in order, each freed
+        as soon as it is placed.  So the edge-array peak is 16 bytes per
+        pair (kept chunks plus ``dst``), the graph keeps 8 (``dst``), and
+        everything else in flight is O(n) node arrays plus index
+        temporaries per *chunk*, never per graph (see
         ``docs/performance.md``).  The degree counts are allocated at the
         first pair, so an edgeless build holds ``deg`` and nothing else.
 
@@ -280,7 +281,6 @@ class GraphArrays:
             self._ids_are_range = True
             self._id_bits = None
             if not m:
-                self.src = np.empty(0, dtype=np.int32)
                 self.dst = np.empty(0, dtype=np.int32)
                 self.deg = np.zeros(n, dtype=np.int64)
                 return self
@@ -308,10 +308,20 @@ class GraphArrays:
                 base += c
                 del lo, hi, back  # free the chunk before the next one
             del cumF, startF, occF
-            # src never needs a scatter: row s holds deg[s] copies of s.
-            src = np.repeat(np.arange(n, dtype=np.int32), deg)
-        self.src, self.dst, self.deg = src, dst, deg
+        self.dst, self.deg = dst, deg
         return self
+
+    @property
+    def src(self) -> np.ndarray:
+        """The source node of each directed edge, built on every access.
+
+        Row ``s`` of the CSR holds ``deg[s]`` edges out of ``s``, so the
+        column is ``np.repeat(arange(n), deg)`` and never stored: nothing
+        on the engines' paths reads it (they walk rows by ``deg``), and
+        not keeping it saves 4 bytes per directed edge in memory and on
+        the wire.  Callers that need it more than once keep a local.
+        """
+        return np.repeat(np.arange(self.n, dtype=np.int32), self.deg)
 
     @property
     def adjacency(self) -> Dict[Any, Tuple[Any, ...]]:
@@ -362,17 +372,18 @@ class GraphArrays:
         graph = nx.Graph()
         graph.add_nodes_from(self.node_ids)
         ids = self.node_ids
-        half = self.src < self.dst  # one orientation per undirected edge
+        src = self.src
+        half = src < self.dst  # one orientation per undirected edge
         graph.add_edges_from(
             (ids[a], ids[b])
-            for a, b in zip(self.src[half].tolist(), self.dst[half].tolist())
+            for a, b in zip(src[half].tolist(), self.dst[half].tolist())
         )
         return graph
 
     @property
     def m(self) -> int:
         """Number of directed edges."""
-        return len(self.src)
+        return len(self.dst)
 
     @property
     def id_bits(self) -> np.ndarray:
@@ -399,4 +410,4 @@ class GraphArrays:
 
     def nbytes(self) -> int:
         """Bytes held by the persistent edge/degree buffers."""
-        return self.src.nbytes + self.dst.nbytes + self.deg.nbytes
+        return self.dst.nbytes + self.deg.nbytes

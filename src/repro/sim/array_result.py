@@ -56,14 +56,22 @@ def exact_sum(arr: np.ndarray) -> int:
     Algorithm 1's :math:`\\Theta(n^3)` schedule puts ~2^51 in every
     finish/sleep cell at n = 10^5, so a straight int64 ``.sum()`` silently
     wraps past 2^63 -- the legacy view never hits this because Python ints
-    are unbounded.  The guard costs one cheap ``max`` pass; only columns
-    that can actually overflow fall back to exact Python summation.
+    are unbounded.  The guard costs a ``max`` and a ``min`` pass; only
+    columns that can actually overflow take the exact path.  For an
+    integer column that is two int64 sums, of the high and the low 32-bit
+    halves of each value (each half sums exactly for fewer than 2^31
+    values), combined as Python ints; a float column sums its Python
+    floats.
     """
     if arr.size == 0:
         return 0
-    bound = int(np.abs(arr).max()) * arr.size
-    if bound < (1 << 62):
+    peak = max(int(arr.max()), -int(arr.min()))
+    if peak * arr.size < (1 << 62):
         return int(arr.sum())
+    if arr.dtype.kind == "i" and arr.size < (1 << 31):
+        high = int((arr >> 32).sum())
+        low = int((arr & 0xFFFFFFFF).sum())
+        return (high << 32) + low
     return sum(arr.tolist())
 
 

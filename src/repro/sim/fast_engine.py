@@ -8,11 +8,16 @@ rounds computed entirely by :mod:`repro.core.schedule` -- so an execution
 can be replayed as a walk over the recursion tree with one numpy pass over
 the participant set per communication step.  That is what this module does:
 
-* the participant set of each call is an index array; adjacency is a pair
-  of directed-edge arrays (CSR-flavoured), filtered down the tree so a
-  sub-call only ever touches edges inside its own ``G[U]``;
+* the participant set of each call is an index array, and its in-call
+  graph ``G[U]`` is a set of CSR rows (the graph's own ``deg``/``dst`` at
+  the top): a sub-call keeps its nodes' rows, filtered to the sub-set,
+  and each step reads only the rows it is about;
 * awake/``inMIS``/coin state are per-node int arrays, and so are the live
   counts of Algorithm 2's base case (live sets are never stored);
+* the recursion counts awake rounds, received messages and decisions
+  only: every other awake round is a flag broadcast, so ``sleep``,
+  ``tx``/``idle``, messages and bits follow from ``awake`` and the degree
+  at result build (Algorithm 2's base case adds its own rounds' counts);
 * the wall clock is never stepped at all -- round numbers are computed from
   the schedule formulas, which is the generator engine's fast-forward trick
   taken to its limit.  Algorithm 1's :math:`\\Theta(n^3)` wall-clock
@@ -389,10 +394,8 @@ class VectorizedEngine:
         self.arrays = arrays
         self.node_ids = arrays.node_ids
         self.n = arrays.n
-        self.src = arrays.src
         self.dst = arrays.dst
         self.deg = arrays.deg
-        self._no_isolated = bool(self.deg.all()) if self.n else True
 
         n = self.n
         if algorithm == "sleeping":
@@ -455,8 +458,14 @@ class VectorizedEngine:
             self.coins = None  # drawn lazily per call by _coin_heads
         self._rank_bound = n**6 + 1
 
-        # Per-node state and statistics (the NodeStats fields, as arrays),
-        # borrowed from the scratch pool so batch runs recycle them.
+        # Per-node state, borrowed from the scratch pool so batch runs
+        # recycle it.  The recursion writes only what its schedule cannot
+        # give: ``awake`` (one increment per broadcast, so the running
+        # count is ``awake_at_decision``), received messages, and the
+        # decisions.  ``tx``/``rx``/``idle``/``msent``/``bits`` hold the
+        # greedy base case's own rounds only; every other awake round is a
+        # flag broadcast, whose counters -- and the sleep column -- are
+        # derived at result build (see _stat_columns).
         self.in_mis = scratch.take("in_mis", n, np.int8, fill=-1)
         self.awake = scratch.take("awake", n, np.int64, fill=0)
         # Round *labels* grow like T(K) = 3(2^K - 1), which leaves int64
@@ -468,12 +477,11 @@ class VectorizedEngine:
         # claim -- is therefore exact at every n; only the astronomically
         # large round labels round.  Below that depth nothing changes:
         # int64 exactness is what the cross-engine equivalence suite pins.
-        round_dtype: Any = (
+        self._round_dtype: Any = (
             np.int64
             if self._duration(self.depth) <= np.iinfo(np.int64).max
             else np.float64
         )
-        self.sleep = scratch.take("sleep", n, round_dtype, fill=0)
         self.tx = scratch.take("tx", n, np.int64, fill=0)
         self.rx = scratch.take("rx", n, np.int64, fill=0)
         self.idle = scratch.take("idle", n, np.int64, fill=0)
@@ -481,19 +489,19 @@ class VectorizedEngine:
         self.bits = scratch.take("bits", n, np.int64, fill=0)
         self.mrecv = scratch.take("mrecv", n, np.int64, fill=0)
         self.decision_round = scratch.take(
-            "decision_round", n, round_dtype, fill=-1
+            "decision_round", n, self._round_dtype, fill=-1
         )
         self.awake_at_decision = scratch.take(
             "awake_at_decision", n, np.int64, fill=-1
         )
         self.base_truncated = scratch.take("base_truncated", n, bool, fill=False)
         # Set-use-clear masks shared by every call of the recursion (saves
-        # two O(n) zero-fills per call; see _subedges and Parts 4/5).
+        # two O(n) zero-fills per call; see _subgraph and Parts 4/5).
         self._sub_mask = scratch.take("sub_mask", n, bool, fill=False)
         self._nbr_mask = scratch.take("nbr_mask", n, bool, fill=False)
-        # Global-to-local node index map for the greedy base cases
-        # (set-before-use only: each base call writes its own participants
-        # before reading, so stale entries are never observed).
+        # Global-to-local node index map for sub-call degrees and the
+        # greedy base cases (set-before-use only: each user writes its own
+        # participants before reading, so stale entries are never observed).
         self._local_index = scratch.take("local_index", n, np.int32)
 
     # ------------------------------------------------------------------
@@ -519,101 +527,90 @@ class VectorizedEngine:
             if self.max_rounds is not None and total_rounds > self.max_rounds:
                 raise MaxRoundsExceededError(self.max_rounds, self.n)
 
+            # The top call's in-call graph is the whole CSR, read in place.
             everyone = np.arange(self.n, dtype=np.int64)
-            # int32 like every other edge index: the CSR format already
-            # requires 2m < 2^31.
-            all_edges = np.arange(len(self.src), dtype=np.int32)
-            self._recurse(everyone, all_edges, self.depth, 0)
+            self._recurse(everyone, self.deg, self.dst, self.depth, 0)
             return self._build_result(total_rounds)
 
     # ------------------------------------------------------------------
     # The recursion (SleepingMISRecursive, Parts 2-6).
     # ------------------------------------------------------------------
 
-    def _recurse(self, U: np.ndarray, E: np.ndarray, k: int, r: int) -> None:
+    def _recurse(
+        self, U: np.ndarray, deg_in: np.ndarray, de: np.ndarray, k: int, r: int
+    ) -> None:
         """One call over participant indices ``U`` starting at round ``r``.
 
-        ``E`` holds the indices of the directed edges with *both* endpoints
-        in ``U`` -- exactly the message deliveries of this call's rounds.
-        Both stay ascending down the tree (sub-calls filter by mask).
+        ``G[U]`` rides along as CSR rows: ``de`` concatenates, for each
+        node of ``U`` in order, its neighbors inside ``U`` (``deg_in[i]``
+        of them for ``U[i]``).  ``U`` ascends and every row ascends, so a
+        sub-call's rows are its parent's rows, filtered.  ``G[U]`` is
+        symmetric, so ``deg_in`` is also how many flags a node hears per
+        broadcast: Parts 2, 4 and 5 each broadcast over the same ``G[U]``,
+        so all three receipts are counted up front.
         """
         if k == 0:
             if self.algorithm == "sleeping":
                 self._decide(U, True, r)
             else:
-                self._greedy_base(U, E, r)
+                self._greedy_base(U, deg_in, de, r)
             return
 
         if len(U) == 1:
             self._singleton_call(int(U[0]), k, r)
             return
 
-        d_sub = self._duration(k - 1)
-        # In-call endpoints and degrees.  ``G[U]`` is symmetric, so a
-        # node's in-call out-degree is also the number of messages it
-        # receives per broadcast; Parts 2, 4 and 5 each broadcast over
-        # the same ``E``, so all three receipts are counted here.
-        if len(E) == len(self.src):
-            # Every edge is in the call (the top call, or one that leaves
-            # out only isolated nodes): read the CSR in place; in-call
-            # degrees are graph degrees.
-            se, de, deg_in = self.src, self.dst, self.deg[U]
-        else:
-            se, de = self.src[E], self.dst[E]
-            # ``E`` is ascending, so ``se`` is sorted and a node's
-            # out-edges are one run of it.  Every sender is in ``U``
-            # (also ascending), so U[i]'s run starts where U[i-1]'s ends.
-            ends = np.searchsorted(se, U.astype(se.dtype), side="right")
-            deg_in = ends.copy()
-            deg_in[1:] -= ends[:-1]
         self.mrecv[U] += 3 * deg_in
 
         # Part 2 -- first isolated node detection: a node is isolated in
-        # G[U] exactly when it has no in-call edge.
-        self._broadcast(U)
+        # G[U] exactly when its row is empty.
+        self.awake[U] += 1
         iso = U[deg_in == 0]
         if len(iso):
             self._decide(iso, True, r + 1)
 
         # Part 3 -- left recursion; everyone else sleeps through it.
         left = (self.in_mis[U] == -1) & self._coin_heads(U, k)
-        L = U[left]
-        if d_sub > 0:
-            self.sleep[U[~left]] += d_sub
+        L = _select(U, left)
         if len(L):
-            self._recurse(L, self._subedges(L, E, se, de), k - 1, r + 1)
+            self._recurse(L, *self._subgraph(L, left, deg_in, de), k - 1, r + 1)
 
-        # Part 4 -- synchronization and elimination.  The neighbor-flag
-        # masks borrow one shared buffer (set, read, clear by the same
+        # Part 4 -- synchronization and elimination: the MIS members'
+        # rows name every node with an MIS neighbor.  The flag mask
+        # borrows one shared buffer (set, read, clear by the same
         # indices) instead of zeroing a fresh O(n) array per call.
-        r1 = r + 1 + d_sub
-        self._broadcast(U)
+        r1 = r + 1 + self._duration(k - 1)
+        self.awake[U] += 1
+        status = self.in_mis[U]
+        heads = _row_entries(status == 1, deg_in, de)
         has_mis_nbr = self._nbr_mask
-        mis_heads = de[self.in_mis[se] == 1]
-        has_mis_nbr[mis_heads] = True
-        elim = U[(self.in_mis[U] == -1) & has_mis_nbr[U]]
-        has_mis_nbr[mis_heads] = False
+        has_mis_nbr[heads] = True
+        elim = _select(U, (status == -1) & has_mis_nbr[U])
+        has_mis_nbr[heads] = False
         if len(elim):
             self._decide(elim, False, r1 + 1)
 
-        # Part 5 -- second isolated node detection.
+        # Part 5 -- second isolated node detection.  No undecided node has
+        # an MIS neighbor any more, so one joins exactly when it has no
+        # undecided neighbor: when its row of G[D] is empty, for D the
+        # undecided nodes.
         r2 = r1 + 1
-        self._broadcast(U)
-        has_undecided_or_mis_nbr = self._nbr_mask
-        loud_heads = de[self.in_mis[se] != 0]
-        has_undecided_or_mis_nbr[loud_heads] = True
-        join = U[(self.in_mis[U] == -1) & ~has_undecided_or_mis_nbr[U]]
-        has_undecided_or_mis_nbr[loud_heads] = False
-        if len(join):
-            self._decide(join, True, r2 + 1)
+        self.awake[U] += 1
+        pending = self.in_mis[U] == -1
+        D = _select(U, pending)
+        if not len(D):
+            return
+        deg_D, de_D = self._subgraph(D, pending, deg_in, de)
+        lone = deg_D == 0
+        if lone.any():
+            self._decide(D[lone], True, r2 + 1)
+            keep = ~lone
+            D, deg_D = D[keep], deg_D[keep]
 
-        # Part 6 -- right recursion; everyone else sleeps through it.
-        right = self.in_mis[U] == -1
-        R = U[right]
-        if d_sub > 0:
-            self.sleep[U[~right]] += d_sub
-        if len(R):
-            self._recurse(R, self._subedges(R, E, se, de), k - 1, r2 + 1)
+        # Part 6 -- right recursion over the nodes still undecided; the
+        # joiners' rows were empty, so G[D]'s rows are already G[R]'s.
+        if len(D):
+            self._recurse(D, deg_D, de_D, k - 1, r2 + 1)
 
     def _singleton_call(self, u: int, k: int, r: int) -> None:
         """Closed form for a call whose participant set is one node.
@@ -626,17 +623,7 @@ class VectorizedEngine:
         is a real constant-factor win.
         """
         assert self.in_mis[u] == -1
-        deg = int(self.deg[u])
         self.awake[u] += 3
-        if deg > 0:
-            self.tx[u] += 3
-            self.msent[u] += 3 * deg
-            self.bits[u] += 3 * _FLAG_BITS * deg
-        else:
-            self.idle[u] += 3
-        d_sub = self._duration(k - 1)
-        if d_sub > 0:
-            self.sleep[u] += 2 * d_sub
         self.in_mis[u] = 1
         self.decision_round[u] = r + 1
         self.awake_at_decision[u] = self.awake[u] - 2  # after Part 2 only
@@ -653,38 +640,24 @@ class VectorizedEngine:
         u = draw_u64_array(self._key, U, np.int64(k - 1))
         return u64_to_unit_float(u) < self.coin_bias
 
-    def _subedges(
-        self, S: np.ndarray, E: np.ndarray, se: np.ndarray, de: np.ndarray
-    ) -> np.ndarray:
-        """Edges of ``E`` (endpoints ``se``/``de``) inside sub-set ``S``."""
+    def _subgraph(
+        self, S: np.ndarray, pick: np.ndarray, deg_in: np.ndarray,
+        de: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``G[S]`` as CSR rows ``(deg_S, de_S)``, for ``S = U[pick]``.
+
+        The rows of ``S``, keeping the entries inside ``S``.  ``G[S]`` is
+        symmetric, so a row's length is how often its node appears among
+        the kept entries: one ``bincount`` through the local index map.
+        """
+        entries = _row_entries(pick, deg_in, de)
         inS = self._sub_mask
         inS[S] = True
-        both = inS[se]
-        both &= inS[de]  # in place: one |E|-sized temporary, not two
-        sub = E[both]
+        kept = _select(entries, inS[entries])
         inS[S] = False
-        return sub
-
-    def _broadcast(self, U: np.ndarray) -> None:
-        """One awake round in which every node of ``U`` sends a 2-bit flag
-        to *all* its graph neighbors (presence or ``inMIS`` announcement).
-
-        Sender-side accounting only, O(|U|): deliveries happen between
-        awake nodes, i.e. over the call's in-call edges, so the callers
-        credit ``mrecv`` from the in-call degrees they already hold.
-        Classification matches the generator engine: senders with at
-        least one port are tx rounds; port-less nodes are awake-and-silent,
-        hence idle.
-        """
-        deg = self.deg[U]
-        self.awake[U] += 1
-        if self._no_isolated:
-            self.tx[U] += 1
-        else:
-            self.tx[U[deg > 0]] += 1
-            self.idle[U[deg == 0]] += 1
-        self.msent[U] += deg
-        self.bits[U] += _FLAG_BITS * deg
+        local = self._local_index
+        local[S] = np.arange(len(S), dtype=np.int32)
+        return np.bincount(local[kept], minlength=len(S)), kept
 
     def _decide(self, nodes: np.ndarray, value: bool, clock: int) -> None:
         """Fix ``inMIS`` for ``nodes`` at wall-clock ``clock``, exactly once."""
@@ -697,11 +670,13 @@ class VectorizedEngine:
     # Algorithm 2's greedy base case, in a fixed window of W rounds.
     # ------------------------------------------------------------------
 
-    def _greedy_base(self, U: np.ndarray, E: np.ndarray, r: int) -> None:
+    def _greedy_base(
+        self, U: np.ndarray, deg_in: np.ndarray, de: np.ndarray, r: int
+    ) -> None:
         """The base case, computed in the call's **local index space**.
 
         Every per-node array here has length ``|U|`` (slot ``i`` is global
-        node ``U[i]``), edge endpoints are mapped through the shared
+        node ``U[i]``), row entries are mapped through the shared
         ``_local_index`` scatter buffer, and received-message counts
         accumulate locally until one ``mrecv[U] +=`` at exit.  Deep in the
         recursion most base calls are tiny, so the historical full-``n``
@@ -712,6 +687,11 @@ class VectorizedEngine:
         generator engine's execution.  By the live-set invariant of
         :mod:`repro.sim.fast_phased`, a round's deliveries are the in-call
         edges between in-loop nodes and ``live_cnt`` is the in-loop degree.
+
+        The discovery round is a flag broadcast (one ``awake`` increment,
+        its counters derived at result build); rounds A/B/C credit each
+        awake node exactly one of ``tx``/``rx``/``idle``, plus the
+        messages and bits it sends.
         """
         W = self.base_rounds
 
@@ -720,14 +700,7 @@ class VectorizedEngine:
             # drawn (stream alignment!), and the loop head immediately
             # decides isolated-among-survivors.
             u = int(U[0])
-            deg = int(self.deg[u])
             self.awake[u] += 1
-            if deg > 0:
-                self.tx[u] += 1
-                self.msent[u] += deg
-                self.bits[u] += _FLAG_BITS * deg
-            else:
-                self.idle[u] += 1
             if self._rngs is not None:
                 randbelow(self._rngs[u], self._rank_bound)
             else:
@@ -736,22 +709,20 @@ class VectorizedEngine:
             self.in_mis[u] = 1
             self.decision_round[u] = r + 1
             self.awake_at_decision[u] = self.awake[u]
-            if W > 1:
-                self.sleep[u] += W - 1
             return
 
         nu = len(U)
-        es_g, ed_g = self.src[E], self.dst[E]
         local = self._local_index
         local[U] = np.arange(nu, dtype=np.int32)
-        es, ed = local[es_g], local[ed_g]
+        ed = local[de]
+        es = np.repeat(np.arange(nu, dtype=np.int32), deg_in)
 
         # Neighbor discovery inside G[U]: live sets start as the in-call
-        # neighborhoods.  Each node hears one presence flag per in-call
+        # neighborhoods, and each node hears one presence flag per in-call
         # neighbor, which seeds the local receipt count.
-        self._broadcast(U)
-        live_cnt = np.bincount(ed, minlength=nu)
-        mrecv = live_cnt.copy()
+        self.awake[U] += 1
+        live_cnt = deg_in.copy()
+        mrecv = deg_in.copy()
 
         # Ranks: one draw per participant, same stream position as the
         # generator engine (see draw_dense_ranks for the stream and
@@ -781,8 +752,6 @@ class VectorizedEngine:
                 truncated = leaving & undecided
                 if truncated.any():
                     self.base_truncated[U[truncated]] = True
-                if W - used > 0:
-                    self.sleep[U[leaving]] += W - used
                 inloop &= ~leaving
             if not inloop.any():
                 self.mrecv[U] += mrecv
@@ -802,7 +771,7 @@ class VectorizedEngine:
             np.maximum.at(best_rank, ed[delivered], rank[es[delivered]])
             top = delivered & (rank[es] == best_rank[ed])
             best_id = np.full(nu, -1, dtype=np.int64)
-            np.maximum.at(best_id, ed[top], es_g[top])
+            np.maximum.at(best_id, ed[top], gid[es[top]])
             joined = inloop & (
                 (rank > best_rank) | ((rank == best_rank) & (gid > best_id))
             )
@@ -829,8 +798,6 @@ class VectorizedEngine:
                 self._decide(eact, False, rB + 1)
                 undecided &= ~elim
             if len(jact):
-                if W - (used + 2) > 0:
-                    self.sleep[jact] += W - (used + 2)
                 inloop &= ~joined
 
             # Round C -- OUT announcements from the newly eliminated;
@@ -848,12 +815,46 @@ class VectorizedEngine:
             # Announcers leave the loop, so every OUT shrinks a live set.
             live_cnt -= got_out
             if len(eact):
-                if W - (used + 3) > 0:
-                    self.sleep[eact] += W - (used + 3)
                 inloop &= ~elim
             p += 1
 
     # ------------------------------------------------------------------
+
+    def _stat_columns(self, rounds: int) -> Dict[str, np.ndarray]:
+        """The counters the recursion never writes, as fresh columns.
+
+        Every node is awake or asleep in each of the ``rounds`` rounds, so
+        ``sleep = rounds - awake``.  Every awake round that is not one of
+        the greedy base's rounds A/B/C -- each of which credits exactly
+        one of ``tx``/``rx``/``idle`` -- is a flag broadcast to all
+        ``deg`` graph neighbors: a tx round (an idle one for a port-less
+        node) sending ``deg`` 2-bit messages.
+        """
+        awake, deg = self.awake, self.deg
+        flags = awake - self.tx
+        flags -= self.rx
+        flags -= self.idle
+        ported = deg > 0
+        sent = deg * flags
+        cols = {
+            "tx": self.tx + flags * ported,
+            "rx": self.rx.copy(),
+            "idle": self.idle + flags * ~ported,
+            "msent": self.msent + sent,
+        }
+        sent *= _FLAG_BITS
+        cols["bits"] = self.bits + sent
+        if self._round_dtype is np.int64:
+            cols["sleep"] = np.int64(rounds) - awake
+        else:
+            # Past int64 the column is the float64 of the exact integer
+            # ``rounds - awake``, one conversion per distinct awake count.
+            values, inverse = np.unique(awake, return_inverse=True)
+            spans = np.array(
+                [float(rounds - a) for a in values.tolist()], dtype=np.float64
+            )
+            cols["sleep"] = spans[inverse]
+        return cols
 
     def _build_result(self, rounds: int) -> RunResult:
         # Every node of the sleeping algorithms finishes at the schedule's
@@ -864,8 +865,13 @@ class VectorizedEngine:
         from ..profiling import phase
 
         with phase("result_build"):
+            derived = self._stat_columns(rounds)
             if self.result_kind == "arrays":
-                from .array_result import ArrayRunResult, result_column
+                from .array_result import (
+                    ArrayRunResult,
+                    narrow_column,
+                    result_column,
+                )
 
                 n = self.n
                 narrow = self.dtype_kind == "narrow"
@@ -881,6 +887,9 @@ class VectorizedEngine:
                 def col(column: np.ndarray) -> np.ndarray:
                     return result_column(column, narrow=narrow)
 
+                def own(column: np.ndarray) -> np.ndarray:
+                    return narrow_column(column) if narrow else column
+
                 return ArrayRunResult(
                     n=n,
                     rounds=rounds,
@@ -888,12 +897,12 @@ class VectorizedEngine:
                     node_ids=self.node_ids,
                     in_mis=self.in_mis.copy(),
                     awake_rounds=col(self.awake),
-                    sleep_rounds=col(self.sleep),
-                    tx_rounds=col(self.tx),
-                    rx_rounds=col(self.rx),
-                    idle_rounds=col(self.idle),
-                    messages_sent=col(self.msent),
-                    bits_sent=col(self.bits),
+                    sleep_rounds=own(derived["sleep"]),
+                    tx_rounds=own(derived["tx"]),
+                    rx_rounds=own(derived["rx"]),
+                    idle_rounds=own(derived["idle"]),
+                    messages_sent=own(derived["msent"]),
+                    bits_sent=own(derived["bits"]),
                     messages_received=col(self.mrecv),
                     decision_round=col(self.decision_round),
                     awake_at_decision=col(self.awake_at_decision),
@@ -912,18 +921,64 @@ class VectorizedEngine:
                 adjacency=self.adjacency,
                 node_ids=self.node_ids,
                 awake=self.awake.tolist(),
-                sleep=self.sleep.tolist(),
-                tx=self.tx.tolist(),
-                rx=self.rx.tolist(),
-                idle=self.idle.tolist(),
-                msent=self.msent.tolist(),
-                bits=self.bits.tolist(),
+                sleep=derived["sleep"].tolist(),
+                tx=derived["tx"].tolist(),
+                rx=derived["rx"].tolist(),
+                idle=derived["idle"].tolist(),
+                msent=derived["msent"].tolist(),
+                bits=derived["bits"].tolist(),
                 mrecv=self.mrecv.tolist(),
                 decision_round=self.decision_round.tolist(),
                 awake_at_decision=self.awake_at_decision.tolist(),
                 finish=repeat(rounds),
                 in_mis=self.in_mis.tolist(),
             )
+
+
+def _row_entries(
+    pick: np.ndarray, deg_in: np.ndarray, de: np.ndarray
+) -> np.ndarray:
+    """The concatenated rows of the picked nodes of a call's CSR rows.
+
+    When the picked rows hold a large share of the entries, one boolean
+    pass over ``de`` keeps them.  When they hold few, only those rows are
+    read: their entry positions are built from the row starts, so the
+    cost follows the rows read, not the call's size.
+    """
+    lens = _select(deg_in, pick)
+    total = int(lens.sum())
+    if _ROW_READ_SHARE * total >= len(de):
+        return de[np.repeat(pick, deg_in)]
+    ends = _select(np.cumsum(deg_in, dtype=np.int32), pick)
+    # Entry j of picked row i sits at ends[i] - lens[i] + j; subtracting
+    # the rows' output offsets turns a flat arange into those positions.
+    out_ends = np.cumsum(lens, dtype=np.int32)
+    positions = np.repeat(ends - out_ends, lens)
+    positions += np.arange(total, dtype=np.int32)
+    return de[positions]
+
+
+#: A row read replaces the boolean pass when the picked rows hold less
+#: than one entry in this many.
+_ROW_READ_SHARE = 4
+
+
+def _select(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values[mask]``, for a mask with no long runs.
+
+    Boolean indexing branches on every element, which a random mask
+    mispredicts about half the time; ``np.compress`` lists the kept
+    positions first and then gathers them, a few times faster on large
+    arrays.  On small ones its fixed cost is the larger, so they keep
+    boolean indexing.
+    """
+    if len(mask) < _COMPRESS_MIN:
+        return values[mask]
+    return np.compress(mask, values)
+
+
+#: Array length from which :func:`_select` switches to ``np.compress``.
+_COMPRESS_MIN = 2048
 
 
 def simulate_vectorized(

@@ -369,8 +369,38 @@ class TestExactSummation:
         huge = np.full(100, 1 << 52, dtype=np.int64)
         assert exact_sum(huge) == 100 * (1 << 52)  # > 2^58, int64-safe
         huge = np.full(5000, 1 << 51, dtype=np.int64)
-        assert exact_sum(huge) == 5000 * (1 << 51)  # > 2^63: python path
+        assert exact_sum(huge) == 5000 * (1 << 51)  # > 2^63: split path
         assert exact_sum(np.empty(0, dtype=np.int64)) == 0
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            np.array([(1 << 62), -(1 << 62), (1 << 62) - 1] * 7),
+            np.array([(1 << 63) - 1] * 5 + [-(1 << 63)] * 3),
+            np.array([-1, -1, (1 << 62) + 12345, -1]),
+            np.full(3000, -(1 << 62) - 7),
+            np.full(4, -(1 << 63)),
+            np.random.default_rng(0).integers(
+                -(1 << 63), (1 << 63) - 1, size=4096, dtype=np.int64
+            ),
+            np.array([2**31 - 1, -(2**31), 5] * 11, dtype=np.int32),
+            np.arange(-50, 50, dtype=np.int32),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int32),
+        ],
+        ids=[
+            "pm-2^62", "int64-extremes", "sentinels", "negative-large",
+            "int64-min-only",
+            "random-full-range", "int32-narrow", "int32-small",
+            "empty-int64", "empty-int32",
+        ],
+    )
+    def test_exact_sum_matches_python_ints(self, column):
+        from repro.sim.array_result import exact_sum
+
+        total = exact_sum(column)
+        assert type(total) is int
+        assert total == sum(column.tolist())
 
     def test_theta_n_cubed_rounds_do_not_overflow(self):
         # Algorithm 1 on a modest graph already has ~2^38 finish rounds;

@@ -24,9 +24,10 @@ from repro.sim.fast_phased import PhasedVectorizedEngine
 
 from helpers import argsort_csr
 
-#: The scratch-borrowed per-node state buffers of the sleeping engine.
+#: The scratch-borrowed per-node state buffers of the sleeping engine
+#: (``sleep`` is derived at result build, so it borrows no buffer).
 SLEEPING_BUFFERS = (
-    "in_mis", "awake", "sleep", "tx", "rx", "idle", "msent", "bits",
+    "in_mis", "awake", "tx", "rx", "idle", "msent", "bits",
     "mrecv", "decision_round", "awake_at_decision", "base_truncated",
     "_sub_mask", "_nbr_mask", "_local_index", "_ctr",
 )
@@ -238,6 +239,35 @@ class TestLazyNodeIds:
             assert np.array_equal(getattr(clone, field), getattr(ga, field))
 
 
+class TestNoStoredSrc:
+    """``GraphArrays`` keeps ``dst`` and ``deg`` only; ``src`` is derived
+    on demand from the row lengths."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_family_arrays("gnp-sparse", 500, seed=1),
+            lambda: make_family_arrays(
+                "gnp-dense", 300, seed=2, graph_rng="batched"
+            ),
+            lambda: GraphArrays({"b": ("a", "c"), "a": ("b",), "c": ("b",)}),
+            lambda: GraphArrays.from_edges(6, [], []),
+        ],
+        ids=["from-edges", "chunked", "labels", "edgeless"],
+    )
+    def test_graph_stores_no_src(self, build):
+        import numpy as np
+
+        ga = build()
+        assert "src" not in GraphArrays.__slots__
+        assert ga.nbytes() == ga.dst.nbytes + ga.deg.nbytes
+        assert ga.m == len(ga.dst)
+        want = np.repeat(np.arange(ga.n, dtype=np.int32), ga.deg)
+        assert ga.src.dtype == np.int32
+        np.testing.assert_array_equal(ga.src, want)
+        assert ga.src is not ga.src  # built per access, never cached
+
+
 class TestChunkedCsrBuild:
     def test_streaming_build_transient_memory_is_chunk_bounded(
         self, monkeypatch
@@ -250,10 +280,11 @@ class TestChunkedCsrBuild:
         the persistent CSR arrays has to stay orders of magnitude below
         the ~50 MB a build from the whole buffered pair list transiently
         holds for this graph (pair buffers, composite keys, argsort).  The
-        kept int32 chunks take exactly the bytes ``src`` takes once they
-        are freed, so they are not transient.  The documented bound
-        (docs/performance.md, "Scaling to 10^7"): O(n) node arrays plus
-        ~64 bytes per in-flight pair.
+        kept int32 chunks (8 bytes per pair, 4 per directed edge) are the
+        one graph-sized transient: the pass keeps them until the scatter
+        into ``dst``.  The documented bound (docs/performance.md,
+        "Scaling to 10^7"): those chunks plus O(n) node arrays plus ~64
+        bytes per in-flight pair.
         """
         import repro.graphs.arrays as arrays_mod
 
@@ -271,7 +302,8 @@ class TestChunkedCsrBuild:
         # O(n) node arrays (degree splits, prefix starts, carry) plus a
         # generous multiple of the in-flight chunk temporaries.
         node_arrays = 8 * 64 * n
-        transient_bound = node_arrays + 256 * chunk
+        kept_chunks = 4 * ga.m
+        transient_bound = kept_chunks + node_arrays + 256 * chunk
         assert peak - current <= transient_bound, (
             f"streaming build transient {peak - current} exceeds "
             f"{transient_bound} (peak {peak}, persistent {current})"
@@ -301,7 +333,7 @@ class TestNoCopyEngineHandoff:
         ga = make_family_arrays("gnp-sparse", 400, seed=7)
         eng = VectorizedEngine(ga, "fast-sleeping", seed=0, rng="batched")
         assert eng.arrays is ga
-        for field in ("src", "dst", "deg"):
+        for field in ("dst", "deg"):
             assert getattr(eng, field) is getattr(ga, field), (
                 f"engine copied {field} instead of consuming it in place"
             )
@@ -310,14 +342,14 @@ class TestNoCopyEngineHandoff:
         ga = make_family_arrays("gnp-sparse", 400, seed=7)
         eng = PhasedVectorizedEngine(ga, "luby", seed=0, rng="batched")
         assert eng.arrays is ga
-        for field in ("src", "dst", "deg"):
+        for field in ("dst", "deg"):
             assert getattr(eng.arrays, field) is getattr(ga, field)
 
     def test_engine_construction_does_not_duplicate_the_csr(self):
         """tracemalloc pin: constructing the sleeping engine on a dense
         prebuilt graph allocates O(n) node buffers and no per-edge state
-        at all -- never a second copy of the ~12 bytes/edge int32 CSR
-        triplet (~12m extra traced bytes), nor a 1 byte/edge mask."""
+        at all -- never a copy of the int32 ``dst`` column (4m extra
+        traced bytes), nor a 1 byte/edge mask."""
         n, p = 2000, 0.5
         ga = make_family_arrays("gnp-dense", n, seed=7)
         assert ga.m > 1_500_000
