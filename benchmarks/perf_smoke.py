@@ -26,9 +26,9 @@ each against the committed ``benchmarks/artifacts/BENCH_perf_smoke.json``:
 * ``fast_sleeping_dense_2e3_batched`` / ``luby_dense_2e3_batched`` -- a
   2-trial sweep of Algorithm 2 and of Luby on ``gnp-dense`` n = 2000
   (~2x10^6 directed edges, both streams batched), the only configs whose
-  engine time is edge-bound rather than node-bound: in-call edge
-  filtering and receipt counting in the recursion, the carried edge
-  frontier of the phase loop;
+  engine time is edge-bound rather than node-bound: in-call row
+  filtering and row reads in the recursion, the carried edge frontier
+  of the phase loop;
 * ``gnp_dense_4e3_stream_build`` -- a ``gnp_arrays_v2(4000, 0.5)``
   build (~4x10^6 pairs): the only row whose graph spans more than one
   ``GNP_V2_CHUNK`` refill, so the chunked CSR build keeps and scatters

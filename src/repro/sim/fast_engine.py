@@ -153,6 +153,13 @@ SUPPORTED_ALGORITHMS = tuple(ENGINE_CAPABILITIES)
 #: encode to 2 bits under :func:`repro.sim.messages.payload_bits`).
 _FLAG_BITS = 2
 
+#: A row read replaces the boolean pass over a call's rows when the picked
+#: rows hold less than one entry in this many (see :func:`_row_entries`).
+_ROW_READ_SHARE = 4
+
+#: Array length from which :func:`_select` switches to ``np.compress``.
+_COMPRESS_MIN = 2048
+
 
 def assemble_result(
     *,
@@ -557,7 +564,7 @@ class VectorizedEngine:
             return
 
         if len(U) == 1:
-            self._singleton_call(int(U[0]), k, r)
+            self._singleton_call(int(U[0]), r)
             return
 
         self.mrecv[U] += 3 * deg_in
@@ -612,7 +619,7 @@ class VectorizedEngine:
         if len(D):
             self._recurse(D, deg_D, de_D, k - 1, r2 + 1)
 
-    def _singleton_call(self, u: int, k: int, r: int) -> None:
+    def _singleton_call(self, u: int, r: int) -> None:
         """Closed form for a call whose participant set is one node.
 
         With nobody else awake the node hears nothing in Part 2, decides
@@ -958,11 +965,6 @@ def _row_entries(
     return de[positions]
 
 
-#: A row read replaces the boolean pass when the picked rows hold less
-#: than one entry in this many.
-_ROW_READ_SHARE = 4
-
-
 def _select(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``values[mask]``, for a mask with no long runs.
 
@@ -975,10 +977,6 @@ def _select(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     if len(mask) < _COMPRESS_MIN:
         return values[mask]
     return np.compress(mask, values)
-
-
-#: Array length from which :func:`_select` switches to ``np.compress``.
-_COMPRESS_MIN = 2048
 
 
 def simulate_vectorized(

@@ -378,8 +378,8 @@ class TestRunPeakPerEdge:
 
     The engines keep no persistent per-edge state (live sets are derived
     from in-loop membership); everything edge-sized is a transient of one
-    recursion call or one phase (in-call edge ids and endpoints,
-    frontier-local endpoint ids, delivery masks).  Received messages are
+    recursion call or one phase (a call's row masks and its sub-calls'
+    filtered rows, frontier-local endpoint ids, delivery masks).  Received messages are
     counted per node, so no 8-byte counter per edge exists, and the top
     call and phase 0 read the CSR columns in place instead of gathering
     copies of them.  The bounds sit well below what an int64 per-edge

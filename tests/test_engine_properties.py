@@ -103,6 +103,48 @@ class TestFastForwardAccounting:
             )
 
 
+class TestRowReads:
+    """The sleeping engine's two ways of reading a call's picked CSR rows
+    (one boolean pass, or positions built from the row starts) return
+    the same entries, whichever the picked share selects."""
+
+    @pytest.mark.parametrize("share", [0.0, 0.05, 0.3, 0.9, 1.0])
+    def test_row_entries_paths_agree(self, share, monkeypatch):
+        import numpy as np
+
+        import repro.sim.fast_engine as fe
+
+        rng = np.random.default_rng(int(100 * share))
+        deg = rng.integers(0, 7, size=3000)
+        de = rng.integers(0, 3000, size=int(deg.sum())).astype(np.int32)
+        pick = rng.random(3000) < share
+        starts = np.cumsum(deg) - deg
+        want = [
+            de[start : start + d]
+            for start, d, picked in zip(starts, deg, pick)
+            if picked
+        ]
+        want = np.concatenate(want) if want else np.empty(0, np.int32)
+        for row_read_share in (0, 10**9):  # always rows, always one pass
+            monkeypatch.setattr(fe, "_ROW_READ_SHARE", row_read_share)
+            got = fe._row_entries(pick, deg, de)
+            assert got.dtype == np.int32
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("size", [0, 5, 2047, 2048, 50_000])
+    def test_select_is_boolean_indexing(self, size):
+        import numpy as np
+
+        from repro.sim.fast_engine import _select
+
+        rng = np.random.default_rng(size)
+        values = rng.integers(-9, 9, size=size)
+        mask = rng.random(size) < 0.5
+        got = _select(values, mask)
+        assert got.dtype == values.dtype
+        np.testing.assert_array_equal(got, values[mask])
+
+
 class TestBatchRunner:
     def test_results_in_seed_order_and_equal_to_single_runs(self):
         graph = gnp(30, 0.15, 4)
