@@ -503,7 +503,7 @@ class VectorizedEngine:
         )
         self.base_truncated = scratch.take("base_truncated", n, bool, fill=False)
         # Set-use-clear masks shared by every call of the recursion (saves
-        # two O(n) zero-fills per call; see _subgraph and Parts 4/5).
+        # O(n) zero-fills per call; see _subgraph and Part 4).
         self._sub_mask = scratch.take("sub_mask", n, bool, fill=False)
         self._nbr_mask = scratch.take("nbr_mask", n, bool, fill=False)
         # Global-to-local node index map for sub-call degrees and the
@@ -804,8 +804,7 @@ class VectorizedEngine:
             if len(eact):
                 self._decide(eact, False, rB + 1)
                 undecided &= ~elim
-            if len(jact):
-                inloop &= ~joined
+            inloop &= ~joined
 
             # Round C -- OUT announcements from the newly eliminated;
             # survivors drop the announcers from their live sets.
@@ -821,8 +820,7 @@ class VectorizedEngine:
             self.idle[U[survivor & (got_out == 0)]] += 1
             # Announcers leave the loop, so every OUT shrinks a live set.
             live_cnt -= got_out
-            if len(eact):
-                inloop &= ~elim
+            inloop &= ~elim
             p += 1
 
     # ------------------------------------------------------------------
