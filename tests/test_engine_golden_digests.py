@@ -23,6 +23,13 @@ from two passes to one, and must not move with any builder change.
 :meth:`GraphArrays.from_edges`: the legacy samplers, the deterministic
 topologies, and one raw call with self-loops and duplicates.
 
+:data:`SMALL_CASES` pin the other end: every vectorized algorithm, on
+both streams, over seven topologies of two to nine nodes, where every
+recursion call and base case is tiny; :data:`GREEDY_BASE_CASES` pin
+Algorithm 2 on a graph whose greedy base cases hold several nodes.
+:class:`TestSmallTopologies` checks hand-checkable facts on the same
+runs.
+
 Engine and builder optimisations must leave every digest unchanged.  A
 deliberate change of execution (a new stream format, a protocol fix)
 refreshes them with ``python tests/test_engine_golden_digests.py``.
@@ -34,6 +41,7 @@ import numpy as np
 import pytest
 
 import repro.graphs.arrays as arrays_mod
+from repro.core import schedule
 from repro.graphs.arrays import make_family_arrays
 from repro.graphs.csr import GraphArrays
 from repro.sim.batch import make_vectorized_engine
@@ -234,6 +242,204 @@ def test_float_regime_digest_is_pinned(algorithm):
     assert float_result_digest(run_float_case(algorithm)) == FLOAT_GOLDEN[
         algorithm
     ]
+
+
+#: Small topologies, by name: every recursion call and greedy base case
+#: on them has a handful of nodes.
+SMALL_GRAPHS = {
+    "star-9": lambda: arrays_mod.star_arrays(9),
+    "path-8": lambda: arrays_mod.path_arrays(8),
+    "grid-3x3": lambda: arrays_mod.grid_arrays(3, 3),
+    "K2": lambda: arrays_mod.complete_arrays(2),
+    "triangle": lambda: arrays_mod.complete_arrays(3),
+    "K4": lambda: arrays_mod.complete_arrays(4),
+    "edge-plus-isolated": lambda: GraphArrays.from_edges(
+        3, np.array([0]), np.array([1])
+    ),
+}
+
+#: Trial seeds each small topology runs under.
+SMALL_SEEDS = range(4)
+
+ALL_ALGORITHMS = (
+    "sleeping", "fast-sleeping", "luby", "greedy", "ghaffari", "abi",
+)
+
+
+def run_small(graph, algorithm, rng, seed):
+    return make_vectorized_engine(
+        graph, algorithm, seed=seed, rng=rng, result="arrays"
+    ).run()
+
+
+def small_topology_digest(algorithm, rng):
+    """sha256 over every small topology and seed, in a fixed order."""
+    h = hashlib.sha256()
+    for name, build in SMALL_GRAPHS.items():
+        graph = build()
+        for seed in SMALL_SEEDS:
+            result = run_small(graph, algorithm, rng, seed)
+            h.update(f"{name}:{seed}:{result_digest(result)}".encode())
+    return h.hexdigest()
+
+
+#: ((algorithm, rng stream), sha256 over all small topologies and seeds).
+SMALL_CASES = (
+    (
+        ("sleeping", "pernode"),
+        "e6e7253a974eabc6543fe870ec8d5773c452eb207ab0a776648a598eeb36d74d",
+    ),
+    (
+        ("sleeping", "batched"),
+        "26044d417f806771ca7673aea61913cddb6ff06ee171a1ca5c9e62afd26f0153",
+    ),
+    (
+        ("fast-sleeping", "pernode"),
+        "83611ed62ca1bcddf2cba9668d53f84a1888ecfbd3f57142241496673c21d41e",
+    ),
+    (
+        ("fast-sleeping", "batched"),
+        "0a02b078bb2ac4d4b837f411c14d09b612b4f4a37958c6620a2f25e0239f2442",
+    ),
+    (
+        ("luby", "pernode"),
+        "5d9ec7510afdc6713fb5a8b4bfb5ae58f7b782f9e4a01c4571e79ea553c69241",
+    ),
+    (
+        ("luby", "batched"),
+        "363e19c86bf9fc5e364dd55b99cd2edaaadc22474e1b1b20ad76f21c6a0a6bc5",
+    ),
+    (
+        ("greedy", "pernode"),
+        "666cac124243fb41470860f9a5cdc0165a10e2331b6ea5a36288e213d1909f1b",
+    ),
+    (
+        ("greedy", "batched"),
+        "6170eb9a59d1aa9371d6dba89847974e80b044042723ef75dccf055c4a94e7f5",
+    ),
+    (
+        ("ghaffari", "pernode"),
+        "2d4c526d8a36d002ebbe2ee1e646b0aefbd643689f0c28580ec5afaee2c496d7",
+    ),
+    (
+        ("ghaffari", "batched"),
+        "cc62879d9c50089ea6725ca5c53e9790f9fe3b1d8dc5077f0fb9644ad2f2779e",
+    ),
+    (
+        ("abi", "pernode"),
+        "da12a8bf978eaac864f39f95ffea01ae997931abbadbde97c3c3f6a9d11ff7ad",
+    ),
+    (
+        ("abi", "batched"),
+        "d04d8c753f49dc04a738e8aec308e31b4f0f2a98f057afd6d411e560cc3c52ea",
+    ),
+)
+SMALL_GOLDEN = dict(SMALL_CASES)
+
+
+@pytest.mark.parametrize(
+    "case", list(SMALL_GOLDEN), ids=["-".join(c) for c in SMALL_GOLDEN]
+)
+def test_small_topology_digest_is_pinned(case):
+    assert small_topology_digest(*case) == SMALL_GOLDEN[case]
+
+
+#: Algorithm 2 on gnp-sparse n = 300, truncated to depth 3 or 4 so that
+#: its greedy base cases hold 2 to 45 nodes (at the default depth 8 the
+#: recursion decides everyone before the base).  ((rng stream, trial
+#: seed, depth), sha256 of the result).
+GREEDY_BASE_CASES = (
+    (
+        ("pernode", 8, 3),
+        "64ed89a3e93b9ef6cb29d76bdf59458867a06b1ff78c0e56a93fcdbaf4fc9ad0",
+    ),
+    (
+        ("pernode", 8, 4),
+        "aa282f9ca0513d36261570efdf7f6b174dbfe98795ac28874e56477275732219",
+    ),
+    (
+        ("batched", 8, 3),
+        "582868f2261df3595a1d9c3cc38df58cbd0bbe438c454420bfdcc08670097fba",
+    ),
+    (
+        ("batched", 8, 4),
+        "1f0ce5bab04c8d62ae07f782098510d130b55497785bab3b3d4b8fecf83ea66c",
+    ),
+)
+GREEDY_BASE_GOLDEN = dict(GREEDY_BASE_CASES)
+
+
+def run_greedy_base_case(rng, seed, depth):
+    return run_path_case(
+        "gnp-sparse-300", "fast-sleeping", rng, seed, depth=depth
+    )
+
+
+@pytest.mark.parametrize(
+    "case", list(GREEDY_BASE_GOLDEN),
+    ids=["-".join(map(str, c)) for c in GREEDY_BASE_GOLDEN],
+)
+def test_greedy_base_digest_is_pinned(case):
+    assert result_digest(run_greedy_base_case(*case)) == GREEDY_BASE_GOLDEN[
+        case
+    ]
+
+
+class TestSmallTopologies:
+    """Hand-checkable facts on the small topologies, for every vectorized
+    algorithm on both streams (aomond-imt's ``test_star``/``test_chain``/
+    ``test_grid`` idiom)."""
+
+    @pytest.mark.parametrize("rng", ("pernode", "batched"))
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHMS)
+    @pytest.mark.parametrize("name", list(SMALL_GRAPHS))
+    def test_facts(self, name, algorithm, rng):
+        graph = SMALL_GRAPHS[name]()
+        for seed in SMALL_SEEDS:
+            result = run_small(graph, algorithm, rng, seed)
+            mis = set(np.flatnonzero(result.mis_mask).tolist())
+            assert result.all_finished and is_dominating(graph, mis)
+            if algorithm == "sleeping" and not result.is_valid_mis():
+                # Algorithm 1 is correct with high probability only: two
+                # neighbors whose coins agree at every level meet in a
+                # depth-0 call, where everyone joins.  On two or three
+                # nodes that happens at a few of these seeds.
+                continue
+            assert result.is_valid_mis()
+            if name == "star-9":
+                assert mis in ({0}, set(range(1, 9)))
+            elif name in ("K2", "triangle", "K4"):
+                assert len(mis) == 1
+            elif name == "edge-plus-isolated":
+                assert 2 in mis and len(mis & {0, 1}) == 1
+            elif name == "path-8":
+                assert 3 <= len(mis) <= 4
+            # Nobody is awake or asleep past its own last round.
+            np.testing.assert_array_equal(
+                result.awake_rounds + result.sleep_rounds, result.finish_round
+            )
+            if algorithm in ("sleeping", "fast-sleeping"):
+                assert result.rounds == schedule_duration(algorithm, graph.n)
+                assert (result.finish_round == result.rounds).all()
+            else:
+                assert (result.sleep_rounds == 0).all()
+
+
+def is_dominating(graph, mis):
+    """Every node is in ``mis`` or has a neighbor in it."""
+    return all(
+        v in mis or not mis.isdisjoint(nbrs)
+        for v, nbrs in graph.adjacency.items()
+    )
+
+
+def schedule_duration(algorithm, n):
+    """The full recursion schedule's length for Algorithm 1 or 2."""
+    if algorithm == "sleeping":
+        return schedule.call_duration(schedule.recursion_depth(n))
+    return schedule.fast_call_duration(
+        schedule.truncated_depth(n), schedule.greedy_rounds(n)
+    )
 
 
 #: Small refills, so both streamed cases split into hundreds of chunks.
@@ -441,6 +647,13 @@ if __name__ == "__main__":  # regenerate the tables above
     )
     _print_table(
         FLOAT_GOLDEN, lambda alg: float_result_digest(run_float_case(alg))
+    )
+    _print_table(
+        SMALL_GOLDEN, lambda case: small_topology_digest(*case)
+    )
+    _print_table(
+        GREEDY_BASE_GOLDEN,
+        lambda case: result_digest(run_greedy_base_case(*case)),
     )
     _print_table(CSR_GOLDEN, lambda case: edge_digest(build_csr(*case)))
     _print_table(
