@@ -293,19 +293,19 @@ def u64_mod_bound(u: np.ndarray, bound: int) -> np.ndarray:
 
 
 def bit_length_u64(u: np.ndarray) -> np.ndarray:
-    """Exact ``int.bit_length()`` over a uint64 array (no float detours).
+    """Exact ``int.bit_length()`` over a uint64 array, as int64.
 
-    ``floor(log2)`` via float64 misrounds above 2^53; this binary-search
-    shift loop is exact for the full 64-bit range.
+    ``floor(log2)`` of the whole value misrounds above 2^53, so each
+    32-bit half is converted on its own: both convert to float64 exactly,
+    and ``frexp``'s exponent of an integer below 2^53 is its bit length
+    (0 for 0).  The high half, when nonzero, decides.
     """
-    v = u.copy()
-    length = np.zeros(u.shape, dtype=np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        big = v >= np.uint64(1) << np.uint64(shift)
-        length[big] += shift
-        v[big] >>= np.uint64(shift)
-    length[v > 0] += 1
-    return length
+    u = np.asarray(u, dtype=np.uint64)
+    hi = (u >> np.uint64(32)).astype(np.float64)
+    lo = (u & np.uint64(0xFFFFFFFF)).astype(np.float64)
+    e_hi = np.frexp(hi)[1].astype(np.int64)
+    e_lo = np.frexp(lo)[1].astype(np.int64)
+    return np.where(hi > 0, e_hi + 32, e_lo)
 
 
 class CounterRNG(random.Random):

@@ -152,11 +152,24 @@ class TestScalarVectorAgreement:
         assert (floats >= 0).all() and (floats < 1).all()
 
     def test_bit_length_u64_exact(self):
-        values = [0, 1, 2, 3, 2**52 - 1, 2**53, 2**53 + 1, 2**63, 2**64 - 1]
+        # Every power of two and both of its neighbours, then random
+        # widths: each bit length from 0 to 64 and each half boundary.
+        values = sorted({
+            v
+            for k in range(65)
+            for v in (2**k - 1, 2**k, 2**k + 1)
+            if v < 2**64
+        })
+        rng = np.random.default_rng(5)
+        widths = rng.integers(0, 65, size=20_000)
+        values += [int(x) >> (64 - int(w)) if w else 0 for x, w in zip(
+            rng.integers(0, 2**64, size=len(widths), dtype=np.uint64).tolist(),
+            widths.tolist(),
+        )]
         arr = np.array(values, dtype=np.uint64)
-        assert rng_mod.bit_length_u64(arr).tolist() == [
-            v.bit_length() for v in values
-        ]
+        got = rng_mod.bit_length_u64(arr)
+        assert got.dtype == np.int64
+        assert got.tolist() == [v.bit_length() for v in values]
 
     def test_derived_random_methods_work(self):
         """Inherited random.Random machinery routes through the stream."""
