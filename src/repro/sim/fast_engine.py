@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .rng import (
     DEFAULT_STREAM,
     bit_length_u64,
     draw_u64_array,
+    mix64,
     node_rng,  # noqa: F401  (re-exported; historical import site)
     node_rng_bulk,
     randbelow,
@@ -159,6 +160,19 @@ _ROW_READ_SHARE = 4
 
 #: Array length from which :func:`_select` switches to ``np.compress``.
 _COMPRESS_MIN = 2048
+
+#: A recursion call of at most this many participants, whose rows hold at
+#: most :data:`SCALAR_MAX_ENTRIES` entries, runs its whole subtree on
+#: Python lists (:meth:`VectorizedEngine._scalar_subtree`).  Measured on
+#: gnp-sparse n = 10^3: 32/64/128/256 nodes cost 3.18/2.95/3.06/3.54 ms
+#: per Algorithm 1/2 run (no kernel: 6.12 ms); past ~128 nodes per-node
+#: Python work outweighs the numpy dispatch it saves.
+SCALAR_MAX_NODES = 64
+
+#: Row-entry cap of the scalar kernel.  Without it, 64-node calls on
+#: gnp-dense hold ~2000 entries each and run slower on lists than on
+#: arrays.
+SCALAR_MAX_ENTRIES = 512
 
 
 def assemble_result(
@@ -435,6 +449,7 @@ class VectorizedEngine:
         # values, without the n x depth draw (~0.5 GB and several seconds
         # of construction at n = 10^6, where depth = 60).
         depth = self.depth
+        self._durations = [self._duration(j) for j in range(depth + 1)]
         scratch = scratch if scratch is not None else EngineScratch()
         self._scratch = scratch
         if rng == "pernode":
@@ -556,15 +571,15 @@ class VectorizedEngine:
         broadcast: Parts 2, 4 and 5 each broadcast over the same ``G[U]``,
         so all three receipts are counted up front.
         """
+        if len(U) <= SCALAR_MAX_NODES and len(de) <= SCALAR_MAX_ENTRIES:
+            self._scalar_subtree(U, deg_in, de, k, r)
+            return
+
         if k == 0:
             if self.algorithm == "sleeping":
                 self._decide(U, True, r)
             else:
                 self._greedy_base(U, deg_in, de, r)
-            return
-
-        if len(U) == 1:
-            self._singleton_call(int(U[0]), r)
             return
 
         self.mrecv[U] += 3 * deg_in
@@ -586,7 +601,7 @@ class VectorizedEngine:
         # rows name every node with an MIS neighbor.  The flag mask
         # borrows one shared buffer (set, read, clear by the same
         # indices) instead of zeroing a fresh O(n) array per call.
-        r1 = r + 1 + self._duration(k - 1)
+        r1 = r + 1 + self._durations[k - 1]
         self.awake[U] += 1
         status = self.in_mis[U]
         heads = _row_entries(status == 1, deg_in, de)
@@ -618,22 +633,6 @@ class VectorizedEngine:
         # joiners' rows were empty, so G[D]'s rows are already G[R]'s.
         if len(D):
             self._recurse(D, deg_D, de_D, k - 1, r2 + 1)
-
-    def _singleton_call(self, u: int, r: int) -> None:
-        """Closed form for a call whose participant set is one node.
-
-        With nobody else awake the node hears nothing in Part 2, decides
-        ``isolated`` immediately, then (already decided) sleeps through
-        both sub-calls and broadcasts its announcements alone in Parts 4
-        and 5 -- three awake rounds total, no recursion.  Near the leaves
-        most calls are singletons, so bypassing the array machinery here
-        is a real constant-factor win.
-        """
-        assert self.in_mis[u] == -1
-        self.awake[u] += 3
-        self.in_mis[u] = 1
-        self.decision_round[u] = r + 1
-        self.awake_at_decision[u] = self.awake[u] - 2  # after Part 2 only
 
     def _coin_heads(self, U: np.ndarray, k: int) -> np.ndarray:
         """The level-``k`` coins of participants ``U`` (True = recurse left).
@@ -701,23 +700,6 @@ class VectorizedEngine:
         messages and bits it sends.
         """
         W = self.base_rounds
-
-        if len(U) == 1:
-            # Lone participant: discovery hears nothing, the rank is still
-            # drawn (stream alignment!), and the loop head immediately
-            # decides isolated-among-survivors.
-            u = int(U[0])
-            self.awake[u] += 1
-            if self._rngs is not None:
-                randbelow(self._rngs[u], self._rank_bound)
-            else:
-                self._ctr[u] += 1
-            assert self.in_mis[u] == -1
-            self.in_mis[u] = 1
-            self.decision_round[u] = r + 1
-            self.awake_at_decision[u] = self.awake[u]
-            return
-
         nu = len(U)
         local = self._local_index
         local[U] = np.arange(nu, dtype=np.int32)
@@ -822,6 +804,163 @@ class VectorizedEngine:
             live_cnt -= got_out
             inloop &= ~elim
             p += 1
+
+    # ------------------------------------------------------------------
+    # The scalar kernel: a whole small subtree on Python lists.
+    # ------------------------------------------------------------------
+
+    def _scalar_subtree(
+        self, U: np.ndarray, deg_in: np.ndarray, de: np.ndarray, k: int, r: int
+    ) -> None:
+        """The call over ``U`` and its whole subtree, on Python lists.
+
+        The same execution as :meth:`_recurse` and :meth:`_greedy_base`,
+        step for step, for a call small enough that numpy's per-call
+        dispatch (~100 us for a 2-8 node call) would dwarf its data.  The
+        call's rows are read once, as sets of local ids ``0..|U|-1``
+        (ascending with ``U``); the subtree's coins come from one
+        ``k x |U|`` draw.  Every counter the recursion writes --
+        ``awake``, ``mrecv``, the decisions, the base case's
+        ``tx``/``rx``/``idle``/``msent``/``bits``, truncation flags and
+        stream counters -- accumulates in local lists and is scattered to
+        the node arrays once, at the end.
+
+        Where one pass counts two awake rounds at once (Parts 4 and 5 of
+        a call, rounds A and B of a base phase), a decision between them
+        records the one that has not yet happened (``ahead``).
+        """
+        assert (self.in_mis[U] == -1).all(), "re-deciding a node"
+        m = len(U)
+        local = self._local_index
+        local[U] = np.arange(m, dtype=np.int32)
+        flat = local[de].tolist()
+        rows: List[Set[int]] = []
+        end = 0
+        for d in deg_in.tolist():
+            rows.append(set(flat[end:end + d]))
+            end += d
+        heads = self._scalar_heads(U, k)
+        durations = self._durations
+
+        status = [-1] * m
+        awake = [0] * m
+        mrecv = [0] * m
+        clock_at = [0] * m
+        awake_at = [0] * m
+
+        def decide(v: int, value: int, clock: int, ahead: int) -> None:
+            assert status[v] == -1, "re-deciding a node"
+            status[v] = value
+            clock_at[v] = clock
+            awake_at[v] = awake[v] - ahead
+
+        base = (
+            None if self.algorithm == "sleeping"
+            else _ScalarBase(self, U, decide, awake, mrecv)
+        )
+
+        def call(S: List[int], rows_S: List[Set[int]], k: int, r: int) -> None:
+            if k == 0:
+                if base is None:
+                    for v in S:
+                        decide(v, 1, r, 0)
+                else:
+                    base.run(S, rows_S, r)
+                return
+            if len(S) == 1:
+                v = S[0]
+                awake[v] += 3
+                decide(v, 1, r + 1, 2)
+                return
+
+            # Part 2 -- every broadcast of the call is heard up front; the
+            # empty rows are isolated.
+            for v, row in zip(S, rows_S):
+                awake[v] += 1
+                if row:
+                    mrecv[v] += 3 * len(row)
+                else:
+                    decide(v, 1, r + 1, 0)
+
+            # Part 3 -- left recursion over the undecided heads.
+            level = k - 1
+            coin = heads[level]
+            left = [i for i, v in enumerate(S) if coin[v] and status[v] == -1]
+            if left:
+                L = {S[i] for i in left}
+                call(
+                    [S[i] for i in left],
+                    [rows_S[i] & L for i in left],
+                    level,
+                    r + 1,
+                )
+
+            # Part 4 -- elimination by an MIS neighbor.  Parts 4 and 5
+            # wake everyone; both are counted here.
+            for v in S:
+                awake[v] += 2
+            clock = r + 2 + durations[level]
+            mis = {v for v in S if status[v] == 1}
+            for v, row in zip(S, rows_S):
+                if status[v] == -1 and not mis.isdisjoint(row):
+                    decide(v, 0, clock, 1)
+
+            # Part 5 -- the undecided with no undecided neighbor join.
+            pending = [i for i, v in enumerate(S) if status[v] == -1]
+            if not pending:
+                return
+            clock += 1
+            D = {S[i] for i in pending}
+            R: List[int] = []
+            rows_R: List[Set[int]] = []
+            for i in pending:
+                row = rows_S[i] & D
+                if row:
+                    R.append(S[i])
+                    rows_R.append(row)
+                else:
+                    decide(S[i], 1, clock, 0)
+
+            # Part 6 -- right recursion over the rest.
+            if R:
+                call(R, rows_R, level, clock)
+
+        call(list(range(m)), rows, k, r)
+
+        # One scatter per counter.
+        entry_awake = self.awake[U]
+        self.awake[U] = entry_awake + awake
+        self.mrecv[U] += mrecv
+        decided = [v for v in range(m) if status[v] != -1]
+        if decided:
+            if len(decided) < m:
+                idx = U[decided]
+                entry_awake = entry_awake[decided]
+                status = [status[v] for v in decided]
+                clock_at = [clock_at[v] for v in decided]
+                awake_at = [awake_at[v] for v in decided]
+            else:
+                idx = U
+            assert (self.in_mis[idx] == -1).all(), "re-deciding a node"
+            self.in_mis[idx] = status
+            self.decision_round[idx] = np.array(
+                clock_at, dtype=self._round_dtype
+            )
+            self.awake_at_decision[idx] = entry_awake + awake_at
+        if base is not None:
+            base.scatter()
+
+    def _scalar_heads(self, U: np.ndarray, k: int) -> List[List[bool]]:
+        """Coins of levels ``1..k`` for ``U``: entry ``[level - 1][i]`` is
+        node ``U[i]``'s (True = recurse left), as :meth:`_coin_heads`."""
+        if not k:
+            return []
+        if self.coins is not None:
+            return (self.coins[U, :k] == 1).T.tolist()
+        draws = draw_u64_array(
+            self._key, U, np.arange(k, dtype=np.int64)[:, None]
+        )
+        return (u64_to_unit_float(draws) < self.coin_bias).tolist()
 
     # ------------------------------------------------------------------
 
@@ -938,6 +1077,172 @@ class VectorizedEngine:
                 finish=repeat(rounds),
                 in_mis=self.in_mis.tolist(),
             )
+
+
+class _ScalarBase:
+    """Algorithm 2's greedy base cases inside one scalar subtree.
+
+    :meth:`VectorizedEngine._greedy_base` on Python lists: :meth:`run`
+    takes a base call's local ids and in-call rows (sets of local ids)
+    and plays its window against the subtree's ``awake``/``mrecv`` lists
+    and ``decide``.  Its own counters (``tx``/``rx``/``idle``/``msent``/
+    ``bits``, the truncated nodes, the v2 stream counters) are allocated
+    by the first base call and scattered once by :meth:`scatter`.  Ranks
+    are drawn at the array path's stream positions and compared as
+    ``(value, id)`` tuples; a rank message costs ``max(bit_length, 1) +
+    id bits + 10``.
+    """
+
+    __slots__ = (
+        "engine", "U", "decide", "awake", "mrecv", "gid", "id_bits",
+        "ctr", "tx", "rx", "idle", "msent", "bits", "truncated",
+    )
+
+    def __init__(
+        self, engine: "VectorizedEngine", U: np.ndarray,
+        decide: Any, awake: List[int], mrecv: List[int],
+    ) -> None:
+        self.engine = engine
+        self.U = U
+        self.decide = decide
+        self.awake = awake
+        self.mrecv = mrecv
+        self.gid: Optional[List[int]] = None
+
+    def _start(self) -> None:
+        engine, U = self.engine, self.U
+        m = len(U)
+        self.gid = U.tolist()
+        self.id_bits = engine.arrays.id_bits[U].tolist()
+        self.ctr = None if engine._ctr is None else engine._ctr[U].tolist()
+        self.tx = [0] * m
+        self.rx = [0] * m
+        self.idle = [0] * m
+        self.msent = [0] * m
+        self.bits = [0] * m
+        self.truncated: List[int] = []
+
+    def run(self, S: List[int], rows_S: List[Set[int]], r: int) -> None:
+        if self.gid is None:
+            self._start()
+        engine = self.engine
+        W = engine.base_rounds
+        bound = engine._rank_bound
+        rngs, skey, ctr = engine._rngs, engine._key, self.ctr
+        gid, id_bits = self.gid, self.id_bits
+        awake, mrecv, decide = self.awake, self.mrecv, self.decide
+        tx, rx, idle = self.tx, self.rx, self.idle
+        msent, bits = self.msent, self.bits
+
+        # Discovery: live sets start as the in-call rows, one presence
+        # flag heard per neighbor; then one rank draw per participant.
+        live: Dict[int, Set[int]] = {}
+        rank: Dict[int, Tuple[int, int]] = {}
+        rank_bits: Dict[int, int] = {}
+        for v, row in zip(S, rows_S):
+            awake[v] += 1
+            mrecv[v] += len(row)
+            live[v] = row
+            g = gid[v]
+            if rngs is not None:
+                value = randbelow(rngs[g], bound)
+            else:
+                value = mix64(skey + (g << 32) + ctr[v]) % bound
+                ctr[v] += 1
+            rank[v] = (value, g)
+            rank_bits[v] = max(value.bit_length(), 1) + id_bits[v] + 10
+
+        act = S
+        clock = r + 1
+        while True:
+            # Loop head: the isolated join; out of window, the rest leave.
+            closing = clock - r + 3 > W
+            stay = []
+            for v in act:
+                if not live[v]:
+                    decide(v, 1, clock, 0)
+                elif closing:
+                    self.truncated.append(v)
+                else:
+                    stay.append(v)
+            act = stay
+            if not act:
+                return
+
+            # Round A -- rank exchange; a node beating every live
+            # neighbor joins.  Everyone in the loop is awake in rounds A
+            # and B, so both are counted here.
+            joined = []
+            for v in act:
+                row = live[v]
+                c = len(row)
+                awake[v] += 2
+                tx[v] += 1
+                msent[v] += c
+                bits[v] += rank_bits[v] * c
+                mrecv[v] += c
+                if max(map(rank.__getitem__, row)) < rank[v]:
+                    joined.append(v)
+            for v in joined:
+                decide(v, 1, clock + 1, 1)
+
+            # Round B -- JOINs; a silent node that hears one is out.
+            J = set(joined)
+            for v in joined:
+                c = len(live[v])
+                tx[v] += 1
+                msent[v] += c
+                bits[v] += _FLAG_BITS * c
+            silent = [v for v in act if v not in J]
+            elim = []
+            for v in silent:
+                got = len(live[v] & J)
+                if got:
+                    mrecv[v] += got
+                    rx[v] += 1
+                    elim.append(v)
+                else:
+                    idle[v] += 1
+            for v in elim:
+                decide(v, 0, clock + 2, 0)
+
+            # Round C -- OUTs; survivors drop the announcers.
+            E = set(elim)
+            survivors = []
+            for v in silent:
+                awake[v] += 1
+                row = live[v]
+                if v in E:
+                    c = len(row)
+                    tx[v] += 1
+                    msent[v] += c
+                    bits[v] += _FLAG_BITS * c
+                    mrecv[v] += len(row & E)
+                    continue
+                survivors.append(v)
+                if E and not E.isdisjoint(row):
+                    rx[v] += 1
+                    mrecv[v] += len(row & E)
+                    live[v] = row - E
+                else:
+                    idle[v] += 1
+            act = survivors
+            clock += 3
+
+    def scatter(self) -> None:
+        """Add this subtree's base-case counters to the engine's arrays."""
+        if self.gid is None:
+            return
+        engine, U = self.engine, self.U
+        engine.tx[U] += self.tx
+        engine.rx[U] += self.rx
+        engine.idle[U] += self.idle
+        engine.msent[U] += self.msent
+        engine.bits[U] += self.bits
+        if self.truncated:
+            engine.base_truncated[U[self.truncated]] = True
+        if self.ctr is not None:
+            engine._ctr[U] = self.ctr
 
 
 def _row_entries(

@@ -10,6 +10,9 @@ structurally impossible.  ``tests/conftest.py`` re-exports the fixtures.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 import networkx as nx
 import numpy as np
 
@@ -38,6 +41,31 @@ GRAPH_CASES = [
 
 GRAPH_IDS = [name for name, _ in GRAPH_CASES]
 GRAPH_BUILDERS = [builder for _, builder in GRAPH_CASES]
+
+
+#: How the sleeping engine's calls are split between its numpy path and
+#: its scalar kernel: ``"array"`` never runs the kernel, ``"default"``
+#: keeps the engine's thresholds, ``"scalar"`` runs every call on it.
+KERNEL_MODES = ("array", "default", "scalar")
+
+
+@contextmanager
+def kernel_mode(mode):
+    """Run the block with the scalar-kernel thresholds set for ``mode``
+    (see :data:`KERNEL_MODES`), restoring them after."""
+    import repro.sim.fast_engine as fast_engine
+
+    names = ("SCALAR_MAX_NODES", "SCALAR_MAX_ENTRIES")
+    saved = [getattr(fast_engine, name) for name in names]
+    limit = {"array": 0, "default": None, "scalar": sys.maxsize}[mode]
+    if limit is not None:
+        for name in names:
+            setattr(fast_engine, name, limit)
+    try:
+        yield
+    finally:
+        for name, value in zip(names, saved):
+            setattr(fast_engine, name, value)
 
 
 def run_mis(graph, algorithm, seed=0, **kwargs):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import GRAPH_CASES, run_mis
+from helpers import GRAPH_CASES, kernel_mode, run_mis
 
 from repro.graphs.arrays import (
     gnp_arrays_v2,
@@ -310,32 +310,49 @@ DIFFERENTIAL_CONFIGS = [("sleeping", {})] + [
 ]
 
 
+#: The configs each kernel mode draws from: the numpy path ("array") is
+#: fuzzed on the sleeping engine's configs only, since the phased engines
+#: have no scalar kernel.
+KERNEL_CONFIGS = {
+    "default": DIFFERENTIAL_CONFIGS,
+    "array": [
+        config for config in DIFFERENTIAL_CONFIGS if config[0] in ALGORITHMS
+    ],
+}
+
+
 class TestRandomGraphDifferential:
     """Generator vs vectorized engine on random graphs.
 
     The vectorized engines derive every live set from in-loop membership
     (the live-set invariant of :mod:`repro.sim.fast_phased`) instead of
     replaying the protocols' per-node sets; any execution where the two
-    diverge shows up here as a ``NodeStats`` diff.
+    diverge shows up here as a ``NodeStats`` diff.  Graphs this small run
+    almost wholly on the sleeping engine's scalar kernel, so each test
+    also runs with the kernel off (``kernel="array"``), fuzzing the numpy
+    path.
     """
 
     @staticmethod
-    def _assert_engines_agree(graph, config, rng, seed):
+    def _assert_engines_agree(graph, config, rng, seed, kernel):
         algorithm, kwargs = config
         # A builder-made graph runs as it is on the vectorized engine and
         # as its adjacency view on the generator engine.
         reference = graph.adjacency if isinstance(graph, GraphArrays) else graph
+        with kernel_mode(kernel):
+            vectorized = run_mis(
+                graph, algorithm, seed=seed, engine="vectorized", rng=rng,
+                **kwargs,
+            )
         assert_equivalent(
             run_mis(
                 reference, algorithm, seed=seed, engine="generators", rng=rng,
                 **kwargs,
             ),
-            run_mis(
-                graph, algorithm, seed=seed, engine="vectorized", rng=rng,
-                **kwargs,
-            ),
+            vectorized,
         )
 
+    @pytest.mark.parametrize("kernel", list(KERNEL_CONFIGS))
     @settings(
         max_examples=800,
         deadline=None,
@@ -343,13 +360,17 @@ class TestRandomGraphDifferential:
     )
     @given(
         random_small_graphs(),
-        st.sampled_from(DIFFERENTIAL_CONFIGS),
+        st.data(),
         st.sampled_from(("pernode", "batched")),
         st.integers(min_value=0, max_value=2**16),
     )
-    def test_engines_agree_on_random_graphs(self, graph, config, rng, seed):
-        self._assert_engines_agree(graph, config, rng, seed)
+    def test_engines_agree_on_random_graphs(
+        self, kernel, graph, data, rng, seed
+    ):
+        config = data.draw(st.sampled_from(KERNEL_CONFIGS[kernel]))
+        self._assert_engines_agree(graph, config, rng, seed, kernel)
 
+    @pytest.mark.parametrize("kernel", list(KERNEL_CONFIGS))
     @settings(
         max_examples=300,
         deadline=None,
@@ -357,13 +378,14 @@ class TestRandomGraphDifferential:
     )
     @given(
         builder_made_arrays(),
-        st.sampled_from(DIFFERENTIAL_CONFIGS),
+        st.data(),
         st.sampled_from(("pernode", "batched")),
         st.integers(min_value=0, max_value=2**16),
     )
     def test_engines_agree_on_builder_made_graphs(
-        self, graph, config, rng, seed
+        self, kernel, graph, data, rng, seed
     ):
         """Hypothesis draws few builder-made graphs among the others, so
         they get a budget of their own."""
-        self._assert_engines_agree(graph, config, rng, seed)
+        config = data.draw(st.sampled_from(KERNEL_CONFIGS[kernel]))
+        self._assert_engines_agree(graph, config, rng, seed, kernel)

@@ -30,6 +30,10 @@ Algorithm 2 on a graph whose greedy base cases hold several nodes.
 :class:`TestSmallTopologies` checks hand-checkable facts on the same
 runs.
 
+Every digest of the sleeping engine is checked under each kernel mode
+of :data:`helpers.KERNEL_MODES`: with its scalar kernel off, at its
+default thresholds, and taking every call.
+
 Engine and builder optimisations must leave every digest unchanged.  A
 deliberate change of execution (a new stream format, a protocol fix)
 refreshes them with ``python tests/test_engine_golden_digests.py``.
@@ -45,6 +49,9 @@ from repro.core import schedule
 from repro.graphs.arrays import make_family_arrays
 from repro.graphs.csr import GraphArrays
 from repro.sim.batch import make_vectorized_engine
+from repro.sim.fast_engine import SLEEPING_ALGORITHMS
+
+from helpers import KERNEL_MODES, kernel_mode
 
 #: ((family, n, graph seed, algorithm, trial seed), sha256 of the result).
 GOLDEN_CASES = (
@@ -82,6 +89,20 @@ GOLDEN_CASES = (
     ),
 )
 GOLDEN = dict(GOLDEN_CASES)
+
+
+def with_kernel_modes(cases, algorithm_of):
+    """``(case, kernel mode)`` pairs: a sleeping-engine case under every
+    mode of :data:`helpers.KERNEL_MODES`, a phased one (no scalar
+    kernel) once."""
+    return [
+        pytest.param(case, mode, id="-".join(map(str, case + (mode,))))
+        for case in cases
+        for mode in (
+            KERNEL_MODES if algorithm_of(case) in SLEEPING_ALGORITHMS
+            else ("default",)
+        )
+    ]
 
 #: Every per-node column, in a fixed order, with the dtype it is hashed
 #: at (independent of the engine's storage dtype choices).
@@ -125,10 +146,11 @@ def run_case(family, n, graph_seed, algorithm, seed):
 
 
 @pytest.mark.parametrize(
-    "case", list(GOLDEN), ids=["-".join(map(str, c)) for c in GOLDEN]
+    "case,kernel", with_kernel_modes(GOLDEN, lambda case: case[3])
 )
-def test_result_digest_is_pinned(case):
-    assert result_digest(run_case(*case)) == GOLDEN[case]
+def test_result_digest_is_pinned(case, kernel):
+    with kernel_mode(kernel):
+        assert result_digest(run_case(*case)) == GOLDEN[case]
 
 
 def star_with_isolated_nodes():
@@ -193,10 +215,11 @@ def run_path_case(graph, algorithm, rng, seed, **protocol_kwargs):
 
 
 @pytest.mark.parametrize(
-    "case", list(PATH_GOLDEN), ids=["-".join(map(str, c)) for c in PATH_GOLDEN]
+    "case,kernel", with_kernel_modes(PATH_GOLDEN, lambda case: case[1])
 )
-def test_engine_path_digest_is_pinned(case):
-    assert result_digest(run_path_case(*case)) == PATH_GOLDEN[case]
+def test_engine_path_digest_is_pinned(case, kernel):
+    with kernel_mode(kernel):
+        assert result_digest(run_path_case(*case)) == PATH_GOLDEN[case]
 
 
 def float_result_digest(result) -> str:
@@ -237,11 +260,12 @@ def run_float_case(algorithm):
     return result
 
 
+@pytest.mark.parametrize("kernel", KERNEL_MODES)
 @pytest.mark.parametrize("algorithm", list(FLOAT_GOLDEN))
-def test_float_regime_digest_is_pinned(algorithm):
-    assert float_result_digest(run_float_case(algorithm)) == FLOAT_GOLDEN[
-        algorithm
-    ]
+def test_float_regime_digest_is_pinned(algorithm, kernel):
+    with kernel_mode(kernel):
+        digest = float_result_digest(run_float_case(algorithm))
+    assert digest == FLOAT_GOLDEN[algorithm]
 
 
 #: Small topologies, by name: every recursion call and greedy base case
@@ -338,10 +362,11 @@ SMALL_GOLDEN = dict(SMALL_CASES)
 
 
 @pytest.mark.parametrize(
-    "case", list(SMALL_GOLDEN), ids=["-".join(c) for c in SMALL_GOLDEN]
+    "case,kernel", with_kernel_modes(SMALL_GOLDEN, lambda case: case[0])
 )
-def test_small_topology_digest_is_pinned(case):
-    assert small_topology_digest(*case) == SMALL_GOLDEN[case]
+def test_small_topology_digest_is_pinned(case, kernel):
+    with kernel_mode(kernel):
+        assert small_topology_digest(*case) == SMALL_GOLDEN[case]
 
 
 #: Algorithm 2 on gnp-sparse n = 300, truncated to depth 3 or 4 so that
@@ -376,13 +401,13 @@ def run_greedy_base_case(rng, seed, depth):
 
 
 @pytest.mark.parametrize(
-    "case", list(GREEDY_BASE_GOLDEN),
-    ids=["-".join(map(str, c)) for c in GREEDY_BASE_GOLDEN],
+    "case,kernel",
+    with_kernel_modes(GREEDY_BASE_GOLDEN, lambda case: "fast-sleeping"),
 )
-def test_greedy_base_digest_is_pinned(case):
-    assert result_digest(run_greedy_base_case(*case)) == GREEDY_BASE_GOLDEN[
-        case
-    ]
+def test_greedy_base_digest_is_pinned(case, kernel):
+    with kernel_mode(kernel):
+        digest = result_digest(run_greedy_base_case(*case))
+    assert digest == GREEDY_BASE_GOLDEN[case]
 
 
 class TestSmallTopologies:
