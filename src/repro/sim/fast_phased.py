@@ -72,7 +72,7 @@ adversarial input could stall.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -169,22 +169,22 @@ class PhasedVectorizedEngine:
             self._key = stream_key(seed)
             self._ctr = scratch.take("rng_ctr", n, np.int64, fill=0)
 
-        # Per-node state and statistics (the NodeStats fields, as arrays).
+        # Per-node state and the statistics the phases record; ``awake``,
+        # ``tx``, ``idle`` and ``awake_at_decision`` follow from these at
+        # result build (see _stat_columns).
         self.in_mis = scratch.take("in_mis", n, np.int8, fill=-1)
-        self.awake = scratch.take("awake", n, np.int64, fill=0)
-        self.tx = scratch.take("tx", n, np.int64, fill=0)
         self.rx = scratch.take("rx", n, np.int64, fill=0)
-        self.idle = scratch.take("idle", n, np.int64, fill=0)
         self.msent = scratch.take("msent", n, np.int64, fill=0)
         self.bits = scratch.take("bits", n, np.int64, fill=0)
         self.mrecv = scratch.take("mrecv", n, np.int64, fill=0)
         self.decision_round = scratch.take(
             "decision_round", n, np.int64, fill=-1
         )
-        self.awake_at_decision = scratch.take(
-            "awake_at_decision", n, np.int64, fill=-1
-        )
         self.finish = scratch.take("finish", n, np.int64, fill=-1)
+        # In-loop degree == live-set size (the live-set invariant); at
+        # exit, ``deg - live_cnt`` is how many OUTs a node heard.
+        self.live_cnt = scratch.take("live_cnt", n, np.int64)
+        self.live_cnt[:] = arrays.deg
         # Priority state: combined keys (dense rank * n + index for the
         # rank baselines, degree * n + index for abi, constant 0 for
         # ghaffari -- any marked neighbor vetoes a ghaffari win, which is
@@ -337,7 +337,6 @@ class PhasedVectorizedEngine:
         assert (self.in_mis[idx] == -1).all(), "re-deciding a node"
         self.in_mis[idx] = 1 if value else 0
         self.decision_round[idx] = clock
-        self.awake_at_decision[idx] = self.awake[idx]
 
     # ------------------------------------------------------------------
 
@@ -384,8 +383,7 @@ class PhasedVectorizedEngine:
         marking = self.algorithm in MARKING_ALGORITHMS
 
         inloop = np.ones(n, dtype=bool)
-        # In-loop degree == live-set size (the live-set invariant).
-        live_cnt = self.arrays.deg.copy()
+        live_cnt = self.live_cnt
         # Phase 0's frontier is the whole CSR: every node with an edge is
         # in the loop, and row i of ``dst`` is node i's neighborhood.
         df = self.arrays.dst
@@ -441,8 +439,6 @@ class PhasedVectorizedEngine:
             # sets are symmetric, so each node hears as many reports as it
             # sends, and keeps them all.
             self._check_clock(r0, nu)
-            self.awake[U] += 1
-            self.tx[U] += 1
             self.msent[U] += live_cnt_l
             self.bits[U] += self._prio_bits[U] * live_cnt_l
             self.mrecv[U] += live_cnt_l
@@ -470,20 +466,18 @@ class PhasedVectorizedEngine:
             # after sending (they are still awake and receiving this round).
             # Every silent node that hears a JOIN is eliminated.
             self._check_clock(r0 + 1, nu)
-            self.awake[U] += 1
-            self.tx[jidx] += 1
             self.msent[jidx] += live_cnt_l[joined_l]
             self.bits[jidx] += _FLAG_BITS * live_cnt_l[joined_l]
             got_join = np.bincount(
                 ld[np.repeat(joined_l, live_cnt_l)], minlength=nu
             )
-            self.mrecv[U] += got_join
+            # Only the eliminated hear a JOIN (winners are never adjacent).
             silent_l = ~joined_l
             elim_l = silent_l & (got_join > 0)
-            self.rx[U[elim_l]] += 1
-            self.idle[U[silent_l & (got_join == 0)]] += 1
             eidx = U[elim_l]
             if len(eidx):
+                self.rx[eidx] += 1
+                self.mrecv[eidx] += got_join[elim_l]
                 self._decide(eidx, False, r0 + 2)
             self.finish[jidx] = r0 + 2
             inloop[jidx] = False
@@ -492,22 +486,18 @@ class PhasedVectorizedEngine:
             # eliminated to every silent neighbor (winners have
             # terminated); survivors drop the announcers from their live
             # sets, announcers terminate.
-            stillidx = U[silent_l]
-            self._check_clock(r0 + 2, len(stillidx))
-            self.awake[stillidx] += 1
-            self.tx[eidx] += 1
+            self._check_clock(r0 + 2, nu - len(jidx))
             self.msent[eidx] += live_cnt_l[elim_l]
             self.bits[eidx] += _FLAG_BITS * live_cnt_l[elim_l]
             got_out = np.bincount(
                 ld[np.repeat(elim_l, live_cnt_l)], minlength=nu
             )
             got_out[joined_l] = 0
-            self.mrecv[U] += got_out
             survivor_l = silent_l & ~elim_l
             self.rx[U[survivor_l & (got_out > 0)]] += 1
-            self.idle[U[survivor_l & (got_out == 0)]] += 1
-            # Announcers leave the loop, so every OUT shrinks a live set
-            # (the announcers' own counts are never read again).
+            # Announcers leave the loop, so every OUT shrinks a live set;
+            # the OUTs a node hears are counted from its live count at
+            # result build.
             live_cnt[U] -= got_out
             self.finish[eidx] = r0 + 3
             inloop[eidx] = False
@@ -533,11 +523,43 @@ class PhasedVectorizedEngine:
         with phase("result_build"):
             return self._build_result_inner()
 
+    def _stat_columns(self) -> Dict[str, np.ndarray]:
+        """The counters the phases never write, as fresh columns.
+
+        A node is awake in every round until it finishes, so ``awake =
+        finish`` and, for a decided node, ``awake_at_decision =
+        decision_round`` (an undecided node has ``-1`` in both).  It
+        sends in round A of each phase it starts -- ``(finish + 1) // 3``
+        of them -- and once more when it announces a ``JOIN`` (finishing
+        at ``3p + 2``) or an ``OUT`` (eliminated); every other awake round
+        is an ``rx`` or an ``idle`` one.  The ``OUT`` messages a node
+        heard are the ones that shrank its live set: ``deg - live_cnt``.
+        """
+        finish = self.finish
+        tx = (finish + 1) // 3
+        tx += (finish % 3 == 2) | (self.in_mis == 0)
+        idle = finish - tx
+        idle -= self.rx
+        mrecv = self.arrays.deg - self.live_cnt
+        mrecv += self.mrecv
+        return {
+            "awake": finish.copy(),
+            "tx": tx,
+            "idle": idle,
+            "mrecv": mrecv,
+            "awake_at_decision": self.decision_round.copy(),
+        }
+
     def _build_result_inner(self) -> RunResult:
         # Phased nodes never sleep (constant ``sleep`` column) but finish
         # at per-node rounds as they terminate phase by phase.
+        derived = self._stat_columns()
         if self.result_kind == "arrays":
-            from .array_result import ArrayRunResult, result_column
+            from .array_result import (
+                ArrayRunResult,
+                narrow_column,
+                result_column,
+            )
 
             n = self.n
             narrow = self.dtype_kind == "narrow"
@@ -545,24 +567,27 @@ class PhasedVectorizedEngine:
             def col(column: np.ndarray) -> np.ndarray:
                 return result_column(column, narrow=narrow)
 
+            def own(column: np.ndarray) -> np.ndarray:
+                return narrow_column(column) if narrow else column
+
             return ArrayRunResult(
                 n=n,
                 rounds=int(self.finish.max()) if n else 0,
                 seed=self.seed,
                 node_ids=self.node_ids,
                 in_mis=self.in_mis.copy(),
-                awake_rounds=col(self.awake),
+                awake_rounds=own(derived["awake"]),
                 sleep_rounds=np.zeros(
                     n, dtype=np.int32 if narrow else np.int64
                 ),
-                tx_rounds=col(self.tx),
+                tx_rounds=own(derived["tx"]),
                 rx_rounds=col(self.rx),
-                idle_rounds=col(self.idle),
+                idle_rounds=own(derived["idle"]),
                 messages_sent=col(self.msent),
                 bits_sent=col(self.bits),
-                messages_received=col(self.mrecv),
+                messages_received=own(derived["mrecv"]),
                 decision_round=col(self.decision_round),
-                awake_at_decision=col(self.awake_at_decision),
+                awake_at_decision=own(derived["awake_at_decision"]),
                 finish_round=col(self.finish),
                 arrays=self.arrays,
             )
@@ -577,16 +602,16 @@ class PhasedVectorizedEngine:
             seed=self.seed,
             adjacency=self.adjacency,
             node_ids=self.node_ids,
-            awake=self.awake.tolist(),
+            awake=derived["awake"].tolist(),
             sleep=repeat(0),
-            tx=self.tx.tolist(),
+            tx=derived["tx"].tolist(),
             rx=self.rx.tolist(),
-            idle=self.idle.tolist(),
+            idle=derived["idle"].tolist(),
             msent=self.msent.tolist(),
             bits=self.bits.tolist(),
-            mrecv=self.mrecv.tolist(),
+            mrecv=derived["mrecv"].tolist(),
             decision_round=self.decision_round.tolist(),
-            awake_at_decision=self.awake_at_decision.tolist(),
+            awake_at_decision=derived["awake_at_decision"].tolist(),
             finish=self.finish.tolist(),
             in_mis=self.in_mis.tolist(),
         )

@@ -33,11 +33,12 @@ SLEEPING_BUFFERS = (
 )
 
 #: The scratch-borrowed per-node state buffers of the phased engine,
-#: including the node frontier's global-to-local index map.
+#: including the node frontier's global-to-local index map (``awake``,
+#: ``tx``, ``idle`` and ``awake_at_decision`` are derived at result
+#: build, so they borrow no buffer).
 PHASED_BUFFERS = (
-    "in_mis", "awake", "tx", "rx", "idle", "msent", "bits", "mrecv",
-    "decision_round", "awake_at_decision", "finish", "_combined",
-    "_prio_bits", "_ctr", "_local_index",
+    "in_mis", "rx", "msent", "bits", "mrecv", "decision_round", "finish",
+    "live_cnt", "_combined", "_prio_bits", "_ctr", "_local_index",
 )
 
 #: Additional scratch buffers of the marking (ghaffari) phased engine.
