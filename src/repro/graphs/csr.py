@@ -411,3 +411,8 @@ class GraphArrays:
     def nbytes(self) -> int:
         """Bytes held by the persistent edge/degree buffers."""
         return self.dst.nbytes + self.deg.nbytes
+
+    @property
+    def has_adjacency(self) -> bool:
+        """Whether the :attr:`adjacency` dict view is materialized."""
+        return self._adjacency is not None

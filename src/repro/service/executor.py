@@ -1,16 +1,18 @@
 """Worker-side execution: the functions that actually solve.
 
 These run inside pool worker *processes* (:mod:`repro.service.pool`),
-which live across requests -- so this module keeps the two warm-state
-pools the per-invocation CLI can never have:
+which live across requests -- so solves use the two warm-state pools
+the per-invocation CLI can never have, both kept per process by
+:mod:`repro.sweeps.runner` for sweep trials too:
 
 * one persistent :class:`~repro.sim.fast_engine.EngineScratch`, so
   vectorized solves stop reallocating node-sized state arrays per
   request;
-* a small LRU of sampled graphs keyed on the exact sampling identity
-  ``(family, n, seed, graph_rng, resolved source)``, so repeated solves
-  of one subject (different algorithms, knobs, or deadlines) skip
-  re-sampling entirely.
+* an LRU of sampled graphs keyed on the exact sampling identity
+  ``(family, n, seed, graph_rng, resolved source)`` and bounded by
+  their bytes (:data:`repro.sweeps.runner.GRAPH_CACHE_BYTES`), so
+  repeated solves of one subject (different algorithms, knobs, or
+  deadlines) skip re-sampling entirely.
 
 :func:`solve_payload` and :func:`repro.sweeps.runner.execute_trial`
 build their payloads with one shared builder
@@ -28,24 +30,16 @@ from __future__ import annotations
 import os
 import signal
 import time
-from collections import OrderedDict
 from typing import Any, Dict, Tuple
 
 from ..plan import RunPlan
-from ..sim.fast_engine import EngineScratch
-from ..sweeps.runner import _trial_payload
+from ..sweeps.runner import _graph_for, _scratch, _trial_payload
 from .schema import SolveResponse, Table1Response
 
 #: Environment hook for fault injection, matched against the trial key
 #: (the sweep harness's ``REPRO_SWEEP_FAULT`` pattern): ``hang:<match>``
 #: never returns, ``sigkill:<match>`` kills the executing worker.
 FAULT_ENV = "REPRO_SERVICE_FAULT"
-
-#: Sampled graphs kept warm per worker (each is O(n + m) memory).
-GRAPH_CACHE_SIZE = 8
-
-_SCRATCH = EngineScratch()
-_GRAPHS: "OrderedDict[Tuple, Any]" = OrderedDict()
 
 
 def _maybe_inject_fault(key: str) -> None:
@@ -57,19 +51,6 @@ def _maybe_inject_fault(key: str) -> None:
         os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies here
     while True:  # pragma: no cover - reaped from outside
         time.sleep(0.05)
-
-
-def _graph_for(plan: RunPlan, seed: int) -> Any:
-    """The plan's sampled graph, from the per-worker LRU when warm."""
-    key = (plan.family, plan.n, seed, plan.graph_rng, plan.resolved_graph_source)
-    graph = _GRAPHS.get(key)
-    if graph is None:
-        graph = plan.build_graph(seed)
-        _GRAPHS[key] = graph
-    _GRAPHS.move_to_end(key)
-    while len(_GRAPHS) > GRAPH_CACHE_SIZE:
-        _GRAPHS.popitem(last=False)
-    return graph
 
 
 def solve_payload(plan: RunPlan, seed: int) -> Dict[str, Any]:
@@ -88,7 +69,7 @@ def solve_payload(plan: RunPlan, seed: int) -> Dict[str, Any]:
         seed,
         _maybe_inject_fault,
         lambda: _graph_for(plan, seed),
-        scratch=_SCRATCH,
+        scratch=_scratch(),
     )
     if isinstance(result, ArrayRunResult):
         payload["mis_size"] = int(result.mis_mask.sum())

@@ -13,6 +13,14 @@ sweep's merged rows are bit-identical to a plain ``sweep()`` call over
 the same grid.  :func:`_trial_payload` builds the artifact payload for
 both sweep trials and service solves (:mod:`repro.service.executor`).
 
+Every process keeps its sampled graphs warm in one LRU bounded by bytes
+(:data:`GRAPH_CACHE_BYTES`, shared with the service's workers): the
+plans of a sweep share each ``(family, n, seed)``, so only the first
+plan to reach a seed samples its graph.  A process also keeps one
+:class:`~repro.sim.fast_engine.EngineScratch` across trials.  Neither
+changes a result; a cache hit's ``wall_clock_s`` does not include
+sampling.
+
 Parallel execution (``n_jobs > 1``) fans claimed trials over a
 ``concurrent.futures`` process pool with a bounded in-flight window, the
 same degrade-to-sequential story as :mod:`repro.sim.batch`: a pool that
@@ -39,7 +47,7 @@ import signal
 import socket
 import time
 import warnings
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -70,6 +78,104 @@ def _maybe_inject_fault(key: str) -> None:
             f"injected fault for trial {key!r} ({FAULT_ENV}={spec!r})"
         )
     os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies here
+
+
+#: Bytes of sampled graphs one process keeps warm (see
+#: :func:`graph_nbytes`).  Holds a sweep plan's 40 gnp-sparse n = 10^3
+#: graphs (~40 KB each) and eight n = 10^4 ones (~400 KB each) with room
+#: to spare; a graph larger than the budget is never kept, so a worker
+#: at n = 10^7 (~400 MB a graph) does not hold on to the last one.
+GRAPH_CACHE_BYTES = 8 << 20
+
+#: Estimated bytes of a networkx graph or an adjacency dict view, per
+#: node and per directed edge (tracemalloc of ``gnp_random_graph`` at
+#: n = 10^3 to 10^4).
+_DICT_NODE_BYTES = 220
+_DICT_EDGE_BYTES = 100
+
+
+def graph_nbytes(graph: Any) -> int:
+    """What a cached graph costs: :meth:`GraphArrays.nbytes`, plus its
+    adjacency dict view once built; an estimate for a networkx graph."""
+    if hasattr(graph, "has_adjacency"):
+        size = graph.nbytes()
+        if graph.has_adjacency:
+            size += _DICT_NODE_BYTES * graph.n + _DICT_EDGE_BYTES * graph.m
+        return size
+    return (
+        _DICT_NODE_BYTES * graph.number_of_nodes()
+        + _DICT_EDGE_BYTES * 2 * graph.number_of_edges()
+    )
+
+
+class _GraphCache:
+    """Sampled graphs keyed on their sampling identity, least recently
+    used first out once their bytes pass :data:`GRAPH_CACHE_BYTES`.
+
+    A graph can grow after it is handed out (the generator engine builds
+    a :class:`GraphArrays`' adjacency view), so each call first
+    re-measures the graph the previous call returned.
+    """
+
+    def __init__(self) -> None:
+        self._graphs: "OrderedDict[Tuple, Tuple[Any, int]]" = OrderedDict()
+        self._last: Optional[Tuple] = None
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._graphs)
+
+    def get(self, plan: RunPlan, seed: int) -> Any:
+        entry = self._graphs.get(self._last)
+        if entry is not None:
+            graph, size = entry
+            self._store(self._last, graph, graph_nbytes(graph) - size)
+        key = (
+            plan.family, plan.n, seed, plan.graph_rng,
+            plan.resolved_graph_source,
+        )
+        self._last = key
+        entry = self._graphs.get(key)
+        if entry is not None:
+            self._graphs.move_to_end(key)
+            return entry[0]
+        graph = plan.build_graph(seed)
+        self._store(key, graph, graph_nbytes(graph))
+        return graph
+
+    def _store(self, key: Tuple, graph: Any, added: int) -> None:
+        """Charge ``added`` more bytes to ``key``'s entry (creating it),
+        then evict from the least recently used end until in budget."""
+        _, size = self._graphs.get(key, (graph, 0))
+        self._graphs[key] = (graph, size + added)
+        self.nbytes += added
+        while self.nbytes > GRAPH_CACHE_BYTES:
+            _, (_, dropped) = self._graphs.popitem(last=False)
+            self.nbytes -= dropped
+
+    def clear(self) -> None:
+        self._graphs.clear()
+        self._last = None
+        self.nbytes = 0
+
+
+_GRAPHS = _GraphCache()
+_SCRATCH: Any = None
+
+
+def _graph_for(plan: RunPlan, seed: int) -> Any:
+    """The plan's sampled graph, from this process's cache when warm."""
+    return _GRAPHS.get(plan, seed)
+
+
+def _scratch() -> Any:
+    """This process's :class:`~repro.sim.fast_engine.EngineScratch`."""
+    global _SCRATCH
+    if _SCRATCH is None:
+        from ..sim.fast_engine import EngineScratch
+
+        _SCRATCH = EngineScratch()
+    return _SCRATCH
 
 
 def _trial_payload(
@@ -116,7 +222,11 @@ def execute_trial(plan: RunPlan, seed: int) -> Dict[str, Any]:
     """Run one manifest trial; returns its result artifact payload
     (see :func:`_trial_payload`)."""
     payload, _ = _trial_payload(
-        plan, seed, _maybe_inject_fault, lambda: plan.build_graph(seed)
+        plan,
+        seed,
+        _maybe_inject_fault,
+        lambda: _graph_for(plan, seed),
+        scratch=_scratch(),
     )
     return payload
 
