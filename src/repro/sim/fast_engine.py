@@ -163,16 +163,18 @@ _COMPRESS_MIN = 2048
 
 #: A recursion call of at most this many participants, whose rows hold at
 #: most :data:`SCALAR_MAX_ENTRIES` entries, runs its whole subtree on
-#: Python lists (:meth:`VectorizedEngine._scalar_subtree`).  Measured on
-#: gnp-sparse n = 10^3: 32/64/128/256 nodes cost 3.18/2.95/3.06/3.54 ms
-#: per Algorithm 1/2 run (no kernel: 6.12 ms); past ~128 nodes per-node
+#: Python lists (:meth:`VectorizedEngine._scalar_subtree`).  Median engine
+#: run on gnp-sparse n = 10^3 (60 graphs, 2-vCPU Xeon VM), Algorithm 1 /
+#: Algorithm 2, by nodes/entries cap: 64/512 2.27/2.44 ms, 96/768
+#: 2.18/2.31, 128/768 2.06/2.01, 192/1536 2.29/1.98; ~7.8 ms without the
+#: kernel and ~5 ms with every call on it.  Past ~128 nodes per-node
 #: Python work outweighs the numpy dispatch it saves.
-SCALAR_MAX_NODES = 64
+SCALAR_MAX_NODES = 128
 
-#: Row-entry cap of the scalar kernel.  Without it, 64-node calls on
+#: Row-entry cap of the scalar kernel.  Without one, calls of 64 nodes on
 #: gnp-dense hold ~2000 entries each and run slower on lists than on
-#: arrays.
-SCALAR_MAX_ENTRIES = 512
+#: arrays; with it, gnp-dense runs the same as without the kernel.
+SCALAR_MAX_ENTRIES = 768
 
 
 def assemble_result(
@@ -874,52 +876,59 @@ class VectorizedEngine:
                 return
 
             # Part 2 -- every broadcast of the call is heard up front; the
-            # empty rows are isolated.
+            # empty rows are isolated.  Everyone else is undecided, and
+            # the heads among them go left.
+            level = k - 1
+            coin = heads[level]
+            joiners = []
+            L: List[int] = []
+            rows_L = []
             for v, row in zip(S, rows_S):
                 awake[v] += 1
                 if row:
                     mrecv[v] += 3 * len(row)
+                    if coin[v]:
+                        L.append(v)
+                        rows_L.append(row)
                 else:
                     decide(v, 1, r + 1, 0)
+                    joiners.append(v)
 
-            # Part 3 -- left recursion over the undecided heads.
-            level = k - 1
-            coin = heads[level]
-            left = [i for i, v in enumerate(S) if coin[v] and status[v] == -1]
-            if left:
-                L = {S[i] for i in left}
-                call(
-                    [S[i] for i in left],
-                    [rows_S[i] & L for i in left],
-                    level,
-                    r + 1,
-                )
+            # Part 3 -- left recursion.
+            if L:
+                inL = set(L)
+                call(L, [row & inL for row in rows_L], level, r + 1)
+                joiners += [v for v in L if status[v] == 1]
 
-            # Part 4 -- elimination by an MIS neighbor.  Parts 4 and 5
-            # wake everyone; both are counted here.
-            for v in S:
-                awake[v] += 2
+            # Part 4 -- elimination by an MIS neighbor; Parts 4 and 5
+            # wake everyone, and both are counted here.
             clock = r + 2 + durations[level]
-            mis = {v for v in S if status[v] == 1}
+            mis = set(joiners)
+            D: List[int] = []
+            rows_D = []
             for v, row in zip(S, rows_S):
-                if status[v] == -1 and not mis.isdisjoint(row):
-                    decide(v, 0, clock, 1)
+                awake[v] += 2
+                if status[v] == -1:
+                    if mis.isdisjoint(row):
+                        D.append(v)
+                        rows_D.append(row)
+                    else:
+                        decide(v, 0, clock, 1)
 
             # Part 5 -- the undecided with no undecided neighbor join.
-            pending = [i for i, v in enumerate(S) if status[v] == -1]
-            if not pending:
+            if not D:
                 return
             clock += 1
-            D = {S[i] for i in pending}
+            inD = set(D)
             R: List[int] = []
             rows_R: List[Set[int]] = []
-            for i in pending:
-                row = rows_S[i] & D
+            for v, row in zip(D, rows_D):
+                row = row & inD
                 if row:
-                    R.append(S[i])
+                    R.append(v)
                     rows_R.append(row)
                 else:
-                    decide(S[i], 1, clock, 0)
+                    decide(v, 1, clock, 0)
 
             # Part 6 -- right recursion over the rest.
             if R:
