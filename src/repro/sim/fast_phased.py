@@ -59,6 +59,20 @@ So live sets are symmetric, every round-A report is kept, and a live
 count is an in-loop degree.  Algorithm 2's greedy base case (whose window
 exit also removes all in-loop nodes at once) relies on the same invariant.
 
+Counters
+--------
+The phases record only what a node's finish round cannot give: ``rx``
+(the round a node hears a ``JOIN`` and is eliminated, and each round a
+survivor hears an ``OUT``), messages and bits sent, and the receipts of
+round A and of the ``JOIN`` that eliminates a node.  Everything else is
+derived at result build (:meth:`PhasedVectorizedEngine._stat_columns`):
+nodes never sleep, so ``awake = finish`` and a decided node's
+``awake_at_decision`` is its decision round; a node sends in round A of
+each phase it starts, ``(finish + 1) // 3`` of them, plus one ``JOIN`` or
+``OUT`` announcement; its other awake rounds are idle; and the ``OUT``
+messages it heard are exactly the ones that shrank its live count, ``deg
+- live_cnt`` at exit.
+
 Progress guarantee: for ``luby``/``greedy``, in every phase the live node
 holding the globally highest ``(priority, id)`` key beats all of its live
 neighbors and joins, so at most ``n`` phases run even without
@@ -277,13 +291,7 @@ class PhasedVectorizedEngine:
         )
         marked_l[:] = self._draw_unit_floats(U) < threshold
 
-    def _update_desire(
-        self,
-        U: np.ndarray,
-        ld: np.ndarray,
-        row_len_l: np.ndarray,
-        survivor_l: np.ndarray,
-    ) -> None:
+    def _update_desire(self, U: np.ndarray, df: np.ndarray) -> None:
         """Ghaffari's end-of-phase desire-level update for the survivors.
 
         A survivor's *effective degree* is ``sum(2^-e_u)`` over the
@@ -291,9 +299,10 @@ class PhasedVectorizedEngine:
         its live set after the round-C pruning -- by the live-set
         invariant, exactly its surviving neighbors.  The exponent rises
         when that sum reaches 2 and falls (floored at 1) otherwise.
-        ``ld`` is the phase's frontier in *local* receiver ids, one row of
-        ``row_len_l[i]`` edges per sender ``U[i]``, with ``survivor_l``
-        local to ``U`` -- the whole update is O(frontier), never O(n).
+        ``U`` holds the survivors and ``df`` the next phase's frontier:
+        the surviving receivers (global ids), one row of ``live_cnt[v]``
+        per survivor ``v`` in ``U`` order -- the whole update is
+        O(frontier), never O(n).
         The comparison is computed in exact integer arithmetic --
         ``sum(2^(E - e_u)) >= 2^(E+1)`` with ``E`` the largest exponent --
         matching the protocol's exact-shift implementation independent of
@@ -304,14 +313,11 @@ class PhasedVectorizedEngine:
         """
         nu = len(U)
         high_l = np.zeros(nu, dtype=bool)
-        # Reports from surviving senders to surviving receivers.
-        heads = ld[np.repeat(survivor_l, row_len_l)]
-        exps = np.repeat(
-            self._exponent[U[survivor_l]], row_len_l[survivor_l]
-        )
-        rep = survivor_l[heads]
-        heads, exps = heads[rep], exps[rep]
-        if len(heads):
+        if len(df):
+            local = self._local_index
+            local[U] = np.arange(nu, dtype=np.int32)
+            heads = local[df]
+            exps = self._exponent[U].repeat(self.live_cnt[U])
             cap = int(exps.max())
             spread = cap - int(exps.min())
             if cap + 1 <= 62 and spread + self.n.bit_length() <= 62:
@@ -327,8 +333,8 @@ class PhasedVectorizedEngine:
                     top = max(group)
                     total = sum(1 << (top - e) for e in group)
                     high_l[v] = total >= 1 << (top + 1)
-        self._exponent[U[survivor_l & high_l]] += 1
-        lowered = U[survivor_l & ~high_l]
+        self._exponent[U[high_l]] += 1
+        lowered = U[~high_l]
         self._exponent[lowered] = np.maximum(
             1, self._exponent[lowered] - 1
         )
@@ -501,16 +507,16 @@ class PhasedVectorizedEngine:
             live_cnt[U] -= got_out
             self.finish[eidx] = r0 + 3
             inloop[eidx] = False
-            if self.algorithm == "ghaffari":
-                # Survivors re-rate their desire level from the round-A
-                # reports of their surviving neighbors.
-                self._update_desire(U, ld, live_cnt_l, survivor_l)
             # Carry both frontiers to the survivors: keep their rows, then
             # the edges into survivors.  Masking preserves the ascending
             # order the draw positions depend on.
             df = df[np.repeat(survivor_l, live_cnt_l)]
             df = df[inloop[df]]
             U = U[survivor_l]
+            if self.algorithm == "ghaffari":
+                # Survivors re-rate their desire level from the round-A
+                # reports of their surviving neighbors.
+                self._update_desire(U, df)
             p += 1
 
         return self._build_result()
