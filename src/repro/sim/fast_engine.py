@@ -5,13 +5,18 @@ per node and is fully general.  For the paper's two algorithms that
 generality is unnecessary: the recursion schedule is *deterministic* --
 every participant of a level-``k`` call wakes, exchanges, and sleeps at
 rounds computed entirely by :mod:`repro.core.schedule` -- so an execution
-can be replayed as a walk over the recursion tree with one numpy pass over
-the participant set per communication step.  That is what this module does:
+can be replayed as a walk over the recursion tree.  That is what this
+module does, on two paths chosen per call by its size:
 
-* the participant set of each call is an index array, and its in-call
-  graph ``G[U]`` is a set of CSR rows (the graph's own ``deg``/``dst`` at
-  the top): a sub-call keeps its nodes' rows, filtered to the sub-set,
-  and each step reads only the rows it is about;
+* a large call runs on numpy: its participant set is an index array, and
+  its in-call graph ``G[U]`` is a set of CSR rows (the graph's own
+  ``deg``/``dst`` at the top); a sub-call keeps its nodes' rows, filtered
+  to the sub-set, and each step reads only the rows it is about;
+* a call of at most :data:`SCALAR_MAX_NODES` participants and
+  :data:`SCALAR_MAX_ENTRIES` row entries runs its whole subtree on Python
+  lists (:meth:`VectorizedEngine._scalar_subtree`), where a 2-8 node call
+  costs a few microseconds instead of ~100 us of numpy dispatch; its
+  counters reach the node arrays in one scatter;
 * awake/``inMIS``/coin state are per-node int arrays, and so are the live
   counts of Algorithm 2's base case (live sets are never stored);
 * the recursion counts awake rounds, received messages and decisions
@@ -30,7 +35,8 @@ engine's execution **exactly**: the same per-node random streams
 (:func:`repro.sim.network.node_rng`, consumed in the same order), hence the
 same decisions, MIS, round numbers, and per-node :class:`NodeStats` down to
 message, bit, and tx/rx/idle counters.  ``tests/test_engine_equivalence.py``
-enforces this over every corner-case graph, both algorithms, several seeds.
+enforces this over every corner-case graph, both algorithms, several seeds,
+and random graphs with the scalar kernel on and off.
 
 What it does *not* do: tracing, fault injection (``loss_rate``), CONGEST
 bit-budget enforcement, and per-call :class:`CallRecord` instrumentation
