@@ -833,9 +833,10 @@ class VectorizedEngine:
         stream counters -- accumulates in local lists and is scattered to
         the node arrays once, at the end.
 
-        Where one pass counts two awake rounds at once (Parts 4 and 5 of
-        a call, rounds A and B of a base phase), a decision between them
-        records the one that has not yet happened (``ahead``).
+        Where one step counts several awake rounds at once (all three of
+        a one-node call, Parts 4 and 5 of a call, rounds A and B of a
+        base phase), a decision among them subtracts the ones that have
+        not yet happened (``ahead``).
         """
         assert (self.in_mis[U] == -1).all(), "re-deciding a node"
         m = len(U)

@@ -192,7 +192,8 @@ def _trial_payload(
     artifacts) and :func:`repro.service.executor.solve_payload` (service
     responses), so their rows cannot drift apart.  ``inject_fault`` is the
     caller's fault hook, handed the trial key; ``graph_for`` produces the
-    trial's graph inside the timed region; ``scratch`` is forwarded to
+    trial's graph inside the timed region (a graph-cache hit therefore
+    times no sampling); ``scratch`` is forwarded to
     :func:`~repro.sim.batch.run_planned_trial`.
 
     The payload embeds the serialized plan and seed (so artifacts are
