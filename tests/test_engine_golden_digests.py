@@ -422,6 +422,15 @@ class TestSmallTopologies:
         graph = SMALL_GRAPHS[name]()
         for seed in SMALL_SEEDS:
             result = run_small(graph, algorithm, rng, seed)
+            # Nobody is awake or asleep past its own last round.
+            np.testing.assert_array_equal(
+                result.awake_rounds + result.sleep_rounds, result.finish_round
+            )
+            if algorithm in ("sleeping", "fast-sleeping"):
+                assert result.rounds == schedule_duration(algorithm, graph.n)
+                assert (result.finish_round == result.rounds).all()
+            else:
+                assert (result.sleep_rounds == 0).all()
             mis = set(np.flatnonzero(result.mis_mask).tolist())
             assert result.all_finished and is_dominating(graph, mis)
             if algorithm == "sleeping" and not result.is_valid_mis():
@@ -439,15 +448,6 @@ class TestSmallTopologies:
                 assert 2 in mis and len(mis & {0, 1}) == 1
             elif name == "path-8":
                 assert 3 <= len(mis) <= 4
-            # Nobody is awake or asleep past its own last round.
-            np.testing.assert_array_equal(
-                result.awake_rounds + result.sleep_rounds, result.finish_round
-            )
-            if algorithm in ("sleeping", "fast-sleeping"):
-                assert result.rounds == schedule_duration(algorithm, graph.n)
-                assert (result.finish_round == result.rounds).all()
-            else:
-                assert (result.sleep_rounds == 0).all()
 
 
 def is_dominating(graph, mis):
