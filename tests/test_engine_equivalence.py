@@ -310,15 +310,11 @@ DIFFERENTIAL_CONFIGS = [("sleeping", {})] + [
 ]
 
 
-#: The configs each kernel mode draws from: the numpy path ("array") is
-#: fuzzed on the sleeping engine's configs only, since the phased engines
-#: have no scalar kernel.
-KERNEL_CONFIGS = {
-    "default": DIFFERENTIAL_CONFIGS,
-    "array": [
-        config for config in DIFFERENTIAL_CONFIGS if config[0] in ALGORITHMS
-    ],
-}
+#: The configs the numpy path of the sleeping engine is fuzzed on with its
+#: scalar kernel off (the phased engines have no scalar kernel).
+SLEEPING_CONFIGS = [
+    config for config in DIFFERENTIAL_CONFIGS if config[0] in ALGORITHMS
+]
 
 
 class TestRandomGraphDifferential:
@@ -328,9 +324,9 @@ class TestRandomGraphDifferential:
     (the live-set invariant of :mod:`repro.sim.fast_phased`) instead of
     replaying the protocols' per-node sets; any execution where the two
     diverge shows up here as a ``NodeStats`` diff.  Graphs this small run
-    almost wholly on the sleeping engine's scalar kernel, so each test
-    also runs with the kernel off (``kernel="array"``), fuzzing the numpy
-    path.
+    almost wholly on the sleeping engine's scalar kernel, so the
+    ``test_array_path_*`` twins run the sleeping configs with the kernel
+    off, fuzzing the numpy path.
     """
 
     @staticmethod
@@ -352,7 +348,6 @@ class TestRandomGraphDifferential:
             vectorized,
         )
 
-    @pytest.mark.parametrize("kernel", list(KERNEL_CONFIGS))
     @settings(
         max_examples=800,
         deadline=None,
@@ -360,17 +355,29 @@ class TestRandomGraphDifferential:
     )
     @given(
         random_small_graphs(),
-        st.data(),
+        st.sampled_from(DIFFERENTIAL_CONFIGS),
         st.sampled_from(("pernode", "batched")),
         st.integers(min_value=0, max_value=2**16),
     )
-    def test_engines_agree_on_random_graphs(
-        self, kernel, graph, data, rng, seed
-    ):
-        config = data.draw(st.sampled_from(KERNEL_CONFIGS[kernel]))
-        self._assert_engines_agree(graph, config, rng, seed, kernel)
+    def test_engines_agree_on_random_graphs(self, graph, config, rng, seed):
+        self._assert_engines_agree(graph, config, rng, seed, "default")
 
-    @pytest.mark.parametrize("kernel", list(KERNEL_CONFIGS))
+    @settings(
+        max_examples=800,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        random_small_graphs(),
+        st.sampled_from(SLEEPING_CONFIGS),
+        st.sampled_from(("pernode", "batched")),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_array_path_agrees_on_random_graphs(
+        self, graph, config, rng, seed
+    ):
+        self._assert_engines_agree(graph, config, rng, seed, "array")
+
     @settings(
         max_examples=300,
         deadline=None,
@@ -378,14 +385,29 @@ class TestRandomGraphDifferential:
     )
     @given(
         builder_made_arrays(),
-        st.data(),
+        st.sampled_from(DIFFERENTIAL_CONFIGS),
         st.sampled_from(("pernode", "batched")),
         st.integers(min_value=0, max_value=2**16),
     )
     def test_engines_agree_on_builder_made_graphs(
-        self, kernel, graph, data, rng, seed
+        self, graph, config, rng, seed
     ):
         """Hypothesis draws few builder-made graphs among the others, so
         they get a budget of their own."""
-        config = data.draw(st.sampled_from(KERNEL_CONFIGS[kernel]))
-        self._assert_engines_agree(graph, config, rng, seed, kernel)
+        self._assert_engines_agree(graph, config, rng, seed, "default")
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        builder_made_arrays(),
+        st.sampled_from(SLEEPING_CONFIGS),
+        st.sampled_from(("pernode", "batched")),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    def test_array_path_agrees_on_builder_made_graphs(
+        self, graph, config, rng, seed
+    ):
+        self._assert_engines_agree(graph, config, rng, seed, "array")

@@ -96,7 +96,13 @@ def with_kernel_modes(cases, algorithm_of):
     mode of :data:`helpers.KERNEL_MODES`, a phased one (no scalar
     kernel) once."""
     return [
-        pytest.param(case, mode, id="-".join(map(str, case + (mode,))))
+        pytest.param(
+            case,
+            mode,
+            id="-".join(
+                map(str, case + (() if mode == "default" else (mode,)))
+            ),
+        )
         for case in cases
         for mode in (
             KERNEL_MODES if algorithm_of(case) in SLEEPING_ALGORITHMS
@@ -260,9 +266,12 @@ def run_float_case(algorithm):
     return result
 
 
-@pytest.mark.parametrize("kernel", KERNEL_MODES)
-@pytest.mark.parametrize("algorithm", list(FLOAT_GOLDEN))
-def test_float_regime_digest_is_pinned(algorithm, kernel):
+@pytest.mark.parametrize(
+    "case,kernel",
+    with_kernel_modes([(a,) for a in FLOAT_GOLDEN], lambda case: case[0]),
+)
+def test_float_regime_digest_is_pinned(case, kernel):
+    (algorithm,) = case
     with kernel_mode(kernel):
         digest = float_result_digest(run_float_case(algorithm))
     assert digest == FLOAT_GOLDEN[algorithm]
