@@ -578,6 +578,42 @@ class TestDtypePromotionBoundaries:
             assert narrow.mis == default.mis, depth
 
 
+class TestFloatRegimeLegacyView:
+    """Past int64 (depth >= 62) the vectorized engines keep round labels
+    as float64, but the legacy view of a vectorized run still equals the
+    generator engine's exact Python ints node for node, ``finish_round``
+    included.  ``decision_round`` and ``sleep_rounds`` are left out: on
+    the vectorized side they are float64 in this regime by design."""
+
+    FIELDS = (
+        "finish_round", "awake_rounds", "tx_rounds", "rx_rounds",
+        "idle_rounds", "messages_sent", "bits_sent", "messages_received",
+        "awake_at_decision",
+    )
+
+    @pytest.mark.parametrize("rng", ["pernode", "batched"])
+    @pytest.mark.parametrize("algorithm", ["sleeping", "fast-sleeping"])
+    @pytest.mark.parametrize("depth", [62, 64])
+    def test_legacy_view_equals_generator_engine(self, depth, algorithm, rng):
+        import networkx as nx
+
+        for seed in range(3):
+            graph = nx.gnp_random_graph(30, 0.15, seed=seed)
+            vec, gen = (
+                solve_mis(
+                    graph, algorithm, seed=seed, engine=engine,
+                    result="legacy", rng=rng, depth=depth,
+                )
+                for engine in ("vectorized", "generators")
+            )
+            assert set(vec.node_stats) == set(gen.node_stats)
+            for v, want in gen.node_stats.items():
+                got = vec.node_stats[v]
+                for name in self.FIELDS:
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert (a, type(a)) == (b, type(b)), (seed, v, name)
+
+
 class TestEmptyGraph:
     @pytest.mark.parametrize("algorithm", ["sleeping", "luby"])
     def test_zero_nodes(self, algorithm):
