@@ -17,11 +17,12 @@ Two execution engines produce the same :class:`RunResult`:
   :class:`Protocol` -- one generator per node -- and is the semantics
   reference; tracing, CONGEST bit budgets, and fault injection
   (``loss_rate``) live here exclusively;
-* the **vectorized engines** (:class:`VectorizedEngine` /
-  :func:`simulate_vectorized` for the sleeping algorithms,
-  :class:`PhasedVectorizedEngine` for the Luby/greedy baselines) replay
-  the algorithms over numpy arrays, bit-for-bit equal to the generator
-  engine for the same ``(graph, seed, rng)`` and far faster;
+* the **vectorized engines** (:class:`VectorizedEngine` for the sleeping
+  algorithms, :class:`PhasedVectorizedEngine` for the Luby/greedy
+  baselines) replay the algorithms over numpy arrays, bit-for-bit equal
+  to the generator engine for the same ``(graph, seed, rng)`` and far
+  faster; they build an :class:`ArrayRunResult`, whose
+  ``to_run_result()`` is that :class:`RunResult`;
   configurations they cannot run exactly (tracing, congest checks, other
   algorithms, per-call instrumentation) fall back to the generator path
   via ``engine="auto"``.
@@ -48,11 +49,7 @@ from .errors import (
     SimulationError,
 )
 from ..graphs.csr import GraphArrays
-from .fast_engine import (
-    EngineScratch,
-    VectorizedEngine,
-    simulate_vectorized,
-)
+from .fast_engine import EngineScratch, VectorizedEngine
 from .fast_phased import PhasedVectorizedEngine
 from .batch import iter_trials, run_trials
 from .messages import Message, payload_bits
@@ -104,5 +101,4 @@ __all__ = [
     "payload_bits",
     "run_trials",
     "simulate",
-    "simulate_vectorized",
 ]

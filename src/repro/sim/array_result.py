@@ -6,9 +6,8 @@ view is what analyses of *individual* nodes want, but a 10^5-node sweep
 that only aggregates (mean awake rounds, total bits, MIS validity) pays
 for ~10^5 Python objects per trial just to sum a few columns and throw
 them away -- at n = 10^5 the dict build alone is a third of a vectorized
-trial.  :class:`ArrayRunResult` is the opt-in alternative
-(``result="arrays"``): the same statistics kept as the numpy columns the
-vectorized engines already hold, with
+trial.  :class:`ArrayRunResult` keeps the same statistics as numpy
+columns, with
 
 * the paper's four complexity measures (and the message/bit/energy
   totals) computed by whole-array reductions -- integer-exact, so they
@@ -21,6 +20,13 @@ vectorized engines already hold, with
   working -- it just pays the materialization cost only when it actually
   inspects per-node state.
 
+It is the only result the vectorized engines build: each engine hands
+its columns to :meth:`ArrayRunResult.from_columns`, the one place result
+columns are copied out of engine scratch and narrowed.  The legacy view
+of a vectorized trial is :meth:`ArrayRunResult.to_run_result`, called
+once, by :func:`repro.sim.batch.run_planned_trial`; a generator-engine
+trial goes the other way through :meth:`ArrayRunResult.from_run_result`.
+
 ``RESULT_KINDS`` names the choices accepted by ``result=`` everywhere
 (:func:`repro.api.solve_mis`, the batch runner, sweeps, the CLI):
 ``"legacy"`` (the default for single runs), ``"arrays"``, and ``"auto"``
@@ -31,11 +37,11 @@ use, since they only consume aggregates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional
 
 import numpy as np
 
-from .metrics import RunResult
+from .metrics import NodeStats, RunResult
 
 #: Result-type choices accepted by ``result=`` throughout the package.
 RESULT_KINDS = ("auto", "legacy", "arrays")
@@ -317,31 +323,66 @@ class ArrayRunResult:
     # ------------------------------------------------------------------
 
     def to_run_result(self) -> RunResult:
-        """The legacy :class:`RunResult` view (materialized once, cached)."""
-        if self._legacy is None:
-            from .fast_engine import assemble_result
+        """The legacy :class:`RunResult` view (materialized once, cached).
 
-            self._legacy = assemble_result(
-                n=self.n,
-                rounds=self.rounds,
-                seed=self.seed,
-                adjacency=self.adjacency,
-                node_ids=self.node_ids,
-                awake=self.awake_rounds.tolist(),
-                sleep=self.sleep_rounds.tolist(),
-                tx=self.tx_rounds.tolist(),
-                rx=self.rx_rounds.tolist(),
-                idle=self.idle_rounds.tolist(),
-                msent=self.messages_sent.tolist(),
-                bits=self.bits_sent.tolist(),
-                mrecv=self.messages_received.tolist(),
-                decision_round=self.decision_round.tolist(),
-                awake_at_decision=self.awake_at_decision.tolist(),
-                finish=(
-                    None if f < 0 else f for f in self.finish_round.tolist()
-                ),
-                in_mis=self.in_mis.tolist(),
+        ``.tolist()`` turns each column into Python numbers in one C pass,
+        and the (plain, non-slots) :class:`NodeStats` dataclasses are
+        built through ``__dict__``, skipping 13-kwarg ``__init__`` calls.
+        Past int64 the sleeping engines store ``finish_round`` as
+        ``float(rounds)``; the view maps it back to the exact ``rounds``,
+        as the generator engine reports it.
+        """
+        if self._legacy is not None:
+            return self._legacy
+        finish = self.finish_round.tolist()
+        if self.finish_round.dtype.kind == "f":
+            last = float(self.rounds)
+            finish = [self.rounds if f == last else f for f in finish]
+        node_stats: Dict[Any, NodeStats] = {}
+        outputs: Dict[Any, Optional[bool]] = {}
+        cols = zip(
+            self.node_ids,
+            self.awake_rounds.tolist(),
+            self.sleep_rounds.tolist(),
+            self.tx_rounds.tolist(),
+            self.rx_rounds.tolist(),
+            self.idle_rounds.tolist(),
+            self.messages_sent.tolist(),
+            self.bits_sent.tolist(),
+            self.messages_received.tolist(),
+            self.decision_round.tolist(),
+            self.awake_at_decision.tolist(),
+            finish,
+            self.in_mis.tolist(),
+        )
+        for v, aw, slp, txr, rxr, idl, ms, bt, mr, dr, ad, fin, mis in cols:
+            stats = NodeStats.__new__(NodeStats)
+            stats.__dict__.update(
+                node_id=v,
+                awake_rounds=aw,
+                sleep_rounds=slp,
+                tx_rounds=txr,
+                rx_rounds=rxr,
+                idle_rounds=idl,
+                messages_sent=ms,
+                bits_sent=bt,
+                messages_received=mr,
+                decision_round=dr if dr >= 0 else None,
+                awake_at_decision=ad if dr >= 0 else None,
+                finish_round=fin if fin >= 0 else None,
+                awake_at_finish=aw,
             )
+            node_stats[v] = stats
+            outputs[v] = None if mis == -1 else bool(mis)
+        self._legacy = RunResult(
+            n=self.n,
+            rounds=self.rounds,
+            seed=self.seed,
+            node_stats=node_stats,
+            outputs=outputs,
+            protocols={},
+            adjacency=self.adjacency,
+        )
         return self._legacy
 
     @property
@@ -379,6 +420,34 @@ class ArrayRunResult:
     # ------------------------------------------------------------------
 
     @classmethod
+    def from_columns(
+        cls,
+        *,
+        borrowed: Mapping[str, np.ndarray],
+        fresh: Mapping[str, np.ndarray],
+        dtype: str = "default",
+        **fields: Any,
+    ) -> "ArrayRunResult":
+        """Build a result from its columns -- the one narrowing policy.
+
+        ``borrowed`` columns still belong to the caller (the engines'
+        pooled :class:`EngineScratch` buffers, which the next run
+        overwrites) and are copied; ``fresh`` ones were made for this
+        result and are kept as they are.  Under ``dtype="narrow"`` every
+        column is narrowed (:func:`narrow_column`), which copies anyway.
+        ``fields`` are the remaining dataclass fields (``n``, ``rounds``,
+        ``seed``, ``node_ids``, ...).
+        """
+        narrow = resolve_dtype_kind(dtype) == "narrow"
+        columns = {
+            name: result_column(column, narrow=narrow)
+            for name, column in borrowed.items()
+        }
+        for name, column in fresh.items():
+            columns[name] = narrow_column(column) if narrow else column
+        return cls(**fields, **columns)
+
+    @classmethod
     def from_run_result(
         cls, result: RunResult, dtype: str = "default"
     ) -> "ArrayRunResult":
@@ -387,10 +456,12 @@ class ArrayRunResult:
         Used when ``result="arrays"`` is requested but the trial ran on
         the generator engine.  The original result is kept as the cached
         legacy view, so converting is lossless and round-trip free.
-        ``dtype="narrow"`` applies the same exact column narrowing the
-        vectorized engines apply (:func:`narrow_column`).
+        Columns follow the vectorized engines' dtype rule: the round-label
+        columns (``sleep_rounds``, ``decision_round``, ``finish_round``)
+        hold the float64 of each exact int once ``result.rounds`` passes
+        int64, every other column is int64; ``dtype="narrow"`` then
+        narrows as the engines do (:meth:`from_columns`).
         """
-        narrow = resolve_dtype_kind(dtype) == "narrow"
         node_ids = sorted(result.node_stats)
         cols: Dict[str, list] = {name: [] for name in _STAT_COLUMNS}
         in_mis = []
@@ -415,7 +486,19 @@ class ArrayRunResult:
             )
             out = result.outputs.get(v)
             in_mis.append(-1 if out is None else int(bool(out)))
-        return cls(
+        round_dtype = (
+            np.float64 if result.rounds > np.iinfo(np.int64).max else np.int64
+        )
+        return cls.from_columns(
+            borrowed={},
+            fresh={
+                name: np.asarray(
+                    col,
+                    dtype=round_dtype if name in _ROUND_COLUMNS else np.int64,
+                )
+                for name, col in cols.items()
+            },
+            dtype=dtype,
             n=result.n,
             rounds=result.rounds,
             seed=result.seed,
@@ -424,14 +507,6 @@ class ArrayRunResult:
             arrays=None,
             _adjacency=result.adjacency,
             _legacy=result,
-            **{
-                name: (
-                    narrow_column(np.asarray(col, dtype=np.int64))
-                    if narrow
-                    else np.asarray(col, dtype=np.int64)
-                )
-                for name, col in cols.items()
-            },
         )
 
 
@@ -448,3 +523,6 @@ _STAT_COLUMNS = (
     "awake_at_decision",
     "finish_round",
 )
+
+#: The round-label columns, float64 past int64 (see ``from_run_result``).
+_ROUND_COLUMNS = ("sleep_rounds", "decision_round", "finish_round")

@@ -120,7 +120,7 @@ def make_vectorized_engine(
     max_rounds: Optional[int] = None,
     rng: str = DEFAULT_STREAM,
     scratch: Optional[EngineScratch] = None,
-    result: str = "legacy",
+    result: str = "arrays",
     dtype: str = "default",
     **protocol_kwargs: Any,
 ):
@@ -128,13 +128,25 @@ def make_vectorized_engine(
 
     ``graph`` may be a prebuilt :class:`GraphArrays`; ``scratch`` an
     :class:`EngineScratch` shared across sequential constructions;
-    ``result`` the result kind (:data:`repro.sim.array_result.RESULT_KINDS`)
-    the engine's ``run()`` will build; ``dtype`` its column-dtype policy
-    (:data:`repro.sim.array_result.DTYPE_KINDS`).
+    ``dtype`` the column-dtype policy
+    (:data:`repro.sim.array_result.DTYPE_KINDS`) of the
+    :class:`ArrayRunResult` the engine's ``run()`` builds.
+
+    The engines build no other result, so ``result`` may only name a kind
+    that resolves to ``"arrays"`` on a vectorized engine (``"arrays"`` or
+    ``"auto"``).  It stays a keyword so callers can pass a plan's
+    resolved result kind straight through; the legacy view is
+    :func:`run_planned_trial`'s to make.
 
     Construction (per-node RNG seeding, eager coin matrices on the v1
     stream) is attributed to the ``engine`` phase under active profiling.
     """
+    if resolve_result_kind(result, "vectorized") != "arrays":
+        raise ValueError(
+            f"the vectorized engines build only ArrayRunResult, not "
+            f"result={result!r}; run the plan through run_planned_trial, "
+            f"or call .to_run_result() on the engine's result"
+        )
     cls = (
         PhasedVectorizedEngine
         if algorithm in PHASED_ALGORITHMS
@@ -148,7 +160,6 @@ def make_vectorized_engine(
             max_rounds=max_rounds,
             rng=rng,
             scratch=scratch,
-            result=result,
             dtype=dtype,
             **protocol_kwargs,
         )
@@ -169,7 +180,11 @@ def run_planned_trial(
     process and in pool workers), sweep trials and service solves.  It
     resolves the engine and result kind, and constructs and runs the
     engine, honouring every plan knob (``max_rounds`` included) on both
-    engines.
+    engines.  It is also where the result kind is met: a vectorized
+    engine's :class:`ArrayRunResult` becomes the legacy view through
+    ``.to_run_result()``, and a generator run's :class:`RunResult` the
+    array view through :meth:`ArrayRunResult.from_run_result` -- one
+    conversion each way.
 
     ``graph`` may be a ``networkx.Graph``, an adjacency mapping, or a
     prebuilt :class:`GraphArrays` (the dict view stays unbuilt unless the
@@ -190,17 +205,17 @@ def run_planned_trial(
     )
     result = resolve_result_kind(plan.result, engine)
     if engine == "vectorized":
-        return make_vectorized_engine(
+        arrays = make_vectorized_engine(
             graph if isinstance(graph, GraphArrays) else GraphArrays(graph),
             plan.algorithm,
             seed=seed,
             max_rounds=plan.max_rounds,
             rng=plan.rng,
             scratch=scratch,
-            result=result,
             dtype=plan.dtype,
             **protocol_kwargs,
         ).run()
+        return arrays if result == "arrays" else arrays.to_run_result()
     from ..api import make_protocol_factory  # local: avoid import cycle
 
     run = Simulator(

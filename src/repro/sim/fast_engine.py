@@ -40,23 +40,27 @@ and random graphs with the scalar kernel on and off.
 
 What it does *not* do: tracing, fault injection (``loss_rate``), CONGEST
 bit-budget enforcement, and per-call :class:`CallRecord` instrumentation
-(``RunResult.protocols`` is empty).  Workloads needing those stay on the
-generator engine; ``engine="auto"`` in :func:`repro.api.solve_mis` makes
-that fallback automatic.
+(``protocols`` is empty).  Workloads needing those stay on the generator
+engine; ``engine="auto"`` in :func:`repro.api.solve_mis` makes that
+fallback automatic.
+
+The engine builds one result type, an
+:class:`~repro.sim.array_result.ArrayRunResult`; its legacy per-node view
+is made by :func:`repro.sim.batch.run_planned_trial` when a plan asks for
+``result="legacy"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from ..core import schedule
 from ..graphs.csr import GraphArrays
+from .array_result import ArrayRunResult, resolve_dtype_kind
 from .errors import MaxRoundsExceededError
-from .metrics import NodeStats, RunResult
 from .rng import (
     DEFAULT_STREAM,
     bit_length_u64,
@@ -183,74 +187,6 @@ SCALAR_MAX_NODES = 128
 SCALAR_MAX_ENTRIES = 768
 
 
-def assemble_result(
-    *,
-    n: int,
-    rounds: int,
-    seed: Optional[int],
-    adjacency: Dict[Any, Tuple[Any, ...]],
-    node_ids: List[Any],
-    awake: List[int],
-    sleep: Any,
-    tx: List[int],
-    rx: List[int],
-    idle: List[int],
-    msent: List[int],
-    bits: List[int],
-    mrecv: List[int],
-    decision_round: List[int],
-    awake_at_decision: List[int],
-    finish: Any,
-    in_mis: List[int],
-) -> RunResult:
-    """Build the :class:`RunResult` from per-node stat columns.
-
-    Shared by both vectorized engines.  Columns are plain-int lists
-    (callers use ``.tolist()`` -- one C pass) except ``sleep`` and
-    ``finish``, which may be any per-node iterable, e.g.
-    ``itertools.repeat`` for a constant.  Building the (plain, non-slots)
-    dataclasses through ``__dict__`` skips 13-kwarg ``__init__`` calls --
-    together with ``.tolist()`` this is the difference between the result
-    build being noise and being ~30% of a small-graph run.  A ``-1``
-    decision round means undecided (``None`` in :class:`NodeStats`);
-    ``in_mis`` uses the engines' tri-state ``-1``/``0``/``1`` encoding.
-    """
-    node_stats: Dict[Any, NodeStats] = {}
-    outputs: Dict[Any, Optional[bool]] = {}
-    cols = zip(
-        node_ids, awake, sleep, tx, rx, idle, msent, bits, mrecv,
-        decision_round, awake_at_decision, finish, in_mis,
-    )
-    for v, aw, slp, txr, rxr, idl, ms, bt, mr, dr, ad, fin, mis in cols:
-        stats = NodeStats.__new__(NodeStats)
-        stats.__dict__.update(
-            node_id=v,
-            awake_rounds=aw,
-            sleep_rounds=slp,
-            tx_rounds=txr,
-            rx_rounds=rxr,
-            idle_rounds=idl,
-            messages_sent=ms,
-            bits_sent=bt,
-            messages_received=mr,
-            decision_round=dr if dr >= 0 else None,
-            awake_at_decision=ad if dr >= 0 else None,
-            finish_round=fin,
-            awake_at_finish=aw,
-        )
-        node_stats[v] = stats
-        outputs[v] = None if mis == -1 else bool(mis)
-    return RunResult(
-        n=n,
-        rounds=rounds,
-        seed=seed,
-        node_stats=node_stats,
-        outputs=outputs,
-        protocols={},
-        adjacency=adjacency,
-    )
-
-
 def draw_dense_ranks(
     rngs: Optional[List[Any]],
     key: Optional[int],
@@ -345,11 +281,12 @@ class EngineScratch:
     """A pool of reusable numpy buffers for running many trials.
 
     Engines allocate a dozen node-sized state arrays per run; over a
-    10^4-trial sweep that allocation/zeroing churn is measurable.  A scratch passed to consecutive engine constructions hands
-    the same buffers back (re-filled) whenever name, shape, and dtype
-    match.  Not thread-safe, and an engine borrowing from a scratch must
-    finish its run before the next engine reuses the pool -- exactly the
-    batch runner's sequential per-graph loop.
+    10^4-trial sweep that allocation/zeroing churn is measurable.  A
+    scratch passed to consecutive engine constructions hands the same
+    buffers back (re-filled) whenever name, shape, and dtype match.  Not
+    thread-safe, and an engine borrowing from a scratch must finish its
+    run before the next engine reuses the pool -- exactly the batch
+    runner's sequential per-graph loop.
     """
 
     __slots__ = ("_buffers",)
@@ -382,7 +319,9 @@ class VectorizedEngine:
     Parameters mirror :class:`repro.sim.network.Simulator` plus the
     protocol knobs of the two sleeping algorithms.  ``graph`` may be a
     prebuilt :class:`GraphArrays` to amortize graph preparation across
-    many seeds.
+    many seeds; ``dtype`` is the result's column-dtype policy
+    (:data:`repro.sim.array_result.DTYPE_KINDS`).  :meth:`run` returns an
+    :class:`~repro.sim.array_result.ArrayRunResult`.
     """
 
     def __init__(
@@ -398,11 +337,8 @@ class VectorizedEngine:
         max_rounds: Optional[int] = None,
         rng: str = DEFAULT_STREAM,
         scratch: Optional[EngineScratch] = None,
-        result: str = "legacy",
         dtype: str = "default",
     ):
-        from .array_result import resolve_dtype_kind, resolve_result_kind
-
         if algorithm not in SLEEPING_ALGORITHMS:
             raise ValueError(
                 f"vectorized sleeping engine supports {SLEEPING_ALGORITHMS}, "
@@ -416,7 +352,6 @@ class VectorizedEngine:
         self.coin_bias = coin_bias
         self.max_rounds = max_rounds
         self.rng_stream = rng
-        self.result_kind = resolve_result_kind(result, "vectorized")
         self.dtype_kind = resolve_dtype_kind(dtype)
 
         arrays = graph if isinstance(graph, GraphArrays) else GraphArrays(graph)
@@ -541,7 +476,7 @@ class VectorizedEngine:
         """The adjacency dict view (lazy for array-native graphs)."""
         return self.arrays.adjacency
 
-    def run(self) -> RunResult:
+    def run(self) -> ArrayRunResult:
         """Replay the full execution and return the generator-equal result.
 
         The recursion is attributed to the ``engine`` profiling phase and
@@ -984,11 +919,12 @@ class VectorizedEngine:
         """The counters the recursion never writes, as fresh columns.
 
         Every node is awake or asleep in each of the ``rounds`` rounds, so
-        ``sleep = rounds - awake``.  Every awake round that is not one of
-        the greedy base's rounds A/B/C -- each of which credits exactly
-        one of ``tx``/``rx``/``idle`` -- is a flag broadcast to all
-        ``deg`` graph neighbors: a tx round (an idle one for a port-less
-        node) sending ``deg`` 2-bit messages.
+        ``sleep = rounds - awake``, and every node finishes at the
+        schedule's final round.  Every awake round that is not one of the
+        greedy base's rounds A/B/C -- each of which credits exactly one
+        of ``tx``/``rx``/``idle`` -- is a flag broadcast to all ``deg``
+        graph neighbors: a tx round (an idle one for a port-less node)
+        sending ``deg`` 2-bit messages.
         """
         awake, deg = self.awake, self.deg
         flags = awake - self.tx
@@ -997,15 +933,15 @@ class VectorizedEngine:
         ported = deg > 0
         sent = deg * flags
         cols = {
-            "tx": self.tx + flags * ported,
-            "rx": self.rx.copy(),
-            "idle": self.idle + flags * ~ported,
-            "msent": self.msent + sent,
+            "tx_rounds": self.tx + flags * ported,
+            "idle_rounds": self.idle + flags * ~ported,
+            "messages_sent": self.msent + sent,
+            "finish_round": np.full(self.n, rounds, self._round_dtype),
         }
         sent *= _FLAG_BITS
-        cols["bits"] = self.bits + sent
+        cols["bits_sent"] = self.bits + sent
         if self._round_dtype is np.int64:
-            cols["sleep"] = np.int64(rounds) - awake
+            cols["sleep_rounds"] = np.int64(rounds) - awake
         else:
             # Past int64 the column is the float64 of the exact integer
             # ``rounds - awake``, one conversion per distinct awake count.
@@ -1013,85 +949,31 @@ class VectorizedEngine:
             spans = np.array(
                 [float(rounds - a) for a in values.tolist()], dtype=np.float64
             )
-            cols["sleep"] = spans[inverse]
+            cols["sleep_rounds"] = spans[inverse]
         return cols
 
-    def _build_result(self, rounds: int) -> RunResult:
-        # Every node of the sleeping algorithms finishes at the schedule's
-        # final round, hence the constant ``finish`` column.  The arrays
-        # result copies the stat columns out of the (scratch-recycled)
-        # engine state -- a handful of C passes instead of the 10^5
-        # NodeStats dataclasses of the legacy view.
+    def _build_result(self, rounds: int) -> ArrayRunResult:
+        # The result copies the columns the recursion wrote out of the
+        # (scratch-recycled) engine state -- a handful of C passes.
         from ..profiling import phase
 
         with phase("result_build"):
-            derived = self._stat_columns(rounds)
-            if self.result_kind == "arrays":
-                from .array_result import (
-                    ArrayRunResult,
-                    narrow_column,
-                    result_column,
-                )
-
-                n = self.n
-                narrow = self.dtype_kind == "narrow"
-                if rounds <= np.iinfo(np.int64).max:
-                    finish_dtype: Any = (
-                        np.int32
-                        if narrow and rounds <= np.iinfo(np.int32).max
-                        else np.int64
-                    )
-                else:
-                    finish_dtype = np.float64
-
-                def col(column: np.ndarray) -> np.ndarray:
-                    return result_column(column, narrow=narrow)
-
-                def own(column: np.ndarray) -> np.ndarray:
-                    return narrow_column(column) if narrow else column
-
-                return ArrayRunResult(
-                    n=n,
-                    rounds=rounds,
-                    seed=self.seed,
-                    node_ids=self.node_ids,
-                    in_mis=self.in_mis.copy(),
-                    awake_rounds=col(self.awake),
-                    sleep_rounds=own(derived["sleep"]),
-                    tx_rounds=own(derived["tx"]),
-                    rx_rounds=own(derived["rx"]),
-                    idle_rounds=own(derived["idle"]),
-                    messages_sent=own(derived["msent"]),
-                    bits_sent=own(derived["bits"]),
-                    messages_received=col(self.mrecv),
-                    decision_round=col(self.decision_round),
-                    awake_at_decision=col(self.awake_at_decision),
-                    finish_round=np.full(n, rounds, dtype=finish_dtype),
-                    arrays=self.arrays,
-                )
-            if self.n == 0:
-                return RunResult(
-                    n=0, rounds=0, seed=self.seed, node_stats={}, outputs={},
-                    protocols={}, adjacency=self.adjacency,
-                )
-            return assemble_result(
+            return ArrayRunResult.from_columns(
+                borrowed={
+                    "in_mis": self.in_mis,
+                    "awake_rounds": self.awake,
+                    "rx_rounds": self.rx,
+                    "messages_received": self.mrecv,
+                    "decision_round": self.decision_round,
+                    "awake_at_decision": self.awake_at_decision,
+                },
+                fresh=self._stat_columns(rounds),
+                dtype=self.dtype_kind,
                 n=self.n,
                 rounds=rounds,
                 seed=self.seed,
-                adjacency=self.adjacency,
                 node_ids=self.node_ids,
-                awake=self.awake.tolist(),
-                sleep=derived["sleep"].tolist(),
-                tx=derived["tx"].tolist(),
-                rx=derived["rx"].tolist(),
-                idle=derived["idle"].tolist(),
-                msent=derived["msent"].tolist(),
-                bits=derived["bits"].tolist(),
-                mrecv=self.mrecv.tolist(),
-                decision_round=self.decision_round.tolist(),
-                awake_at_decision=self.awake_at_decision.tolist(),
-                finish=repeat(rounds),
-                in_mis=self.in_mis.tolist(),
+                arrays=self.arrays,
             )
 
 
@@ -1297,9 +1179,3 @@ def _select(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
         return values[mask]
     return np.compress(mask, values)
 
-
-def simulate_vectorized(
-    graph: Any, algorithm: str = "fast-sleeping", **kwargs: Any
-) -> RunResult:
-    """One-shot convenience wrapper around :class:`VectorizedEngine`."""
-    return VectorizedEngine(graph, algorithm, **kwargs).run()

@@ -85,21 +85,19 @@ adversarial input could stall.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from ..graphs.csr import GraphArrays
+from .array_result import ArrayRunResult, resolve_dtype_kind
 from .errors import MaxRoundsExceededError
 from .fast_engine import (
     _FLAG_BITS,
     EngineScratch,
     PHASED_ALGORITHMS,
-    assemble_result,
     draw_dense_ranks,
 )
-from .metrics import RunResult
 from .rng import (
     DEFAULT_STREAM,
     bit_length_u64,
@@ -125,7 +123,10 @@ class PhasedVectorizedEngine:
     Parameters mirror :func:`repro.api.solve_mis` for the four baselines:
     ``algorithm`` is ``"luby"``, ``"greedy"``, ``"ghaffari"``, or
     ``"abi"``.  ``graph`` may be a prebuilt :class:`GraphArrays`, and
-    ``scratch`` an :class:`EngineScratch` shared across trials.
+    ``scratch`` an :class:`EngineScratch` shared across trials; ``dtype``
+    is the result's column-dtype policy.  :meth:`run` returns an
+    :class:`~repro.sim.array_result.ArrayRunResult`, as the sleeping
+    engine's does.
     """
 
     def __init__(
@@ -138,11 +139,8 @@ class PhasedVectorizedEngine:
         max_rounds: Optional[int] = None,
         rng: str = DEFAULT_STREAM,
         scratch: Optional[EngineScratch] = None,
-        result: str = "legacy",
         dtype: str = "default",
     ):
-        from .array_result import resolve_dtype_kind, resolve_result_kind
-
         if algorithm not in PHASED_ALGORITHMS:
             raise ValueError(
                 f"vectorized phased engine supports {PHASED_ALGORITHMS}, "
@@ -156,7 +154,6 @@ class PhasedVectorizedEngine:
         self.max_phases = max_phases
         self.max_rounds = max_rounds
         self.rng_stream = rng
-        self.result_kind = resolve_result_kind(result, "vectorized")
         self.dtype_kind = resolve_dtype_kind(dtype)
 
         arrays = graph if isinstance(graph, GraphArrays) else GraphArrays(graph)
@@ -351,7 +348,7 @@ class PhasedVectorizedEngine:
         """The adjacency dict view (lazy for array-native graphs)."""
         return self.arrays.adjacency
 
-    def run(self) -> RunResult:
+    def run(self) -> ArrayRunResult:
         """Replay the full execution and return the generator-equal result.
 
         The phase loop walks a **shrinking edge frontier** and a matching
@@ -382,7 +379,7 @@ class PhasedVectorizedEngine:
         with phase("engine"):
             return self._run()
 
-    def _run(self) -> RunResult:
+    def _run(self) -> ArrayRunResult:
         n = self.n
         if n == 0:
             return self._build_result()
@@ -523,18 +520,13 @@ class PhasedVectorizedEngine:
 
     # ------------------------------------------------------------------
 
-    def _build_result(self) -> RunResult:
-        from ..profiling import phase
-
-        with phase("result_build"):
-            return self._build_result_inner()
-
     def _stat_columns(self) -> Dict[str, np.ndarray]:
         """The counters the phases never write, as fresh columns.
 
         A node is awake in every round until it finishes, so ``awake =
         finish`` and, for a decided node, ``awake_at_decision =
-        decision_round`` (an undecided node has ``-1`` in both).  It
+        decision_round`` (an undecided node has ``-1`` in both); those two
+        are copies of engine state, made by the result build.  A node
         sends in round A of each phase it starts -- ``(finish + 1) // 3``
         of them -- and once more when it announces a ``JOIN`` (finishing
         at ``3p + 2``) or an ``OUT`` (eliminated); every other awake round
@@ -549,75 +541,34 @@ class PhasedVectorizedEngine:
         mrecv = self.arrays.deg - self.live_cnt
         mrecv += self.mrecv
         return {
-            "awake": finish.copy(),
-            "tx": tx,
-            "idle": idle,
-            "mrecv": mrecv,
-            "awake_at_decision": self.decision_round.copy(),
+            "tx_rounds": tx,
+            "idle_rounds": idle,
+            "messages_received": mrecv,
+            # Phased nodes never sleep.
+            "sleep_rounds": np.zeros(self.n, dtype=np.int64),
         }
 
-    def _build_result_inner(self) -> RunResult:
-        # Phased nodes never sleep (constant ``sleep`` column) but finish
-        # at per-node rounds as they terminate phase by phase.
-        derived = self._stat_columns()
-        if self.result_kind == "arrays":
-            from .array_result import (
-                ArrayRunResult,
-                narrow_column,
-                result_column,
-            )
+    def _build_result(self) -> ArrayRunResult:
+        from ..profiling import phase
 
+        with phase("result_build"):
             n = self.n
-            narrow = self.dtype_kind == "narrow"
-
-            def col(column: np.ndarray) -> np.ndarray:
-                return result_column(column, narrow=narrow)
-
-            def own(column: np.ndarray) -> np.ndarray:
-                return narrow_column(column) if narrow else column
-
-            return ArrayRunResult(
+            return ArrayRunResult.from_columns(
+                borrowed={
+                    "in_mis": self.in_mis,
+                    "awake_rounds": self.finish,
+                    "rx_rounds": self.rx,
+                    "messages_sent": self.msent,
+                    "bits_sent": self.bits,
+                    "decision_round": self.decision_round,
+                    "awake_at_decision": self.decision_round,
+                    "finish_round": self.finish,
+                },
+                fresh=self._stat_columns(),
+                dtype=self.dtype_kind,
                 n=n,
                 rounds=int(self.finish.max()) if n else 0,
                 seed=self.seed,
                 node_ids=self.node_ids,
-                in_mis=self.in_mis.copy(),
-                awake_rounds=own(derived["awake"]),
-                sleep_rounds=np.zeros(
-                    n, dtype=np.int32 if narrow else np.int64
-                ),
-                tx_rounds=own(derived["tx"]),
-                rx_rounds=col(self.rx),
-                idle_rounds=own(derived["idle"]),
-                messages_sent=col(self.msent),
-                bits_sent=col(self.bits),
-                messages_received=own(derived["mrecv"]),
-                decision_round=col(self.decision_round),
-                awake_at_decision=own(derived["awake_at_decision"]),
-                finish_round=col(self.finish),
                 arrays=self.arrays,
             )
-        if self.n == 0:
-            return RunResult(
-                n=0, rounds=0, seed=self.seed, node_stats={}, outputs={},
-                protocols={}, adjacency=self.adjacency,
-            )
-        return assemble_result(
-            n=self.n,
-            rounds=int(self.finish.max()) if self.n else 0,
-            seed=self.seed,
-            adjacency=self.adjacency,
-            node_ids=self.node_ids,
-            awake=derived["awake"].tolist(),
-            sleep=repeat(0),
-            tx=derived["tx"].tolist(),
-            rx=self.rx.tolist(),
-            idle=derived["idle"].tolist(),
-            msent=self.msent.tolist(),
-            bits=self.bits.tolist(),
-            mrecv=derived["mrecv"].tolist(),
-            decision_round=self.decision_round.tolist(),
-            awake_at_decision=derived["awake_at_decision"].tolist(),
-            finish=self.finish.tolist(),
-            in_mis=self.in_mis.tolist(),
-        )

@@ -100,6 +100,24 @@ class TestVectorizedEnginesBuildArrays:
         ).run()
         np.testing.assert_array_equal(first.awake_rounds, snapshot)
 
+    def test_engines_build_only_arrays(self):
+        """The legacy view is the dispatch's to make: the engine factory
+        refuses a kind that does not resolve to arrays and names the fix,
+        and the engine classes take no ``result=`` at all."""
+        from repro.sim.batch import make_vectorized_engine
+        from repro.sim.fast_engine import VectorizedEngine
+        from repro.sim.fast_phased import PhasedVectorizedEngine
+
+        graph = make_family_arrays("gnp-sparse", 30, seed=1)
+        for kind in ("arrays", "auto"):
+            result = make_vectorized_engine(graph, "luby", result=kind).run()
+            assert isinstance(result, ArrayRunResult)
+        with pytest.raises(ValueError, match=r"run_planned_trial.*to_run_result"):
+            make_vectorized_engine(graph, "sleeping", result="legacy")
+        for cls in (VectorizedEngine, PhasedVectorizedEngine):
+            with pytest.raises(TypeError, match="result"):
+                cls(graph, result="arrays")
+
 
 class TestGeneratorConversion:
     @pytest.mark.parametrize("algorithm", ["ghaffari", "abi", "sleeping"])
@@ -612,6 +630,35 @@ class TestFloatRegimeLegacyView:
                 for name in self.FIELDS:
                     a, b = getattr(got, name), getattr(want, name)
                     assert (a, type(a)) == (b, type(b)), (seed, v, name)
+
+    @pytest.mark.parametrize("dtype", ["default", "narrow"])
+    @pytest.mark.parametrize("rng", ["pernode", "batched"])
+    @pytest.mark.parametrize("algorithm", ["sleeping", "fast-sleeping"])
+    @pytest.mark.parametrize("depth", [62, 64])
+    def test_generator_arrays_equal_vectorized_arrays(
+        self, depth, algorithm, rng, dtype
+    ):
+        """``from_run_result`` packs a float-regime generator run by the
+        engines' rule: round-label columns are float64 once ``rounds``
+        passes int64, so every column matches in dtype and value."""
+        import networkx as nx
+
+        for seed in range(2):
+            graph = nx.gnp_random_graph(30, 0.15, seed=seed)
+            vec, gen = (
+                solve_mis(
+                    graph, algorithm, seed=seed, engine=engine,
+                    result="arrays", rng=rng, depth=depth, dtype=dtype,
+                )
+                for engine in ("vectorized", "generators")
+            )
+            assert vec.rounds == gen.rounds > np.iinfo(np.int64).max
+            assert vec.node_ids == gen.node_ids
+            columns = self.FIELDS + ("in_mis", "sleep_rounds", "decision_round")
+            for name in columns:
+                a, b = getattr(vec, name), getattr(gen, name)
+                assert a.dtype == b.dtype, (seed, name)
+                np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 class TestEmptyGraph:

@@ -129,16 +129,13 @@ class TestBufferIdentity:
         ga = make_family_arrays("gnp-sparse", 300, seed=2)
         shared = EngineScratch()
         VectorizedEngine(
-            ga, "fast-sleeping", seed=0, rng="batched", scratch=shared,
-            result="arrays",
+            ga, "fast-sleeping", seed=0, rng="batched", scratch=shared
         ).run()
         reused = VectorizedEngine(
-            ga, "fast-sleeping", seed=5, rng="batched", scratch=shared,
-            result="arrays",
+            ga, "fast-sleeping", seed=5, rng="batched", scratch=shared
         ).run()
         fresh = VectorizedEngine(
-            ga, "fast-sleeping", seed=5, rng="batched",
-            scratch=EngineScratch(), result="arrays",
+            ga, "fast-sleeping", seed=5, rng="batched", scratch=EngineScratch()
         ).run()
         assert reused.summary() == fresh.summary()
         assert reused.mis == fresh.mis
@@ -358,9 +355,7 @@ class TestNoCopyEngineHandoff:
         gc.collect()
         tracemalloc.start()
         try:
-            eng = VectorizedEngine(
-                ga, "fast-sleeping", seed=0, rng="batched", result="arrays"
-            )
+            eng = VectorizedEngine(ga, "fast-sleeping", seed=0, rng="batched")
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -401,9 +396,7 @@ class TestRunPeakPerEdge:
         gc.collect()
         tracemalloc.start()
         try:
-            result = engine(
-                ga, algorithm, seed=0, rng="batched", result="arrays"
-            ).run()
+            result = engine(ga, algorithm, seed=0, rng="batched").run()
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -424,9 +417,7 @@ class TestRunPeakPerEdge:
         gc.collect()
         tracemalloc.start()
         try:
-            result = VectorizedEngine(
-                ga, "sleeping", seed=0, rng="batched", result="arrays"
-            ).run()
+            result = VectorizedEngine(ga, "sleeping", seed=0, rng="batched").run()
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -5,17 +5,24 @@ module under ``src/repro/graphs/`` may import an engine, the batch runner
 or the result types -- not at the top, not inside a function.  The
 engines import ``GraphArrays`` from the graph layer, and the historical
 ``repro.sim.fast_engine.GraphArrays`` name must stay the same class.
+
+One layer up, the vectorized engines build only ``ArrayRunResult``: the
+legacy ``RunResult``/``NodeStats`` view is made at the dispatch edge
+(``run_planned_trial`` calls ``.to_run_result()``), so neither engine
+module imports those types.
 """
 
 import ast
 from pathlib import Path
 
-import repro.graphs
+import repro
 
 #: Modules of the engine layer the graph layer must never import.
 ENGINE_MODULES = ("fast_engine", "fast_phased", "batch", "array_result")
 
-GRAPHS_DIR = Path(repro.graphs.__file__).parent
+REPRO_DIR = Path(repro.__file__).parent
+GRAPHS_DIR = REPRO_DIR / "graphs"
+SIM_DIR = REPRO_DIR / "sim"
 
 
 def _imported_modules(path):
@@ -23,7 +30,7 @@ def _imported_modules(path):
     as a dotted path relative to the ``repro`` package, plus the imported
     names of ``from`` imports (``from ..sim import batch``)."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    package = ["repro", "graphs"]
+    package = ["repro", *path.parent.relative_to(REPRO_DIR).parts]
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -59,3 +66,14 @@ def test_engine_name_is_the_graph_layer_class():
 
     assert repro.sim.fast_engine.GraphArrays is repro.graphs.csr.GraphArrays
     assert repro.graphs.csr.GraphArrays.__module__ == "repro.graphs.csr"
+
+
+def test_engines_import_no_legacy_result_type():
+    """A second result build in an engine would need these types back."""
+    offenders = [
+        f"{name}: {module}"
+        for name in ("fast_engine.py", "fast_phased.py")
+        for module in _imported_modules(SIM_DIR / name)
+        if module.rsplit(".", 1)[-1] in ("RunResult", "NodeStats")
+    ]
+    assert not offenders, offenders
