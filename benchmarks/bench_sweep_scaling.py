@@ -10,9 +10,9 @@ frontier's own cost at scale: sequential ``claim`` + ``done`` cycles
 960 trials -- the number the claim-TTL default has to dominate, and
 the one that must not grow with the manifest.
 
-The measured wall clocks size two defaults in :mod:`repro.sweeps`:
+The measured wall clocks size two defaults:
 
-* ``runner.CLAIM_WINDOW_PER_WORKER`` -- the bounded submission window
+* ``repro.pool.INFLIGHT_PER_WORKER`` -- the bounded submission window
   (claims held in flight per worker).  Trial execution dominates
   submission latency by orders of magnitude, so a window of 2 (one
   running, one queued per worker) already keeps every worker fed.

@@ -1,29 +1,32 @@
-"""The bounded process-pool worker tier.
+"""The one worker pool: batch chunks, sweep trials and service solves.
 
-Solves run in worker *processes* (not threads: a SIGKILLed or wedged
-solve must never take the server down with it), each paired with a
-parent-side serving thread that feeds it jobs over a pipe:
+Jobs run in worker *processes* (not threads: a SIGKILLed or wedged job
+must never take its caller down with it), each paired with a
+parent-side serving thread that feeds it jobs over a pipe.  A job is a
+module-level function, shipped by reference, plus one argument; its
+outcome is ``("ok", value)`` or ``("error", code, message)``.
 
 * **bounded queue + backpressure** -- :meth:`WorkerPool.submit` counts
   queued-plus-running jobs against ``max_queue`` and raises
-  :class:`PoolSaturated` past it; the HTTP layer maps that to a 429 so
-  overload sheds load at the edge instead of growing an unbounded
-  backlog.
+  :class:`PoolSaturated` past it; the service maps that to a 429.
 * **kill isolation + respawn** -- a worker that dies mid-job (SIGKILL,
-  OOM, a segfaulting extension) fails *that one job* with a stable error
-  code; the serving thread respawns the worker and keeps draining the
-  queue.  This is the property ``concurrent.futures`` lacks: a
-  ``BrokenProcessPool`` condemns every in-flight job.
-* **warm workers** -- worker processes persist across requests, so the
-  executor's per-worker scratch and graph caches
-  (:mod:`repro.service.executor`) actually pay off.
+  OOM, a segfaulting extension) fails *that one job* as
+  ``worker_killed``; the serving thread respawns the worker and keeps
+  draining the queue.  Batch and sweeps then finish in-process.
+* **no orphans** -- a worker also watches its parent's sentinel and
+  exits when the parent dies.
+* **warm workers** -- worker processes persist across jobs, so the
+  per-process scratch and graph caches (:mod:`repro.sweeps.runner`)
+  actually pay off.
 * **deadline hooks** -- every job carries ``deadline_at``; jobs that
   expire while still queued fail without ever executing, and the reaper
   (:mod:`repro.service.reaper`) calls :meth:`WorkerPool.request_kill` on
   running jobs past their deadline.
 
-The pool is synchronous (threads + pipes); :meth:`submit_async` bridges
-completions onto an ``asyncio`` loop via ``call_soon_threadsafe``.
+The pool is synchronous (threads + pipes);
+:meth:`WorkerPool.submit_async` bridges completions onto an ``asyncio``
+loop via ``call_soon_threadsafe``.  It is stdlib-only and imports
+nothing from :mod:`repro`.
 """
 
 from __future__ import annotations
@@ -36,8 +39,16 @@ import queue
 import signal
 import threading
 import time
-import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+#: Jobs in flight per worker in the batch and sweep windows.  Sized from
+#: ``BENCH_sweep_scaling.json``: trial execution dominates submission
+#: latency (a sweep claim is 0.1-0.6 ms of disk bookkeeping at 12 to 960
+#: trials), so two -- one running, one queued -- keep every worker fed.
+#: A pending sweep entry is a claimed trial, so deeper windows only add
+#: leases a dying driver can orphan.
+INFLIGHT_PER_WORKER = 2
 
 
 class PoolSaturated(RuntimeError):
@@ -45,30 +56,27 @@ class PoolSaturated(RuntimeError):
 
 
 class PoolJob:
-    """One unit of pool work and its eventual outcome.
+    """One unit of pool work -- ``fn(arg)`` -- and its eventual outcome.
 
-    ``outcome`` is ``("ok", payload)`` or ``("error", code, message)``
-    with ``code`` drawn from :data:`repro.service.schema.ERROR_CODES`;
-    ``state`` walks ``queued -> running -> done``.  ``wait()`` blocks a
-    synchronous caller; async callers get a future from
-    :meth:`WorkerPool.submit_async`.
+    ``outcome`` is ``("ok", value)`` or ``("error", code, message)``.
+    ``wait()`` blocks a synchronous caller; async callers get a future
+    from :meth:`WorkerPool.submit_async`.
     """
 
     def __init__(
         self,
         job_id: str,
-        kind: str,
-        task: Dict[str, Any],
+        fn: Callable[[Any], Any],
+        arg: Any,
         deadline_s: Optional[float],
     ) -> None:
         self.job_id = job_id
-        self.kind = kind
-        self.task = task
+        self.fn = fn
+        self.arg = arg
         self.deadline_s = deadline_s
         self.deadline_at = (
             None if deadline_s is None else time.monotonic() + deadline_s
         )
-        self.state = "queued"
         self.kill_reason: Optional[str] = None
         self.worker: Optional["_Worker"] = None
         self.outcome: Optional[Tuple] = None
@@ -98,7 +106,6 @@ class PoolJob:
 
     def _finish(self, outcome: Tuple) -> None:
         with self._cb_lock:
-            self.state = "done"
             self.outcome = outcome
             callbacks, self._callbacks = self._callbacks, []
             self._done.set()
@@ -107,30 +114,28 @@ class PoolJob:
 
 
 def _worker_main(conn) -> None:  # pragma: no cover - child process
-    """Worker-process loop: ``(kind, task) -> ("ok", payload) | ("error", ...)``.
+    """Worker-process loop: ``(fn, arg) -> ("ok", fn(arg)) | ("error", ...)``.
 
-    Import of the executor happens here, inside the child, so a fork
-    carries warm module state forward and a spawn still works.
+    A forked worker holds the parent's end of its own job pipe, so
+    ``recv`` never sees EOF after a SIGKILLed parent; the parent's
+    sentinel is what tells the worker to exit.
     """
-    from .executor import run_task
-
+    watched = [conn, mp.parent_process().sentinel]
     while True:
+        if conn not in wait(watched):
+            return  # only the sentinel is ready: the parent died
         try:
             message = conn.recv()
         except (EOFError, OSError):
             return
         if message is None:
             return
-        kind, task = message
+        fn, arg = message
         try:
-            payload = run_task(kind, task)
+            outcome = ("ok", fn(arg))
         except Exception as exc:
-            conn.send(
-                ("error", "solve_failed", f"{type(exc).__name__}: {exc}",
-                 traceback.format_exc())
-            )
-        else:
-            conn.send(("ok", payload))
+            outcome = ("error", "solve_failed", f"{type(exc).__name__}: {exc}")
+        conn.send(outcome)
 
 
 class _Worker:
@@ -143,9 +148,6 @@ class _Worker:
         )
         self.process.start()
         child_conn.close()
-
-    def alive(self) -> bool:
-        return self.process.is_alive()
 
     def kill(self) -> None:
         if self.process.is_alive():
@@ -167,7 +169,12 @@ class _Worker:
 
 
 class WorkerPool:
-    """``workers`` persistent worker processes behind a bounded queue."""
+    """``workers`` persistent worker processes behind a bounded queue.
+
+    Construction forks every worker before starting any serving thread,
+    and raises ``OSError`` when a worker cannot start (callers that can
+    run in-process catch it).
+    """
 
     def __init__(self, workers: int = 1, max_queue: int = 8) -> None:
         if workers < 1:
@@ -188,28 +195,34 @@ class WorkerPool:
         self.killed = 0
         self.respawns = 0
         self._workers: List[_Worker] = []
-        self._threads: List[threading.Thread] = []
         self._running: Dict[str, PoolJob] = {}
-        for index in range(workers):
-            worker = _Worker(self._ctx)
-            self._workers.append(worker)
-            thread = threading.Thread(
+        try:
+            for _ in range(workers):
+                self._workers.append(_Worker(self._ctx))
+        except OSError:
+            for worker in self._workers:
+                worker.close()
+            raise
+        self._threads = [
+            threading.Thread(
                 target=self._serve, args=(index,), daemon=True,
                 name=f"repro-pool-{index}",
             )
-            self._threads.append(thread)
+            for index in range(workers)
+        ]
+        for thread in self._threads:
             thread.start()
 
     # -- submission ----------------------------------------------------
 
     def submit(
         self,
-        kind: str,
-        task: Dict[str, Any],
+        fn: Callable[[Any], Any],
+        arg: Any,
         *,
         deadline_s: Optional[float] = None,
     ) -> PoolJob:
-        """Enqueue one job; :class:`PoolSaturated` when the queue is full."""
+        """Enqueue ``fn(arg)``; :class:`PoolSaturated` when the queue is full."""
         if self._closed:
             raise RuntimeError("pool is closed")
         with self._lock:
@@ -219,21 +232,21 @@ class WorkerPool:
                     f"jobs in flight); retry later"
                 )
             self._depth += 1
-        job = PoolJob(f"j{next(self._ids)}", kind, task, deadline_s)
+        job = PoolJob(f"j{next(self._ids)}", fn, arg, deadline_s)
         self._queue.put(job)
         return job
 
     async def submit_async(
         self,
-        kind: str,
-        task: Dict[str, Any],
+        fn: Callable[[Any], Any],
+        arg: Any,
         *,
         deadline_s: Optional[float] = None,
     ) -> Tuple:
         """``submit`` + await the outcome on the calling asyncio loop."""
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[Tuple]" = loop.create_future()
-        job = self.submit(kind, task, deadline_s=deadline_s)
+        job = self.submit(fn, arg, deadline_s=deadline_s)
 
         def on_done(finished: PoolJob) -> None:
             loop.call_soon_threadsafe(
@@ -255,7 +268,7 @@ class WorkerPool:
             return list(self._running.values())
 
     def alive_workers(self) -> int:
-        return sum(1 for worker in self._workers if worker.alive())
+        return sum(1 for worker in self._workers if worker.process.is_alive())
 
     def request_kill(self, job: PoolJob, reason: str) -> bool:
         """Kill the worker executing ``job`` (reaper entry point).
@@ -286,9 +299,15 @@ class WorkerPool:
             }
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
+        """Stop the pool: queued jobs fail unrun and running ones are
+        killed (both as ``worker_killed``); nothing is respawned."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            busy = [job.worker for job in self._running.values()]
+        for worker in busy:
+            worker.kill()
         for _ in self._threads:
             self._queue.put(None)
         for thread in self._threads:
@@ -303,6 +322,10 @@ class WorkerPool:
             job = self._queue.get()
             if job is None:
                 return
+            if self._closed:
+                message = f"the pool closed before job {job.job_id} ran"
+                self._finish(job, ("error", "worker_killed", message))
+                continue
             if job.expired():
                 # Never executed: fail from the queue without burning a
                 # worker on a request whose client already gave up.
@@ -319,23 +342,26 @@ class WorkerPool:
                 )
                 continue
             worker = self._workers[index]
-            if not worker.alive():
+            if not worker.process.is_alive():
                 worker = self._respawn(index)
             with self._lock:
-                job.state = "running"
                 job.worker = worker
                 self._running[job.job_id] = job
                 self.executed += 1
             try:
-                worker.conn.send((job.kind, job.task))
-                outcome = self._await_worker(job, worker)
-            except (OSError, BrokenPipeError, EOFError):
-                outcome = None  # died between send and first poll
+                worker.conn.send((job.fn, job.arg))
+            except (OSError, BrokenPipeError):
+                outcome = None  # died before the job reached it
+            except Exception as exc:  # the job does not pickle
+                outcome = ("error", "solve_failed", f"{type(exc).__name__}: {exc}")
+            else:
+                outcome = self._await_worker(worker)
             if outcome is None:
                 reason = job.kill_reason or "worker_killed"
                 with self._lock:
                     self.killed += 1
-                self._respawn(index)
+                if not self._closed:
+                    self._respawn(index)
                 outcome = (
                     "error",
                     reason,
@@ -352,28 +378,15 @@ class WorkerPool:
                 self._running.pop(job.job_id, None)
             self._finish(job, outcome)
 
-    def _await_worker(self, job: PoolJob, worker: _Worker) -> Optional[Tuple]:
-        """Poll for the worker's answer; ``None`` means the worker died."""
-        while True:
-            if worker.conn.poll(0.02):
-                try:
-                    message = worker.conn.recv()
-                except (EOFError, OSError):
-                    return None
-                if message[0] == "ok":
-                    return ("ok", message[1])
-                return ("error", message[1], message[2])
-            if not worker.alive():
-                # Drain any answer that raced the death.
-                try:
-                    if worker.conn.poll(0):
-                        message = worker.conn.recv()
-                        if message[0] == "ok":
-                            return ("ok", message[1])
-                        return ("error", message[1], message[2])
-                except (EOFError, OSError):
-                    pass
-                return None
+    @staticmethod
+    def _await_worker(worker: _Worker) -> Optional[Tuple]:
+        """The worker's outcome, or ``None`` when it died first."""
+        if worker.conn in wait([worker.conn, worker.process.sentinel]):
+            try:
+                return worker.conn.recv()
+            except (EOFError, OSError):
+                pass
+        return None
 
     def _respawn(self, index: int) -> _Worker:
         old = self._workers[index]

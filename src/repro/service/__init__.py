@@ -15,9 +15,9 @@ into a traffic-serving system:
 * :mod:`~repro.service.executor` -- the worker-side solve/table1
   functions, reusing :class:`~repro.sim.fast_engine.EngineScratch` and
   sampled graphs across requests;
-* :mod:`~repro.service.pool` -- the bounded process-pool worker tier:
-  kill-isolated workers (one SIGKILLed worker fails one request, not
-  the pool), queue-depth backpressure, automatic respawn;
+* :mod:`repro.pool` -- the one worker pool, shared with batch and
+  sweeps: kill-isolated workers (one SIGKILLed worker fails one
+  request, not the pool), queue-depth backpressure, respawn;
 * :mod:`~repro.service.reaper` -- the deadline reaper killing runaway
   jobs;
 * :mod:`~repro.service.routes` / :mod:`~repro.service.app` -- the
@@ -34,7 +34,7 @@ from .app import MISService, ServiceHandle, serve, start_service_thread
 from .cache import ResultCache
 from .client import ServiceClient, ServiceError, ServiceUnreachable
 from .executor import FAULT_ENV, payload_to_response, solve_payload, table1_payload
-from .pool import PoolJob, PoolSaturated, WorkerPool
+from ..pool import PoolJob, PoolSaturated, WorkerPool
 from .reaper import Reaper
 from .schema import (
     ERROR_CODES,

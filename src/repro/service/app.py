@@ -23,7 +23,7 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from .cache import ResultCache
-from .pool import WorkerPool
+from ..pool import WorkerPool
 from .reaper import Reaper
 from .routes import dispatch
 from .schema import SERVICE_VERSION, JobStatus

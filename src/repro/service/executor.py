@@ -1,6 +1,6 @@
 """Worker-side execution: the functions that actually solve.
 
-These run inside pool worker *processes* (:mod:`repro.service.pool`),
+These run inside pool worker *processes* (:mod:`repro.pool`),
 which live across requests -- so solves use the two warm-state pools
 the per-invocation CLI can never have, both kept per process by
 :mod:`repro.sweeps.runner` for sweep trials too:
@@ -133,13 +133,14 @@ def table1_to_response(payload: Dict[str, Any]) -> Table1Response:
     )
 
 
-def run_task(kind: str, task: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker-process dispatch: ``(kind, serialized task) -> payload``.
+def run_task(task: Dict[str, Any]) -> Dict[str, Any]:
+    """The service's pool job: serialized task (with its ``kind``) -> payload.
 
     Tasks cross the pipe as plain JSON-ready dicts (plans serialized, so
     workers re-validate via :meth:`RunPlan.from_dict` -- the same
     discipline as the HTTP boundary).
     """
+    kind = task["kind"]
     plan = RunPlan.from_dict(task["plan"])
     if kind == "solve":
         return solve_payload(plan, task["seed"])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 
-from .pool import WorkerPool
+from ..pool import WorkerPool
 
 
 class Reaper:

@@ -23,10 +23,10 @@ import json
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..plan import RunPlan
+from ..pool import PoolSaturated
 from ..sweeps.manifest import SweepManifest
 from .cache import solve_cache_key, table1_cache_key
-from .executor import payload_to_response, table1_to_response
-from .pool import PoolSaturated
+from .executor import payload_to_response, run_task, table1_to_response
 from .schema import (
     SERVICE_VERSION,
     ErrorEnvelope,
@@ -127,8 +127,8 @@ async def _solve_sync(
         return _ok(cached, {"X-Repro-Cache": "hit"})
     try:
         outcome = await service.pool.submit_async(
-            "solve",
-            {"plan": plan.to_dict(), "seed": seed},
+            run_task,
+            {"kind": "solve", "plan": plan.to_dict(), "seed": seed},
             deadline_s=deadline_s,
         )
     except PoolSaturated as exc:
@@ -185,8 +185,9 @@ async def _handle_table1(service: "MISService", body: bytes) -> Response:
             return _ok(cached, {"X-Repro-Cache": "hit"})
         try:
             outcome = await service.pool.submit_async(
-                "table1",
+                run_task,
                 {
+                    "kind": "table1",
                     "plan": plan.to_dict(),
                     "sizes": list(request.sizes),
                     "trials": request.trials,

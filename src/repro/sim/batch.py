@@ -31,20 +31,20 @@ sequential calls:
   chunks through :meth:`GraphArrays.from_distinct_pair_chunks`, which
   keeps them as int32 pairs instead of buffering int64 ones -- see
   docs/performance.md, "Scaling to 10^7").
-  With ``n_jobs`` workers, seed chunks fan out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` with a bounded
-  in-flight window; graphs cross process boundaries as plain adjacency
-  dicts or as :class:`GraphArrays` whose edge arrays pickle without the
-  (lazily rebuilt) adjacency dict.  If a pool cannot be started
-  (restricted sandboxes), the runner degrades to sequential execution
-  for the remaining seeds instead of failing; CI additionally pins
-  ``n_jobs=2`` parity with the sequential path on a multi-core runner.
+  With ``n_jobs`` workers, seed chunks fan out over the one worker pool
+  (:class:`repro.pool.WorkerPool`) with a bounded in-flight window;
+  graphs cross process boundaries as plain adjacency dicts or as
+  :class:`GraphArrays` whose edge arrays pickle without the (lazily
+  rebuilt) adjacency dict.  If the pool cannot start (restricted
+  sandboxes) or a worker dies mid-chunk, the runner warns and runs the
+  seeds not yet yielded in-process instead of failing.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import deque
+from contextlib import closing
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -74,6 +74,7 @@ from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..plan import RunPlan
+    from ..pool import WorkerPool
 
 #: What one trial yields: the legacy dict-backed result or the
 #: struct-of-arrays result, depending on ``result=``.
@@ -386,30 +387,40 @@ def _iter_trials_planned(
         return
     jobs = _effective_jobs(plan.n_jobs, len(seed_list))
     if jobs > 1:
-        from concurrent.futures.process import BrokenProcessPool
+        # Lazy: sequential runs never import multiprocessing or asyncio.
+        from ..pool import INFLIGHT_PER_WORKER, WorkerPool
 
         done = 0
+        failure = None
         try:
-            chunks = _iter_chunks(
-                _iter_graphs(graph_factory, seed_list), plan,
-                target=max(1, len(seed_list) // (jobs * 4) or 1),
-            )
-            for one in _iter_parallel(chunks, jobs):
-                done += 1
-                yield one
-            return
-        except (OSError, ImportError, BrokenProcessPool) as exc:
-            # Pool could not start, or its workers were killed before
-            # producing results (sandboxes commonly allow the former and
-            # forbid the latter) -- degrade to sequential execution for
-            # whatever seeds have not been yielded yet.
+            pool = WorkerPool(jobs, max_queue=jobs * INFLIGHT_PER_WORKER)
+        except OSError as exc:
+            failure = f"process pool unavailable ({exc})"
+        else:
+            with closing(pool):
+                chunks = _iter_chunks(
+                    _iter_graphs(graph_factory, seed_list), plan,
+                    target=max(1, len(seed_list) // (jobs * 4) or 1),
+                )
+                for outcome in _pool_outcomes(pool, chunks):
+                    if outcome[0] != "ok":
+                        # A chunk that raised is re-run in-process below,
+                        # where its exception surfaces with its own type.
+                        if outcome[1] == "worker_killed":
+                            failure = "a process pool worker died"
+                        break
+                    done += len(outcome[1])
+                    yield from outcome[1]
+                else:
+                    return
+        if failure is not None:
             warnings.warn(
-                f"process pool unavailable ({exc}); running the remaining "
+                f"{failure}; running the remaining "
                 f"{len(seed_list) - done} trial(s) sequentially",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            seed_list = seed_list[done:]
+        seed_list = seed_list[done:]
 
     engine = plan.resolved_engine
     scratch = EngineScratch()
@@ -485,27 +496,13 @@ def _iter_chunks(
         yield chunk_graph, plan, chunk_seeds
 
 
-#: In-flight chunks per worker in the bounded submission window.  Two per
-#: worker keeps every worker fed (one running, one queued) while bounding
-#: driver-side memory to ``2 * jobs`` pending chunk results; the
-#: ``BENCH_sweep_scaling.json`` measurement showed no throughput gain from
-#: deeper windows (trial wall time dominates submission latency), so the
-#: minimum that avoids worker starvation is the default.
-INFLIGHT_CHUNKS_PER_WORKER = 2
-
-
-def _iter_parallel(chunks: Iterator[Tuple], jobs: int) -> Iterator[ResultLike]:
-    """Fan chunks out over a process pool with a bounded in-flight window,
-    yielding results in submission (= seed) order."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        pending: deque = deque()
-        for chunk in chunks:
-            pending.append(pool.submit(_run_chunk, chunk))
-            while len(pending) >= jobs * INFLIGHT_CHUNKS_PER_WORKER:
-                for result in pending.popleft().result():
-                    yield result
-        while pending:
-            for result in pending.popleft().result():
-                yield result
+def _pool_outcomes(pool: "WorkerPool", chunks: Iterator[Tuple]) -> Iterator[Tuple]:
+    """Run chunks on ``pool`` with at most ``pool.max_queue`` in flight,
+    yielding each chunk's outcome in submission (= seed) order."""
+    pending: deque = deque()
+    for chunk in chunks:
+        pending.append(pool.submit(_run_chunk, chunk))
+        if len(pending) >= pool.max_queue:
+            yield pending.popleft().wait()
+    while pending:
+        yield pending.popleft().wait()

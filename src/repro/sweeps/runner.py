@@ -21,13 +21,14 @@ plan to reach a seed samples its graph.  A process also keeps one
 changes a result; a cache hit's ``wall_clock_s`` does not include
 sampling.
 
-Parallel execution (``n_jobs > 1``) fans claimed trials over a
-``concurrent.futures`` process pool with a bounded in-flight window, the
-same degrade-to-sequential story as :mod:`repro.sim.batch`: a pool that
-cannot start (sandboxes) or dies mid-flight (a SIGKILLed worker breaks
-the whole ``ProcessPoolExecutor``) releases the in-flight claims and
-falls back to in-process execution -- nothing is lost either way,
-because un-recorded claims simply expire and re-issue.
+Parallel execution (``n_jobs > 1``) fans claimed trials over the one
+worker pool (:class:`repro.pool.WorkerPool`) with a bounded in-flight
+window, the same degrade-to-sequential story as :mod:`repro.sim.batch`:
+a pool that cannot start (sandboxes) runs in-process, and a worker that
+dies mid-trial makes the driver release every in-flight claim and fall
+back to in-process execution -- nothing is lost either way, because
+un-recorded claims simply re-pend.  The workers exit when the driver
+dies, so a SIGKILLed driver leaves only its claims behind.
 
 Fault injection (for the crash-resume test harness and the CI
 kill/resume step) is driven by the ``REPRO_SWEEP_FAULT`` environment
@@ -48,6 +49,7 @@ import socket
 import time
 import warnings
 from collections import OrderedDict, deque
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -233,7 +235,7 @@ def execute_trial(plan: RunPlan, seed: int) -> Dict[str, Any]:
 
 
 def _pool_execute(payload: Tuple[str, str, int]) -> Dict[str, Any]:
-    """Process-pool task: ``(key, plan_json, seed)`` -> result payload."""
+    """Worker-pool job: ``(key, plan_json, seed)`` -> result payload."""
     _, plan_json, seed = payload
     return execute_trial(RunPlan.from_json(plan_json), seed)
 
@@ -332,8 +334,7 @@ def run_sweep(
         if kill_after is not None and report.completed >= kill_after:
             os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover
 
-    def record_failure(key: str, exc: BaseException) -> None:
-        message = f"{type(exc).__name__}: {exc}"
+    def record_failure(key: str, message: str) -> None:
         frontier.fail(key, message, worker=worker)
         report.failed += 1
         report.errors.append(f"{key}: {message}")
@@ -356,24 +357,13 @@ def run_sweep(
                     fault_hook(spec)
                 payload = execute_trial(spec.plan, spec.seed)
             except Exception as exc:
-                record_failure(spec.key, exc)
+                record_failure(spec.key, f"{type(exc).__name__}: {exc}")
             else:
                 record(spec.key, payload)
     report.budget_exhausted = out_of_budget()
     report.remaining = report.total - frontier.done_count
     report.wall_clock_s = time.monotonic() - start
     return report
-
-
-#: In-flight claims per worker in the bounded submission window.  Each
-#: pending entry is a *claimed* trial, so the window also bounds how many
-#: leases a dying driver can leave behind.  Sized from the
-#: ``BENCH_sweep_scaling.json`` measurement: trial execution dominates
-#: claim/submit latency (a claim is 0.1-0.6 ms of disk bookkeeping at
-#: any manifest size from 12 to 960 trials), so two per worker -- one
-#: running, one queued -- already keeps every worker fed, and deeper
-#: windows only add orphanable leases.
-CLAIM_WINDOW_PER_WORKER = 2
 
 
 def _run_parallel(
@@ -385,53 +375,34 @@ def _run_parallel(
     out_of_budget: Callable[[], bool],
     out_of_trials: Callable[[], bool],
     record: Callable[[str, Dict[str, Any]], None],
-    record_failure: Callable[[str, BaseException], None],
+    record_failure: Callable[[str, str], None],
 ) -> bool:
     """The bounded-window pool loop; ``False`` means "degrade to
     sequential for whatever is still pending" (claims released)."""
+    from ..pool import INFLIGHT_PER_WORKER, WorkerPool  # as in sim.batch
+
     try:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-    except ImportError as exc:  # pragma: no cover - stdlib always has it
+        pool = WorkerPool(jobs, max_queue=jobs * INFLIGHT_PER_WORKER)
+    except OSError as exc:
         warnings.warn(
             f"process pool unavailable ({exc}); running sequentially",
             RuntimeWarning,
             stacklevel=3,
         )
         return False
-    pending: deque = deque()  # (key, future)
-
-    def drain_one() -> None:
-        key, future = pending.popleft()
-        try:
-            payload = future.result()
-        except BrokenProcessPool:
-            # Put the popped entry back so the outer handler releases
-            # this trial's claim along with the rest of the window.
-            pending.appendleft((key, future))
-            raise
-        except Exception as exc:
-            record_failure(key, exc)
-        else:
-            record(key, payload)
-
-    try:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            while True:
-                spec = None
-                if not out_of_budget() and not out_of_trials():
-                    spec = frontier.claim(worker)
-                if spec is None:
-                    if not pending:
-                        return True
-                    drain_one()
-                    continue
+    pending: deque = deque()  # (key, job)
+    with closing(pool):
+        while True:
+            spec = None
+            if not out_of_budget() and not out_of_trials():
+                spec = frontier.claim(worker)
+            if spec is not None:
                 report.executed += 1
                 try:
                     if fault_hook is not None:
                         fault_hook(spec)
                 except Exception as exc:
-                    record_failure(spec.key, exc)
+                    record_failure(spec.key, f"{type(exc).__name__}: {exc}")
                     continue
                 pending.append(
                     (
@@ -442,24 +413,32 @@ def _run_parallel(
                         ),
                     )
                 )
-                while len(pending) >= jobs * CLAIM_WINDOW_PER_WORKER:
-                    drain_one()
-    except (OSError, BrokenProcessPool) as exc:
-        # Pool could not start, or a worker was killed mid-trial (which
-        # breaks the whole executor).  Release the in-flight claims --
-        # their trials were not recorded, so they simply re-pend -- and
-        # let the caller fall back to in-process execution.
-        for key, _ in pending:
-            frontier.release(key)
-            report.executed -= 1
-        warnings.warn(
-            f"process pool died ({type(exc).__name__}: {exc}); released "
-            f"{len(pending)} in-flight claim(s) and degrading to "
-            f"sequential execution",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return False
+                if len(pending) < pool.max_queue:
+                    continue
+            elif not pending:
+                return True
+            key, job = pending[0]
+            outcome = job.wait()
+            if outcome[:2] == ("error", "worker_killed"):
+                break
+            pending.popleft()
+            if outcome[0] == "ok":
+                record(key, outcome[1])
+            else:
+                record_failure(key, outcome[2])
+    # A worker died mid-trial.  Release the in-flight claims -- their
+    # trials were not recorded, so they simply re-pend -- and let the
+    # caller fall back to in-process execution.
+    for key, _ in pending:
+        frontier.release(key)
+        report.executed -= 1
+    warnings.warn(
+        f"a process pool worker died mid-trial; released {len(pending)} "
+        f"in-flight claim(s) and degrading to sequential execution",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return False
 
 
 def merged_rows(frontier: TrialFrontier) -> Dict[str, Dict[str, Any]]:

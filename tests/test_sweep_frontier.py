@@ -185,8 +185,8 @@ def test_sigkilled_pool_worker_resumes_bit_identical(
 ):
     """SIGKILL a pool worker process mid-trial; resume is bit-identical.
 
-    The killed worker breaks the whole ``ProcessPoolExecutor``; the
-    driver releases the in-flight claims and degrades to sequential --
+    The killed worker fails its trial as ``worker_killed``; the driver
+    releases every in-flight claim and degrades to sequential --
     where the armed fault then SIGKILLs the driver itself on the same
     trial, leaving a stale claim behind.  The resume (with an expired
     lease) must still complete to the uninterrupted byte-for-byte result.
