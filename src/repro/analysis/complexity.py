@@ -17,13 +17,12 @@ import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
-from ..graphs.arrays import DEFAULT_GRAPH_RNG, make_family
+from ..graphs.arrays import make_family
 from ..graphs.validation import is_maximal_independent_set
 from ..sim.array_result import ArrayRunResult
 from ..sim.batch import iter_trials, run_planned_trial
 from ..sim.energy import DEFAULT_MODEL, EnergyModel
 from ..sim.metrics import RunResult
-from ..sim.rng import DEFAULT_STREAM
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..plan import RunPlan
@@ -91,34 +90,25 @@ def run_trial(
     algorithm: Optional[str] = None,
     *,
     plan: Optional["RunPlan"] = None,
-    seed: int = 0,
     family: str = "custom",
     energy_model: EnergyModel = DEFAULT_MODEL,
-    congest_bit_limit: Optional[int] = None,
-    engine: str = "generators",
-    rng: str = DEFAULT_STREAM,
-    result: str = "legacy",
-    **protocol_kwargs: Any,
+    **knobs: Any,
 ) -> tuple:
     """Run one algorithm once; returns ``(result, Trial)``.
 
     Takes ``(graph, algorithm)`` -- the concrete-graph argument order
-    shared with :func:`repro.api.solve_mis` (family-driven entry points
-    like :func:`sweep` take ``(algorithm, family)``); everything else is
-    keyword-only, so cross-use fails with a clear named-argument error.
-    Pass ``plan=`` (a :class:`repro.plan.RunPlan`) instead of loose
-    knobs; ``family`` here is the row *label* written into the
-    :class:`Trial` (often not a registered family name), and
-    ``energy_model`` a live model object, so both stay outside the plan.
-
-    The default engine stays ``"generators"`` because single-trial callers
-    (recursion trees, lemma analyses) usually need ``result.protocols``,
-    which the vectorized engines do not populate.  ``result="arrays"``
-    (or ``"auto"``) returns the struct-of-arrays
-    :class:`~repro.sim.array_result.ArrayRunResult` instead of the
-    per-node-dict :class:`RunResult`; the Trial row is identical.
+    shared with :func:`repro.api.solve_mis`, and its configuration rules:
+    ``plan=`` or loose ``**knobs`` (:class:`repro.plan.RunPlan` fields
+    and protocol kwargs), with the single-run profile
+    :data:`repro.plan.SINGLE_RUN` (generator engine, legacy result) for
+    the knobs left out, because single-trial callers (recursion trees,
+    lemma analyses) read ``result.protocols``.  A positional algorithm
+    equal to ``plan.algorithm`` is tolerated.  ``family`` is the row
+    *label* written into the :class:`Trial` (often not a registered
+    family name) and ``energy_model`` a live model object, so both stay
+    outside the plan.
     """
-    from ..plan import ensure_plan
+    from ..plan import SINGLE_RUN, ensure_plan
 
     if plan is None and algorithm is None:
         raise TypeError(
@@ -132,20 +122,9 @@ def run_trial(
                 f"algorithm={plan.algorithm!r}; derive a variant with "
                 f"plan.replace(algorithm=...) instead"
             )
-        algorithm = None  # a positional algorithm matching the plan is no clash
-    plan = ensure_plan(
-        run_trial,
-        plan,
-        given=dict(
-            algorithm=algorithm,
-            seed=seed,
-            congest_bit_limit=congest_bit_limit,
-            engine=engine,
-            rng=rng,
-            result=result,
-            protocol_kwargs=protocol_kwargs,
-        ),
-    )
+    elif algorithm is not None:
+        knobs["algorithm"] = algorithm
+    plan = ensure_plan("run_trial", plan, knobs, **SINGLE_RUN)
     run = run_planned_trial(graph, plan, plan.seed)
     trial = trial_from_result(
         run, plan.algorithm, family=family, seed=plan.seed,
@@ -172,73 +151,50 @@ def sweep(
     plan: Optional["RunPlan"] = None,
     trials: int = 3,
     seed0: int = 0,
-    engine: str = "auto",
-    rng: str = DEFAULT_STREAM,
-    graph_source: str = "auto",
-    graph_rng: str = DEFAULT_GRAPH_RNG,
-    result: str = "auto",
-    n_jobs: Optional[int] = None,
     energy_model: EnergyModel = DEFAULT_MODEL,
-    congest_bit_limit: Optional[int] = None,
-    **protocol_kwargs: Any,
+    **knobs: Any,
 ) -> List[Trial]:
     """Measure ``algorithm`` on ``family`` across ``sizes``.
 
     Takes ``(algorithm, family)`` -- the family-driven argument order
     shared with :func:`repro.analysis.tables.build_table1` (concrete-graph
     entry points like :func:`run_trial` take ``(graph, algorithm)``);
-    everything else, including ``sizes``, is keyword-only.  Pass ``plan=``
-    (a :class:`repro.plan.RunPlan` carrying algorithm + family + the knob
-    configuration) instead of loose knobs; ``sizes``/``trials``/``seed0``
-    stay loose arguments because they are the measurement *grid*, not
-    per-run configuration.
+    everything else, including ``sizes``, is keyword-only.  The
+    configuration is either ``plan=`` (a :class:`repro.plan.RunPlan`
+    carrying algorithm + family + the knobs) or loose ``**knobs``
+    (RunPlan fields and protocol kwargs), with RunPlan's own defaults for
+    the knobs left out.  ``sizes``/``trials``/``seed0`` are the
+    measurement *grid*: each (size, trial index) pair gets its own graph
+    seed and run seed (:func:`trial_seeds`), so a loose ``seed``/``n`` is
+    refused.
 
-    Each (size, trial index) pair gets its own graph seed and run seed so
-    repeated sweeps are reproducible yet independent across trials.  The
-    trials *stream* through the batch runner
+    The trials *stream* through the batch runner
     (:func:`repro.sim.batch.iter_trials`): each result is flattened into
     its :class:`Trial` row and dropped before the next trial runs, so a
     10^4..10^5-node sweep holds one graph and one result in memory at a
-    time.
-
-    The sweep defaults to the fully array-native measurement pipeline
-    wherever that changes nothing but speed: ``engine="auto"`` picks the
-    vectorized engines, ``graph_source="auto"`` samples families with an
-    array-native sampler straight into CSR arrays (identical seeded edge
-    sets -- see :mod:`repro.graphs.arrays`), and ``result="auto"`` keeps
-    vectorized-trial statistics as numpy columns instead of 10^5 per-node
-    dicts.  Force ``graph_source="networkx"`` / ``result="legacy"`` to
-    reproduce the classic path; ``rng="batched"`` selects the v2
-    whole-array random streams (:mod:`repro.sim.rng`) and
-    ``graph_rng="batched"`` the v2 vectorized graph sampling
-    (different seeded graphs, versioned -- see
-    :mod:`repro.graphs.arrays`); ``n_jobs`` fans the per-size seed
-    batches over worker processes.
+    time.  The defaults are the fully array-native pipeline wherever that
+    changes nothing but speed: vectorized engines, array-native sampling
+    straight into CSR (identical seeded edge sets), and array results
+    until the rows are flattened.
     """
-    from ..plan import ensure_plan
+    from ..plan import ensure_plan, reject_grid_knobs
 
+    reject_grid_knobs(
+        "sweep", knobs,
+        seed="seed0= derives each trial's seed (see trial_seeds)",
+        n="pass the graph sizes as sizes=[...]",
+    )
     if plan is None and (algorithm is None or family is None):
         raise TypeError(
             "sweep() needs an algorithm and a family: pass them "
             "positionally (sweep('luby', 'gnp-sparse', sizes=...)) or "
             "inside plan="
         )
-    plan = ensure_plan(
-        sweep,
-        plan,
-        given=dict(
-            algorithm=algorithm,
-            family=family,
-            engine=engine,
-            rng=rng,
-            graph_source=graph_source,
-            graph_rng=graph_rng,
-            result=result,
-            n_jobs=n_jobs,
-            congest_bit_limit=congest_bit_limit,
-            protocol_kwargs=protocol_kwargs,
-        ),
-    )
+    if algorithm is not None:
+        knobs["algorithm"] = algorithm
+    if family is not None:
+        knobs["family"] = family
+    plan = ensure_plan("sweep", plan, knobs)
     if plan.family is None:
         raise ValueError(
             "sweep() plan carries no family (family=None); build the "

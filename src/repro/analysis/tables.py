@@ -9,9 +9,9 @@ the corresponding measure, with the paper's asymptotic claim alongside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from ..graphs.arrays import DEFAULT_GRAPH_RNG, make_family
+from ..graphs.arrays import make_family
 from ..graphs.csr import GraphArrays
 from ..sim.batch import iter_trials
 from .complexity import Trial, summarize, trial_from_result, trial_seeds
@@ -113,7 +113,7 @@ TABLE1_MEASURES = (
 
 def build_table1(
     sizes: Sequence[int] = (64, 128, 256),
-    family: str = "gnp-sparse",
+    family: Optional[str] = None,
     *,
     plan: Optional["RunPlan"] = None,
     algorithms: Sequence[str] = (
@@ -126,52 +126,44 @@ def build_table1(
     ),
     trials: int = 3,
     seed0: int = 0,
-    engine: str = "auto",
-    rng: str = "pernode",
-    graph_source: str = "auto",
-    graph_rng: str = DEFAULT_GRAPH_RNG,
-    result: str = "auto",
-    n_jobs: Optional[int] = None,
+    **knobs: Any,
 ) -> Table:
     """Measured Table 1: one row per (algorithm, measure), one column per n.
 
-    Everything after ``(sizes, family)`` is keyword-only.  Pass ``plan=``
-    (a :class:`repro.plan.RunPlan` carrying family + the knob
-    configuration) instead of loose knobs; the table iterates
-    ``algorithms`` via ``plan.replace(algorithm=...)``, and
-    ``sizes``/``trials``/``seed0`` stay loose arguments (the measurement
-    grid, not per-run configuration).
+    Everything after ``(sizes, family)`` is keyword-only.  The
+    configuration is either ``plan=`` (a :class:`repro.plan.RunPlan`
+    carrying family + the knobs) or loose ``**knobs`` (RunPlan fields and
+    protocol kwargs), with RunPlan's own defaults for the knobs left out
+    and ``family="gnp-sparse"`` when there is no plan.  The table iterates
+    ``algorithms`` via ``plan.replace(algorithm=...)``;
+    ``sizes``/``trials``/``seed0`` are the measurement grid, so a loose
+    ``algorithm``/``seed``/``n`` is refused.
 
     Every algorithm is measured on the *same* seeded graphs (identical to
     what :func:`repro.analysis.complexity.sweep` would build for the same
     ``seed0``), constructed once per size rather than once per algorithm;
     on vectorized-friendly configurations that graph reuse plus the
     vectorized baselines is what makes the full table fast.
-    ``graph_source="auto"`` samples supported families straight into the
-    array view (identical seeded edge sets, no networkx object);
-    ``result="auto"`` keeps vectorized trials in array form until they are
-    flattened into rows.  Every algorithm in the default table has a
-    vectorized engine; generator-forced runs (``engine="generators"``)
-    read the adjacency dict through the arrays' lazy view.
-    ``graph_rng="batched"`` measures the table on v2-sampled graphs (same
-    families and sizes, different seeded edge sets -- see
-    :mod:`repro.graphs.arrays`).
+    Generator-forced runs (``engine="generators"``) read the adjacency
+    dict through the arrays' lazy view.
     """
-    from ..plan import ensure_plan
+    from ..plan import ensure_plan, reject_grid_knobs
 
-    plan = ensure_plan(
-        build_table1,
-        plan,
-        given=dict(
-            family=family,
-            engine=engine,
-            rng=rng,
-            graph_source=graph_source,
-            graph_rng=graph_rng,
-            result=result,
-            n_jobs=n_jobs,
-        ),
+    reject_grid_knobs(
+        "build_table1", knobs,
+        algorithm="list the table's rows as algorithms=[...]",
+        seed="seed0= derives each trial's seed (see trial_seeds)",
+        n="pass the graph sizes as sizes=[...]",
     )
+    if family is not None:
+        knobs["family"] = family
+    elif plan is None:
+        knobs["family"] = "gnp-sparse"
+    if plan is None and algorithms:
+        # The base plan runs the first row, so protocol kwargs are
+        # checked against it here and against the others on replace().
+        knobs["algorithm"] = algorithms[0]
+    plan = ensure_plan("build_table1", plan, knobs)
     if plan.family is None:
         raise ValueError(
             "build_table1() plan carries no family (family=None); build "

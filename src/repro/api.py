@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 from .sim.array_result import ArrayRunResult
 from .sim.metrics import RunResult
 from .sim.protocol import Protocol
-from .sim.rng import DEFAULT_STREAM
 from .sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -94,68 +93,26 @@ def make_protocol_factory(
 
 def solve_mis(
     graph: Any,
-    algorithm: str = "fast-sleeping",
+    algorithm: Optional[str] = None,
     *,
     plan: Optional["RunPlan"] = None,
-    seed: Optional[int] = 0,
-    congest_bit_limit: Optional[int] = None,
     trace: Optional[Trace] = None,
-    max_rounds: Optional[int] = None,
-    engine: str = "generators",
-    rng: str = DEFAULT_STREAM,
-    result: str = "legacy",
-    dtype: str = "default",
-    **protocol_kwargs: Any,
+    **knobs: Any,
 ) -> Union[RunResult, ArrayRunResult]:
     """Compute an MIS of ``graph`` with the named distributed algorithm.
 
-    Parameters
-    ----------
-    graph:
-        ``networkx.Graph``, adjacency mapping, or a prebuilt
-        :class:`repro.graphs.csr.GraphArrays` (e.g. from the
-        array-native samplers in :mod:`repro.graphs.arrays` -- at
-        n = 10^4..10^5 building the graph array-natively is the
-        difference between the graph costing more than the run and being
-        noise).
-    algorithm:
-        One of :func:`algorithm_names` -- ``"sleeping"`` (Algorithm 1),
-        ``"fast-sleeping"`` (Algorithm 2, the default), ``"luby"``,
-        ``"greedy"`` (distributed randomized greedy), ``"ghaffari"``, or
-        ``"abi"`` (Alon--Babai--Itai).
-    plan:
-        A pre-validated :class:`repro.plan.RunPlan` carrying the full
-        knob configuration (algorithm, engine, rng, result, ...).
-        Mutually exclusive with the loose knob keywords below; derive
-        variants with ``plan.replace(...)``.  ``trace`` stays a loose
-        argument (a live instrumentation object, not configuration).
-    seed:
-        Master seed for all per-node random streams.
-    engine:
-        ``"generators"`` (default, the reference engine),
-        ``"vectorized"`` (numpy engines for every registered algorithm,
-        identical results), or ``"auto"`` (vectorized when eligible).
-        The vectorized engines return no ``result.protocols``; analyses
-        needing per-call records must use the generator engine.
-    rng:
-        Random-stream format: ``"pernode"`` (v1, the default) or
-        ``"batched"`` (v2).  The formats are versioned and deliberately
-        incompatible; pin the format alongside the seed to reproduce a
-        run (see :mod:`repro.sim.rng`).
-    result:
-        ``"legacy"`` (default) returns :class:`RunResult` with per-node
-        :class:`NodeStats` dicts; ``"arrays"`` returns the
-        struct-of-arrays :class:`repro.sim.array_result.ArrayRunResult`
-        (same measures, integer-exact, with a lazy legacy view);
-        ``"auto"`` picks arrays exactly when a vectorized engine runs.
-    dtype:
-        Result column-dtype policy: ``"default"`` keeps the historical
-        int64/float64 columns bit for bit; ``"narrow"`` stores each
-        array-result column in the smallest dtype representing it exactly
-        (see :data:`repro.sim.array_result.DTYPE_KINDS`).
-    protocol_kwargs:
-        Forwarded to the protocol constructor (e.g. ``coin_bias=0.4``,
-        ``greedy_constant=12``, ``max_phases=50``).
+    ``graph`` is a ``networkx.Graph``, an adjacency mapping, or a prebuilt
+    :class:`repro.graphs.csr.GraphArrays` (e.g. from the array-native
+    samplers in :mod:`repro.graphs.arrays`); ``algorithm`` one of
+    :func:`algorithm_names` (``"fast-sleeping"``, Algorithm 2, when left
+    out).  The configuration is either ``plan=`` (a
+    :class:`repro.plan.RunPlan`) or loose ``**knobs``: names of RunPlan
+    fields (``seed=``, ``engine=``, ``rng=``, ``result=``, ...; see its
+    docstring) and protocol kwargs (``coin_bias=0.4``, ``depth=3``, ...).
+    Knobs left out take the single-run profile
+    :data:`repro.plan.SINGLE_RUN`: the generator engine and a legacy
+    :class:`RunResult`, whose ``result.protocols`` per-call analyses read.
+    ``trace`` is a live instrumentation object, not configuration.
 
     Returns
     -------
@@ -163,22 +120,10 @@ def solve_mis(
         ``result.mis`` is the computed set; the four complexity measures are
         available as properties on either result type.
     """
-    from .plan import ensure_plan
+    from .plan import SINGLE_RUN, ensure_plan
     from .sim.batch import run_planned_trial
 
-    plan = ensure_plan(
-        solve_mis,
-        plan,
-        given=dict(
-            algorithm=algorithm,
-            seed=seed,
-            congest_bit_limit=congest_bit_limit,
-            max_rounds=max_rounds,
-            engine=engine,
-            rng=rng,
-            result=result,
-            dtype=dtype,
-            protocol_kwargs=protocol_kwargs,
-        ),
-    )
+    if algorithm is not None:
+        knobs["algorithm"] = algorithm
+    plan = ensure_plan("solve_mis", plan, knobs, **SINGLE_RUN)
     return run_planned_trial(graph, plan, plan.seed, trace=trace)

@@ -46,11 +46,9 @@ from .analysis.complexity import run_trial, summarize, sweep
 from .analysis.recursion_tree import build_tree, render_tree, tree_stats
 from .analysis.tables import Table, build_table1
 from .api import algorithm_names
-from .graphs.arrays import DEFAULT_GRAPH_RNG
 from .graphs.generators import family_names, make_family_graph
-from .plan import RunPlan
+from .plan import PLAN_FIELDS, SINGLE_RUN, RunPlan
 from .sim.energy import DEFAULT_MODEL
-from .sim.rng import DEFAULT_STREAM
 
 
 def _parse_sizes(text: str) -> List[int]:
@@ -320,30 +318,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: argparse dests named differently from the RunPlan field they set.
+_DEST_FIELDS = {"jobs": "n_jobs"}
+
+
 def plan_from_args(args: argparse.Namespace) -> RunPlan:
     """Map parsed CLI flags onto one validated :class:`RunPlan`.
 
     Every configuration flag corresponds to exactly one plan field
-    (asserted by the CLI tests); subcommands that omit a flag fall back
-    to the behavior-preserving default for that command group
+    (asserted by the CLI tests); a field whose flag a subcommand omits
+    takes the single-run profile :data:`repro.plan.SINGLE_RUN`
     (``engine="generators"``/``result="legacy"`` -- what ``tree`` and
-    ``energy`` always ran with).  Building the plan here means every
-    subcommand validates its whole knob combination up front, with the
-    shared suggestion-bearing errors, before any graph is built.
+    ``energy`` always ran with) or the RunPlan default.  Building the
+    plan here means every subcommand validates its whole knob combination
+    up front, with the shared suggestion-bearing errors, before any graph
+    is built.
     """
-    return RunPlan(
-        algorithm=getattr(args, "algorithm", "fast-sleeping"),
-        family=getattr(args, "family", None),
-        n=getattr(args, "n", None),
-        seed=getattr(args, "seed", 0),
-        engine=getattr(args, "engine", "generators"),
-        rng=getattr(args, "rng", DEFAULT_STREAM),
-        graph_rng=getattr(args, "graph_rng", DEFAULT_GRAPH_RNG),
-        graph_source=getattr(args, "graph_source", "auto"),
-        result=getattr(args, "result", "legacy"),
-        dtype=getattr(args, "dtype", "default"),
-        n_jobs=getattr(args, "jobs", None),
-    )
+    knobs = {}
+    for dest, value in vars(args).items():
+        field = _DEST_FIELDS.get(dest, dest)
+        if field in PLAN_FIELDS:
+            knobs[field] = value
+    return RunPlan(**{**SINGLE_RUN, **knobs})
 
 
 def _with_server(args: argparse.Namespace, remote, local) -> int:

@@ -21,11 +21,13 @@ validated dataclass:
   ``unsupported_reason``-style errors those layers raise (batched
   graph_rng + networkx source, vectorized engine + generator-only
   instrumentation, ...).  A plan that constructs is a plan that runs.
-* **one place to add a knob** -- entry points accept ``plan=`` and pass
-  the object through; their legacy keyword signatures remain as thin
-  shims that build a plan internally.  A sixth knob is a new field here
-  (subclassing works too: entry points and serialization iterate
-  ``dataclasses.fields``, so an extended plan flows through unchanged).
+* **one place to add a knob** -- entry points take their subject and
+  grid arguments, ``plan=``, and ``**knobs``; :func:`ensure_plan` sends
+  every knob named after a field to the plan and every other name to
+  ``protocol_kwargs``.  A new knob is a new field here and reaches every
+  entry point with no signature edited (subclassing works too:
+  serialization iterates ``dataclasses.fields``, so an extended plan
+  passed as ``plan=`` flows through unchanged).
 * **canonically serializable** -- :meth:`to_json` emits a stable,
   sorted-key, compact JSON form (pinned by tests), :meth:`from_json`
   round-trips it, and :meth:`cache_key` hashes it.  The serialized plan
@@ -35,16 +37,19 @@ validated dataclass:
   ``cache_key()`` + seed): every run is deterministic given
   ``(plan, seed)``.
 
-Argument-order convention (all entry points)
---------------------------------------------
+Entry-point convention
+----------------------
 Entry points taking a **concrete graph** take it first, algorithm second
 (``solve_mis(graph, algorithm)``, ``run_trial(graph, algorithm)``,
 ``run_trials(graph_factory, algorithm)``); entry points that **build
 graphs from a family** take ``(algorithm, family)``
-(``sweep(algorithm, family)``).  Everything after the first two
-parameters is keyword-only everywhere, so a positional call written
-against the wrong sibling fails with a clear named-argument error
-instead of silently binding a seed to ``trials``.
+(``sweep(algorithm, family)``).  Everything else is keyword-only: the
+grid (``seeds``/``sizes``/``trials``/``seed0``), live objects
+(``trace``, ``energy_model``), ``plan=``, or a knob.  Loose knobs and
+``plan=`` are exclusive, and the knobs left out take the entry point's
+default profile: :data:`SINGLE_RUN` for single runs, ``result="legacy"``
+for the batch runner, :class:`RunPlan`'s own defaults for sweeps and
+tables.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ import hashlib
 import inspect
 import json
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
 from ._registry import unknown_name_error
@@ -82,11 +89,34 @@ class RunPlan:
     config blocks.  Construction validates every field and every
     supported combination; see the module docstring.
 
-    ``family``/``n``/``seed`` describe the *subject* when the plan builds
-    its own graphs (:meth:`build_graph`, the CLI, sweeps); entry points
-    called with an explicit graph object leave ``family`` ``None``.
-    ``protocol_kwargs`` is stored as a sorted tuple of ``(name, value)``
-    pairs (hashable); pass a plain dict, it is normalized.
+    The fields (the knob table in ``docs/api.md`` lists the same):
+
+    * ``algorithm`` -- one of :func:`repro.api.algorithm_names`.
+    * ``family``/``n``/``seed`` -- the *subject* when the plan builds its
+      own graphs (:meth:`build_graph`, the CLI, sweeps); entry points
+      called with an explicit graph object leave ``family`` ``None``.
+      ``seed`` is the master seed of every per-node random stream.
+    * ``engine`` -- ``"generators"`` (the reference engine; the only one
+      filling ``result.protocols``), ``"vectorized"`` (numpy engines,
+      identical results) or ``"auto"`` (vectorized when eligible).
+    * ``rng`` -- per-node stream format, ``"pernode"`` (v1) or
+      ``"batched"`` (v2); same seed, different execution
+      (:mod:`repro.sim.rng`).
+    * ``graph_rng``/``graph_source`` -- how family graphs are sampled
+      and built (:mod:`repro.graphs.arrays`); family plans only.
+    * ``result`` -- ``"legacy"`` (:class:`RunResult`), ``"arrays"``
+      (:class:`repro.sim.array_result.ArrayRunResult`) or ``"auto"``
+      (arrays exactly when a vectorized engine runs).
+    * ``dtype`` -- array-result column dtypes, ``"default"`` or
+      ``"narrow"`` (:data:`repro.sim.array_result.DTYPE_KINDS`).
+    * ``n_jobs`` -- batch worker processes (``None``/``1``: in process).
+    * ``max_rounds``/``congest_bit_limit`` -- round cap and CONGEST bit
+      budget (the latter generator-only).
+    * ``protocol_kwargs`` -- forwarded to the algorithm's protocol
+      constructor (``depth=``, ``coin_bias=``, ``greedy_constant=``,
+      ``max_phases=``); names it does not take are rejected here.
+      Stored as a sorted tuple of ``(name, value)`` pairs (hashable);
+      pass a plain dict, it is normalized.
     """
 
     algorithm: str = "fast-sleeping"
@@ -191,6 +221,16 @@ class RunPlan:
             congest_bit_limit=self.congest_bit_limit,
             **self.protocol_dict(),
         )
+        if self.protocol_kwargs:
+            protocol = registry[self.algorithm]
+            accepted = _protocol_parameters(protocol)
+            for key, _ in self.protocol_kwargs:
+                if key not in accepted:
+                    raise unknown_name_error(
+                        f"{self.algorithm} protocol kwarg", key, accepted,
+                        hint=f"protocol kwargs are passed to "
+                        f"{protocol.__name__}()",
+                    )
 
     # -- resolution ----------------------------------------------------
 
@@ -321,45 +361,81 @@ class RunPlan:
         return hashlib.sha256(self.to_json().encode("ascii")).hexdigest()
 
 
-def _signature_defaults(entry_point: Callable[..., Any]) -> Dict[str, Any]:
-    """Each parameter's default in ``entry_point``'s own signature
-    (``{}`` for its ``**protocol_kwargs``)."""
-    return {
-        param.name: {} if param.kind is param.VAR_KEYWORD else param.default
-        for param in inspect.signature(entry_point).parameters.values()
-    }
+#: Every loose keyword an entry point receives under one of these names
+#: configures the plan; any other name is a protocol kwarg.
+PLAN_FIELDS = frozenset(field.name for field in fields(RunPlan))
+
+#: The default profile of single runs -- ``solve_mis``, ``run_trial`` and
+#: the CLI commands without engine/result flags (``tree``, ``energy``).
+#: Their callers read ``result.protocols``, which only the generator
+#: engine's legacy result carries.
+SINGLE_RUN: Mapping[str, Any] = MappingProxyType(
+    {"engine": "generators", "result": "legacy"}
+)
+
+
+@lru_cache(maxsize=None)
+def _protocol_parameters(protocol: Callable[..., Any]) -> frozenset:
+    """The keyword names ``protocol``'s constructor takes.  Cached: plans
+    are built per trial by sweeps and the service, and one signature
+    inspection costs more than a whole plan construction."""
+    return frozenset(inspect.signature(protocol).parameters)
 
 
 def ensure_plan(
-    entry_point: Callable[..., Any],
+    name: str,
     plan: Optional[RunPlan],
-    given: Dict[str, Any],
+    knobs: Mapping[str, Any],
+    **defaults: Any,
 ) -> RunPlan:
-    """The shim shared by every entry point's legacy keyword signature.
+    """The one path from an entry point's loose ``**knobs`` to its plan.
 
-    With ``plan=None``, builds a :class:`RunPlan` from the entry point's
-    loose kwargs (``given``) -- the deprecation-safe path existing
-    callers ride.  With a plan, rejects any loose knob that differs from
-    its default in ``entry_point``'s signature: the plan is the single
-    source of truth, and mixing the two silently would resurrect exactly
-    the foot-guns the plan exists to kill.
+    With ``plan=None``, every knob named after a :class:`RunPlan` field
+    sets that field, every other name becomes a protocol kwarg, and
+    ``defaults`` (the entry point's default profile) fill the fields
+    left out.  With a plan, any loose knob at all is an error -- even
+    one equal to a default: the plan is the single source of truth, and
+    mixing the two silently would resurrect exactly the foot-guns the
+    plan exists to kill.
     """
-    name = entry_point.__name__
     if plan is None:
-        return RunPlan(**given)
+        config = {key: value for key, value in knobs.items() if key in PLAN_FIELDS}
+        extra = {key: value for key, value in knobs.items() if key not in PLAN_FIELDS}
+        if extra:
+            given = dict(config.get("protocol_kwargs", ()))
+            twice = sorted(set(given) & set(extra))
+            if twice:
+                raise ValueError(
+                    f"{name}() got protocol kwarg(s) {twice} both loose and "
+                    f"inside protocol_kwargs=; pass each once"
+                )
+            config["protocol_kwargs"] = {**given, **extra}
+        return RunPlan(**{**defaults, **config})
     if not isinstance(plan, RunPlan):
         raise TypeError(
             f"{name}() plan= expects a RunPlan, got {type(plan).__name__}"
         )
-    defaults = _signature_defaults(entry_point)
-    clashes = sorted(
-        knob for knob, value in given.items() if value != defaults[knob]
-    )
-    if clashes:
+    if knobs:
         raise ValueError(
             f"{name}() got both plan= and explicit knob(s) "
-            f"{clashes}; a RunPlan carries the full configuration -- "
+            f"{sorted(knobs)}; a RunPlan carries the full configuration -- "
             f"derive a variant with plan.replace(...) instead of mixing "
             f"loose keyword knobs in"
         )
     return plan
+
+
+def reject_grid_knobs(
+    name: str, knobs: Mapping[str, Any], **owners: str
+) -> None:
+    """Refuse the loose knobs a grid entry point sets per trial itself.
+
+    ``owners`` maps each such knob (``seed``, ``n``) to the argument that
+    sets it; a loose ``seed=`` next to ``seeds=`` would otherwise land in
+    a plan field the grid never reads.
+    """
+    for knob in sorted(owners):
+        if knob in knobs:
+            raise TypeError(
+                f"{name}() takes no {knob}= knob: {owners[knob]}"
+            )

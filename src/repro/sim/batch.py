@@ -295,18 +295,11 @@ def _iter_graphs(
 
 def iter_trials(
     graph_factory: Any,
-    algorithm: str = "fast-sleeping",
+    algorithm: Optional[str] = None,
     *,
     seeds: Iterable[Optional[int]] = range(10),
     plan: Optional["RunPlan"] = None,
-    n_jobs: Optional[int] = None,
-    engine: str = "auto",
-    rng: str = DEFAULT_STREAM,
-    result: str = "legacy",
-    dtype: str = "default",
-    max_rounds: Optional[int] = None,
-    congest_bit_limit: Optional[int] = None,
-    **protocol_kwargs: Any,
+    **knobs: Any,
 ) -> Iterator[ResultLike]:
     """Stream one result per seed, in seed order.
 
@@ -315,61 +308,26 @@ def iter_trials(
     trial starts, so sweeps can aggregate 10^4-node runs without ever
     holding more than one of them.
 
-    Parameters
-    ----------
-    graph_factory:
-        Either a callable ``seed -> graph`` (fresh graph per trial) or a
-        single graph object shared by every trial.  A factory may return
-        a prebuilt :class:`GraphArrays` (e.g. from
-        :mod:`repro.graphs.arrays`), which skips graph normalization
-        entirely on the vectorized path.
-    algorithm:
-        Name from :func:`repro.api.algorithm_names`.
-    seeds:
-        Master seeds, one trial each (keyword-only).
-    plan:
-        A pre-validated :class:`repro.plan.RunPlan`; mutually exclusive
-        with the loose knob keywords below (``seeds`` stays separate --
-        it is the trial grid, not a configuration knob).
-    n_jobs:
-        ``None`` or ``1`` runs sequentially in-process; ``> 1`` uses that
-        many worker processes.  ``0``/negative values are rejected (pass
-        ``n_jobs=os.cpu_count()`` explicitly for one worker per CPU).
-    engine:
-        ``"auto"`` (default), ``"generators"``, or ``"vectorized"``.
-    rng:
-        Random-stream format: ``"pernode"`` (v1, default) or ``"batched"``
-        (v2); see :mod:`repro.sim.rng`.
-    result:
-        ``"legacy"`` (default) yields :class:`RunResult`; ``"arrays"``
-        yields :class:`repro.sim.array_result.ArrayRunResult` (converted
-        from the legacy result on the generator engine); ``"auto"`` picks
-        arrays exactly on the vectorized engine.
-    dtype:
-        Result column-dtype policy: ``"default"`` (bit-identical int64
-        columns) or ``"narrow"`` (smallest exact dtype per column); see
-        :data:`repro.sim.array_result.DTYPE_KINDS`.
-    protocol_kwargs:
-        Forwarded to the protocol (``coin_bias=``, ``greedy_constant=``,
-        ``depth=``, ``max_phases=``).
+    ``graph_factory`` is either a callable ``seed -> graph`` (fresh graph
+    per trial) or a single graph object shared by every trial; a factory
+    may return a prebuilt :class:`GraphArrays` (e.g. from
+    :mod:`repro.graphs.arrays`), which skips graph normalization entirely
+    on the vectorized path.  ``seeds`` are the master seeds, one trial
+    each.  The configuration is either ``plan=`` (a
+    :class:`repro.plan.RunPlan`) or loose ``**knobs`` (RunPlan fields and
+    protocol kwargs; see its docstring), with ``result="legacy"`` the
+    default; ``n_jobs > 1`` fans seed chunks out over worker processes.
     """
-    from ..plan import ensure_plan
+    from ..plan import ensure_plan, reject_grid_knobs
 
-    plan = ensure_plan(
-        iter_trials,
-        plan,
-        given=dict(
-            algorithm=algorithm,
-            n_jobs=n_jobs,
-            engine=engine,
-            rng=rng,
-            result=result,
-            dtype=dtype,
-            max_rounds=max_rounds,
-            congest_bit_limit=congest_bit_limit,
-            protocol_kwargs=protocol_kwargs,
-        ),
+    reject_grid_knobs(
+        "iter_trials", knobs,
+        seed="pass the trial seeds as seeds=[...]",
+        n="graph_factory builds each trial's graph from its seed in seeds=",
     )
+    if algorithm is not None:
+        knobs["algorithm"] = algorithm
+    plan = ensure_plan("iter_trials", plan, knobs, result="legacy")
     # Plan construction already validated names and combinations; resolve
     # the concrete engine/result once and iterate.
     return _iter_trials_planned(graph_factory, seeds, plan)
@@ -433,18 +391,11 @@ def _iter_trials_planned(
 
 def run_trials(
     graph_factory: Any,
-    algorithm: str = "fast-sleeping",
+    algorithm: Optional[str] = None,
     *,
     seeds: Iterable[Optional[int]] = range(10),
     plan: Optional["RunPlan"] = None,
-    n_jobs: Optional[int] = None,
-    engine: str = "auto",
-    rng: str = DEFAULT_STREAM,
-    result: str = "legacy",
-    dtype: str = "default",
-    max_rounds: Optional[int] = None,
-    congest_bit_limit: Optional[int] = None,
-    **protocol_kwargs: Any,
+    **knobs: Any,
 ) -> List[ResultLike]:
     """Run ``algorithm`` once per seed; results come back in seed order.
 
@@ -452,12 +403,7 @@ def run_trials(
     parameters); prefer the iterator for large sweeps.
     """
     return list(
-        iter_trials(
-            graph_factory, algorithm, seeds=seeds, plan=plan,
-            n_jobs=n_jobs, engine=engine, rng=rng, result=result,
-            dtype=dtype, max_rounds=max_rounds,
-            congest_bit_limit=congest_bit_limit, **protocol_kwargs,
-        )
+        iter_trials(graph_factory, algorithm, seeds=seeds, plan=plan, **knobs)
     )
 
 

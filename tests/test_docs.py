@@ -231,6 +231,26 @@ class TestPerformanceGuideFreshness:
             )
 
 
+class TestApiKnobTable:
+    def test_every_plan_field_has_a_row(self):
+        """Entry-point docstrings point at the docs/api.md knob table, so
+        a RunPlan field without a row there is documented nowhere."""
+        import dataclasses
+
+        from repro import RunPlan
+
+        documented = set()
+        for line in read("docs/api.md").splitlines():
+            if line.startswith("| `"):
+                first_cell = line.split("|")[1]
+                documented.update(re.findall(r"`(\w+)`", first_cell))
+        for field in dataclasses.fields(RunPlan):
+            assert field.name in documented, (
+                f"RunPlan field {field.name!r} has no row in the "
+                f"docs/api.md knob table"
+            )
+
+
 def _github_anchor(heading: str) -> str:
     """GitHub's heading -> anchor slug (lowercase, punctuation dropped,
     spaces to hyphens)."""

@@ -185,9 +185,9 @@ class TestResolution:
 
 class TestHashEquality:
     def test_equal_plans_hash_equal(self):
-        a = RunPlan(algorithm="luby", protocol_kwargs={"coin_bias": 0.5})
+        a = RunPlan(algorithm="sleeping", protocol_kwargs={"coin_bias": 0.5})
         b = RunPlan(
-            algorithm="luby", protocol_kwargs=(("coin_bias", 0.5),)
+            algorithm="sleeping", protocol_kwargs=(("coin_bias", 0.5),)
         )
         assert a == b
         assert hash(a) == hash(b)
