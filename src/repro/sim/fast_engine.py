@@ -17,8 +17,11 @@ module does, on two paths chosen per call by its size:
   lists (:meth:`VectorizedEngine._scalar_subtree`), where a 2-8 node call
   costs a few microseconds instead of ~100 us of numpy dispatch; its
   counters reach the node arrays in one scatter;
+* a larger greedy base call of Algorithm 2 runs the ``greedy`` baseline's
+  own phase loop (:mod:`repro.sim.phase_loop`) on its participants and
+  rows, capped at the window's phases (:meth:`VectorizedEngine._base_case`);
 * awake/``inMIS``/coin state are per-node int arrays, and so are the live
-  counts of Algorithm 2's base case (live sets are never stored);
+  counts of the base case (live sets are never stored);
 * the recursion counts awake rounds, received messages and decisions
   only: every other awake round is a flag broadcast, so ``sleep``,
   ``tx``/``idle``, messages and bits follow from ``awake`` and the degree
@@ -61,16 +64,14 @@ from ..core import schedule
 from ..graphs.csr import GraphArrays
 from .array_result import ArrayRunResult, resolve_dtype_kind
 from .errors import MaxRoundsExceededError
+from .phase_loop import _FLAG_BITS, PhaseLoop, announced
 from .rng import (
     DEFAULT_STREAM,
-    bit_length_u64,
     draw_u64_array,
     mix64,
-    node_rng,  # noqa: F401  (re-exported; historical import site)
     node_rng_bulk,
     randbelow,
     stream_key,
-    u64_mod_bound,
     u64_to_unit_float,
     validate_stream,
 )
@@ -120,7 +121,7 @@ ENGINE_CAPABILITIES: Dict[str, EngineCapability] = {
     "fast-sleeping": EngineCapability(
         "fast_engine.VectorizedEngine",
         SUPPORTED_PROTOCOL_KWARGS,
-        "greedy base cases over in-loop neighborhoods",
+        "greedy base cases on the greedy baseline's phase loop",
     ),
     "luby": EngineCapability(
         "fast_phased.PhasedVectorizedEngine",
@@ -160,10 +161,6 @@ PHASED_ALGORITHMS = tuple(
 #: Everything some vectorized engine implements.
 SUPPORTED_ALGORITHMS = tuple(ENGINE_CAPABILITIES)
 
-#: Bit cost of the tri-state announcements (``None``/``True``/``False`` all
-#: encode to 2 bits under :func:`repro.sim.messages.payload_bits`).
-_FLAG_BITS = 2
-
 #: A row read replaces the boolean pass over a call's rows when the picked
 #: rows hold less than one entry in this many (see :func:`_row_entries`).
 _ROW_READ_SHARE = 4
@@ -185,45 +182,6 @@ SCALAR_MAX_NODES = 128
 #: gnp-dense hold ~2000 entries each and run slower on lists than on
 #: arrays; with it, gnp-dense runs the same as without the kernel.
 SCALAR_MAX_ENTRIES = 768
-
-
-def draw_dense_ranks(
-    rngs: Optional[List[Any]],
-    key: Optional[int],
-    ctr: Optional[np.ndarray],
-    U: np.ndarray,
-    bound: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One rank draw from ``[0, bound)`` per node of ``U``, on either stream.
-
-    Returns ``(dense, raw_bits)`` aligned with ``U``: ``dense`` are dense
-    ranks (value order preserved, so comparisons stay in int64 even when
-    raw draws exceed 2**63), ``raw_bits`` is ``max(bit_length, 1)`` of
-    each raw value.  The full CONGEST cost of a ``(value, id)`` rank
-    payload is ``raw_bits + payload_bits(id) + 10`` (int tag+sign = 2,
-    tuple framing = 4 per element).
-
-    v1 (``rngs`` given): one ``randrange`` per node, in ``U`` order --
-    the generator engine's stream positions.  v2 (``key``/``ctr`` given):
-    whole-array draws at each node's counter, which is then advanced.
-    """
-    if rngs is not None:
-        values = [randbelow(rngs[i], bound) for i in U.tolist()]
-        order = {v: j for j, v in enumerate(sorted(set(values)))}
-        dense = np.fromiter(
-            (order[v] for v in values), dtype=np.int64, count=len(values)
-        )
-        raw_bits = np.fromiter(
-            (max(v.bit_length(), 1) for v in values),
-            dtype=np.int64,
-            count=len(values),
-        )
-        return dense, raw_bits
-    u64 = draw_u64_array(key, U, ctr[U])
-    ctr[U] += 1
-    vals = u64_mod_bound(u64, bound)
-    _, inverse = np.unique(vals, return_inverse=True)
-    return inverse.astype(np.int64), np.maximum(bit_length_u64(vals), 1)
 
 
 def unsupported_reason(
@@ -311,6 +269,11 @@ class EngineScratch:
         if fill is not None:
             buf.fill(fill)
         return buf
+
+
+def _borrowed(name: str) -> property:
+    """A node-sized int64 buffer of the engine's scratch, taken on access."""
+    return property(lambda self: self._scratch.take(name, self.n, np.int64))
 
 
 class VectorizedEngine:
@@ -468,6 +431,16 @@ class VectorizedEngine:
         # greedy base cases (set-before-use only: each user writes its own
         # participants before reading, so stale entries are never observed).
         self._local_index = scratch.take("local_index", n, np.int32)
+        # Algorithm 2's numpy base cases run on this, built at the first.
+        self._greedy: Optional[PhaseLoop] = None
+
+    # The phase loop's own state (see _base_case): loop-relative finish
+    # rounds, live counts, rank keys and rank payload bits.  Most runs
+    # reach no numpy base case, so these are borrowed at first use.
+    finish = _borrowed("finish")
+    live_cnt = _borrowed("live_cnt")
+    _combined = _borrowed("combined")
+    _prio_bits = _borrowed("prio_bits")
 
     # ------------------------------------------------------------------
 
@@ -522,7 +495,7 @@ class VectorizedEngine:
             if self.algorithm == "sleeping":
                 self._decide(U, True, r)
             else:
-                self._greedy_base(U, deg_in, de, r)
+                self._base_case(U, deg_in, de, r)
             return
 
         self.mrecv[U] += 3 * deg_in
@@ -619,134 +592,50 @@ class VectorizedEngine:
     # Algorithm 2's greedy base case, in a fixed window of W rounds.
     # ------------------------------------------------------------------
 
-    def _greedy_base(
+    def _base_case(
         self, U: np.ndarray, deg_in: np.ndarray, de: np.ndarray, r: int
     ) -> None:
-        """The base case, computed in the call's **local index space**.
+        """The base case over ``U``: a discovery round, then the phase
+        loop under the ``greedy`` policy for the window's ``(W - 1) // 3``
+        phases, its round labels offset by ``r + 1``.
 
-        Every per-node array here has length ``|U|`` (slot ``i`` is global
-        node ``U[i]``), row entries are mapped through the shared
-        ``_local_index`` scatter buffer, and received-message counts
-        accumulate locally until one ``mrecv[U] +=`` at exit.  Deep in the
-        recursion most base calls are tiny, so the historical full-``n``
-        masks and ``bincount(minlength=n)`` passes made every phase cost
-        the graph's size; compaction makes them cost the call's size.
-        Global state (``in_mis``, stats) is updated through ``U[...]``
-        fancy indexing -- same values, same order, bit-for-bit the
-        generator engine's execution.  By the live-set invariant of
-        :mod:`repro.sim.fast_phased`, a round's deliveries are the in-call
-        edges between in-loop nodes and ``live_cnt`` is the in-loop degree.
-
-        The discovery round is a flag broadcast (one ``awake`` increment,
-        its counters derived at result build); rounds A/B/C credit each
-        awake node exactly one of ``tx``/``rx``/``idle``, plus the
-        messages and bits it sends.
+        Discovery is a flag broadcast (counted at result build) that seeds
+        the live sets with the in-call rows.  A node finishing at loop
+        round ``f`` was awake ``1 + f`` rounds; its ``tx``/``idle`` follow
+        from ``f`` as the phased engine's do, and the ``OUT`` messages it
+        heard shrank its live count.  Every step costs ``|U|``.
         """
-        W = self.base_rounds
-        nu = len(U)
-        local = self._local_index
-        local[U] = np.arange(nu, dtype=np.int32)
-        ed = local[de]
-        es = np.repeat(np.arange(nu, dtype=np.int32), deg_in)
-
-        # Neighbor discovery inside G[U]: live sets start as the in-call
-        # neighborhoods, and each node hears one presence flag per in-call
-        # neighbor, which seeds the local receipt count.
-        self.awake[U] += 1
-        live_cnt = deg_in.copy()
-        mrecv = deg_in.copy()
-
-        # Ranks: one draw per participant, same stream position as the
-        # generator engine (see draw_dense_ranks for the stream and
-        # payload-bit contract).  ``gid`` carries the global indices for
-        # the (rank, id) tie-break.
-        rank, raw_bits = draw_dense_ranks(
-            self._rngs, self._key, self._ctr, U, self._rank_bound
-        )
-        rank_bits = raw_bits + self.arrays.id_bits[U] + 10
-        gid = U
-
-        inloop = np.ones(nu, dtype=bool)
-        undecided = np.ones(nu, dtype=bool)  # local mirror of in_mis == -1
-
-        p = 0
-        while True:
-            used = 1 + 3 * p
-
-            # Loop head: isolated-among-survivors nodes join; then decided
-            # nodes and everyone out of window leave the loop.
-            iso = inloop & undecided & (live_cnt == 0)
-            if iso.any():
-                self._decide(U[iso], True, r + used)
-                undecided &= ~iso
-            leaving = inloop & (~undecided | (used + 3 > W))
-            if leaving.any():
-                truncated = leaving & undecided
-                if truncated.any():
-                    self.base_truncated[U[truncated]] = True
-                inloop &= ~leaving
-            if not inloop.any():
-                self.mrecv[U] += mrecv
-                return
-
-            # Round A -- rank exchange over the (symmetric) live sets: each
-            # in-loop node hears, and keeps, as many ranks as it sends.
-            rA = r + used
-            act = U[inloop]
-            self.awake[act] += 1
-            self.tx[act] += 1  # every in-loop node has a nonempty live set
-            self.msent[act] += live_cnt[inloop]
-            self.bits[act] += rank_bits[inloop] * live_cnt[inloop]
-            mrecv += live_cnt * inloop
-            delivered = inloop[es] & inloop[ed]
-            best_rank = np.full(nu, -1, dtype=np.int64)
-            np.maximum.at(best_rank, ed[delivered], rank[es[delivered]])
-            top = delivered & (rank[es] == best_rank[ed])
-            best_id = np.full(nu, -1, dtype=np.int64)
-            np.maximum.at(best_id, ed[top], gid[es[top]])
-            joined = inloop & (
-                (rank > best_rank) | ((rank == best_rank) & (gid > best_id))
+        if self._greedy is None:
+            self._greedy = PhaseLoop(self, "greedy")
+        loop = self._greedy
+        entry_awake = self.awake[U]
+        entry_rx = self.rx[U]
+        loop.run(U, deg_in, de, (self.base_rounds - 1) // 3)
+        f = loop.finish[U]
+        status = self.in_mis[U]
+        sent_last = announced(f, status)
+        tx = (f + 1) // 3 + sent_last
+        self.tx[U] += tx
+        self.idle[U] += f - tx - (self.rx[U] - entry_rx)
+        self.awake[U] = entry_awake + 1 + f
+        self.mrecv[U] += 2 * deg_in - loop.live_cnt[U]
+        decided = status != -1
+        self.base_truncated[U[~decided]] = True
+        # Decision rounds after the call's start r: the loop's labels
+        # plus the discovery round.
+        rel = (f - sent_last + 1)[decided]
+        idx = U[decided]
+        self.awake_at_decision[idx] = entry_awake[decided] + rel
+        if self._round_dtype is np.int64:
+            self.decision_round[idx] = rel + r
+        else:
+            # Past int64 the clocks are Python ints, stored as float64
+            # one conversion per distinct round.
+            values, inverse = np.unique(rel, return_inverse=True)
+            clocks = np.array(
+                [float(r + v) for v in values.tolist()], dtype=np.float64
             )
-            jact = U[joined]
-            if len(jact):
-                self._decide(jact, True, rA + 1)
-                undecided &= ~joined
-
-            # Round B -- JOIN announcements; live neighbors are eliminated.
-            rB = rA + 1
-            self.awake[act] += 1
-            self.tx[jact] += 1
-            self.msent[jact] += live_cnt[joined]
-            self.bits[jact] += _FLAG_BITS * live_cnt[joined]
-            delivered = joined[es] & inloop[ed]
-            got_join = np.bincount(ed[delivered], minlength=nu)
-            mrecv += got_join
-            silent = inloop & ~joined
-            self.rx[U[silent & (got_join > 0)]] += 1
-            self.idle[U[silent & (got_join == 0)]] += 1
-            elim = inloop & undecided & (got_join > 0)
-            eact = U[elim]
-            if len(eact):
-                self._decide(eact, False, rB + 1)
-                undecided &= ~elim
-            inloop &= ~joined
-
-            # Round C -- OUT announcements from the newly eliminated;
-            # survivors drop the announcers from their live sets.
-            self.awake[U[inloop]] += 1
-            self.tx[eact] += 1
-            self.msent[eact] += live_cnt[elim]
-            self.bits[eact] += _FLAG_BITS * live_cnt[elim]
-            delivered = elim[es] & inloop[ed]
-            got_out = np.bincount(ed[delivered], minlength=nu)
-            mrecv += got_out
-            survivor = inloop & ~elim
-            self.rx[U[survivor & (got_out > 0)]] += 1
-            self.idle[U[survivor & (got_out == 0)]] += 1
-            # Announcers leave the loop, so every OUT shrinks a live set.
-            live_cnt -= got_out
-            inloop &= ~elim
-            p += 1
+            self.decision_round[idx] = clocks[inverse]
 
     # ------------------------------------------------------------------
     # The scalar kernel: a whole small subtree on Python lists.
@@ -757,7 +646,7 @@ class VectorizedEngine:
     ) -> None:
         """The call over ``U`` and its whole subtree, on Python lists.
 
-        The same execution as :meth:`_recurse` and :meth:`_greedy_base`,
+        The same execution as :meth:`_recurse` and :meth:`_base_case`,
         step for step, for a call small enough that numpy's per-call
         dispatch (~100 us for a 2-8 node call) would dwarf its data.  The
         call's rows are read once, as sets of local ids ``0..|U|-1``
@@ -980,12 +869,13 @@ class VectorizedEngine:
 class _ScalarBase:
     """Algorithm 2's greedy base cases inside one scalar subtree.
 
-    :meth:`VectorizedEngine._greedy_base` on Python lists: :meth:`run`
-    takes a base call's local ids and in-call rows (sets of local ids)
-    and plays its window against the subtree's ``awake``/``mrecv`` lists
-    and ``decide``.  Its own counters (``tx``/``rx``/``idle``/``msent``/
-    ``bits``, the truncated nodes, the v2 stream counters) are allocated
-    by the first base call and scattered once by :meth:`scatter`.  Ranks
+    The phase loop of :meth:`VectorizedEngine._base_case` on Python
+    lists, one round at a time: :meth:`run` takes a base call's local ids
+    and in-call rows (sets of local ids) and plays its window against the
+    subtree's ``awake``/``mrecv`` lists and ``decide``.  Its own counters
+    (``tx``/``rx``/``idle``/``msent``/``bits``, the truncated nodes, the
+    v2 stream counters) are allocated by the first base call and
+    scattered once by :meth:`scatter`.  Ranks
     are drawn at the array path's stream positions and compared as
     ``(value, id)`` tuples; a rank message costs ``max(bit_length, 1) +
     id bits + 10``.

@@ -17,15 +17,18 @@ the v2 gnp sampler, the deterministic topologies).
 from dataclasses import asdict
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import GRAPH_CASES, kernel_mode, run_mis
 
+from repro.core import schedule
 from repro.graphs.arrays import (
     gnp_arrays_v2,
     grid_arrays,
+    make_family_arrays,
     path_arrays,
     ring_arrays,
     star_arrays,
@@ -33,7 +36,7 @@ from repro.graphs.arrays import (
 from repro.graphs.csr import GraphArrays
 from repro.graphs.generators import caterpillar
 from repro.sim.batch import resolve_engine
-from repro.sim.fast_engine import supports
+from repro.sim.fast_engine import VectorizedEngine, supports
 from repro.sim.trace import make_trace
 
 ALGORITHMS = ("sleeping", "fast-sleeping")
@@ -140,6 +143,96 @@ class TestProtocolKnobs:
                     gnp60, algorithm, seed=7, depth=depth, engine="vectorized"
                 ),
             )
+
+
+class TestGreedyBaseIsPhasedGreedy:
+    """Algorithm 2 at ``depth=0`` is one greedy base call over the whole
+    graph: the phased ``greedy`` baseline after one discovery round, with
+    its phases capped by the window (``(W - 1) // 3`` of them).  The
+    discovery round is a flag broadcast to every neighbor, so it adds one
+    awake round (a tx round, an idle one for a port-less node), ``deg``
+    messages each way and ``2 deg`` bits, and it shifts every decision by
+    one round."""
+
+    @pytest.mark.parametrize("rng", ["pernode", "batched"])
+    @pytest.mark.parametrize("family,n", [("gnp-dense", 500), ("gnp-sparse", 2000)])
+    @pytest.mark.parametrize("constant", [None, 1])
+    def test_depth0_is_greedy_plus_discovery(self, family, n, rng, constant):
+        ga = make_family_arrays(family, n, seed=11)
+        knobs = {} if constant is None else {"greedy_constant": constant}
+        capped = {}
+        if constant is not None:
+            window = schedule.greedy_rounds(n, constant)
+            capped = {"max_phases": (window - 1) // 3}
+        fast = run_mis(
+            ga, "fast-sleeping", seed=4, engine="vectorized", rng=rng,
+            result="arrays", depth=0, **knobs,
+        )
+        greedy = run_mis(
+            ga, "greedy", seed=4, engine="vectorized", rng=rng,
+            result="arrays", **capped,
+        )
+        deg = ga.deg.astype(np.int64)
+
+        def col(result, name):
+            return getattr(result, name).astype(np.int64)
+
+        def shifted(name):
+            values = col(greedy, name)
+            return np.where(values == -1, -1, values + 1)
+
+        want = {
+            "in_mis": col(greedy, "in_mis"),
+            "rx_rounds": col(greedy, "rx_rounds"),
+            "decision_round": shifted("decision_round"),
+            "awake_at_decision": shifted("awake_at_decision"),
+            "awake_rounds": col(greedy, "awake_rounds") + 1,
+            "messages_received": col(greedy, "messages_received") + deg,
+            "messages_sent": col(greedy, "messages_sent") + deg,
+            "bits_sent": col(greedy, "bits_sent") + 2 * deg,
+            "tx_rounds": col(greedy, "tx_rounds") + (deg > 0),
+            "idle_rounds": col(greedy, "idle_rounds") + (deg == 0),
+        }
+        for name, values in want.items():
+            np.testing.assert_array_equal(col(fast, name), values, name)
+        if constant is not None:
+            # The cap really binds: some base nodes run out of window.
+            assert (col(fast, "in_mis") == -1).any()
+
+
+class TestLargeBaseCalls:
+    """Numpy base calls of thousands of nodes, each a multi-phase
+    shrinking frontier, against the generator engine: every ``NodeStats``
+    field, the round count and the truncation flags."""
+
+    @pytest.mark.parametrize(
+        "rng,knobs",
+        [
+            ("pernode", {"depth": 0, "greedy_constant": 1}),
+            ("batched", {"depth": 0, "greedy_constant": 1}),
+            ("batched", {"depth": 1}),
+        ],
+        ids=["pernode-depth0", "batched-depth0", "batched-depth1"],
+    )
+    def test_sparse_1e4_matches_generator_engine(self, rng, knobs):
+        ga = make_family_arrays("gnp-sparse", 10_000, seed=2)
+        # Seed 3 truncates some nodes at greedy_constant=1 on both streams.
+        reference = run_mis(
+            ga.adjacency, "fast-sleeping", seed=3, engine="generators",
+            rng=rng, **knobs,
+        )
+        engine = VectorizedEngine(
+            ga, "fast-sleeping", seed=3, rng=rng, **knobs
+        )
+        assert_equivalent(reference, engine.run())
+        truncated = {
+            v for v, p in reference.protocols.items() if p.base_truncated
+        }
+        assert truncated == {
+            ga.node_ids[i] for i in np.flatnonzero(engine.base_truncated)
+        }
+        if knobs.get("greedy_constant") == 1:
+            assert truncated  # the window cuts the loop short
 
 
 class TestEngineSelection:

@@ -25,11 +25,13 @@ from repro.sim.fast_phased import PhasedVectorizedEngine
 from helpers import argsort_csr
 
 #: The scratch-borrowed per-node state buffers of the sleeping engine
-#: (``sleep`` is derived at result build, so it borrows no buffer).
+#: (``sleep`` is derived at result build, so it borrows no buffer),
+#: including the phase loop's state for Algorithm 2's numpy base cases.
 SLEEPING_BUFFERS = (
     "in_mis", "awake", "tx", "rx", "idle", "msent", "bits",
     "mrecv", "decision_round", "awake_at_decision", "base_truncated",
     "_sub_mask", "_nbr_mask", "_local_index", "_ctr",
+    "finish", "live_cnt", "_combined", "_prio_bits",
 )
 
 #: The scratch-borrowed per-node state buffers of the phased engine,

@@ -18,7 +18,9 @@ from pathlib import Path
 import repro
 
 #: Modules of the engine layer the graph layer must never import.
-ENGINE_MODULES = ("fast_engine", "fast_phased", "batch", "array_result")
+ENGINE_MODULES = (
+    "fast_engine", "fast_phased", "phase_loop", "batch", "array_result",
+)
 
 REPRO_DIR = Path(repro.__file__).parent
 GRAPHS_DIR = REPRO_DIR / "graphs"
@@ -72,8 +74,24 @@ def test_engines_import_no_legacy_result_type():
     """A second result build in an engine would need these types back."""
     offenders = [
         f"{name}: {module}"
-        for name in ("fast_engine.py", "fast_phased.py")
+        for name in ("fast_engine.py", "fast_phased.py", "phase_loop.py")
         for module in _imported_modules(SIM_DIR / name)
         if module.rsplit(".", 1)[-1] in ("RunResult", "NodeStats")
     ]
     assert not offenders, offenders
+
+
+def test_engines_share_the_phase_loop_without_a_cycle():
+    """Both engines import the phase loop; it imports neither engine, and
+    the sleeping engine does not import the phased one."""
+    def imports(name, other):
+        return any(
+            other in module.split(".")
+            for module in _imported_modules(SIM_DIR / f"{name}.py")
+        )
+
+    assert imports("fast_engine", "phase_loop")
+    assert imports("fast_phased", "phase_loop")
+    assert not imports("phase_loop", "fast_engine")
+    assert not imports("phase_loop", "fast_phased")
+    assert not imports("fast_engine", "fast_phased")
