@@ -62,14 +62,16 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List
+from contextlib import closing
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from .._registry import unknown_name_error
 from ..profiling import phase
 from ..sim.rng import graph_stream_key, mix64_array, u64_to_unit_float
-from .csr import GraphArrays
+from .csr import CACHE_BLOCK, GraphArrays, build_worker
 from .generators import FAMILIES, GNP_FAST_THRESHOLD
 
 #: Graph-source choices accepted by ``graph_source=`` throughout the
@@ -157,12 +159,61 @@ def gnp_arrays(n: int, p: float, seed: int = 0) -> GraphArrays:
 
 #: Uniform draws per refill chunk of the v2 sampler.  Bounds the peak
 #: *transient* memory of a sample plus its CSR build: however many edges
-#: G(n, p) has, no more than this many uniforms/skips and one chunk's
-#: index temporaries are in flight (~60 bytes per pair all told, ~128 MB),
-#: refilling until the pair space is exhausted.  Chunking changes nothing
-#: about the sampled graph -- draw ``j`` is a pure function of ``(key,
-#: j)`` -- so the constant can move without versioning.
+#: G(n, p) has, at most one chunk beyond the one being built is in
+#: flight (the one a helper thread draws or groups ahead of it), and the
+#: skips, pairs and index temporaries beyond the kept chunks and ``dst``
+#: come to ~30 bytes per chunk pair, ~63 MB (tracemalloc, dense n =
+#: 10^4), refilling until the pair space is exhausted.
+#: Chunking changes nothing about the sampled graph -- draw ``j`` is a
+#: pure function of ``(key, j)`` -- so the constant can move without
+#: versioning.
 GNP_V2_CHUNK = 1 << 21
+
+
+def _skip_positions(
+    key: np.uint64,
+    counter: int,
+    size: int,
+    log1mp: float,
+    pos: np.int64,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Flat positions ``pos + cumsum(g)`` of skips ``counter ..
+    counter + size - 1`` (the v2 format in :func:`gnp_arrays_v2`).
+
+    A chunk of one :data:`~repro.graphs.csr.CACHE_BLOCK` runs the chain
+    on whole arrays.  A larger one fills the int64 ``out`` (allocated
+    here when not given) block by block, with the same operations in the
+    same order, so the chain's float temporaries stay in cache instead
+    of streaming ten chunk-sized arrays through memory; then it cumsums
+    in place.
+    """
+    if size <= CACHE_BLOCK:
+        u = u64_to_unit_float(
+            mix64_array(
+                key + np.arange(counter, counter + size, dtype=np.uint64)
+            )
+        )
+        skips = 1 + (np.log1p(-u) / log1mp).astype(np.int64)
+        return pos + np.cumsum(skips)
+    if out is None:
+        out = np.empty(size, dtype=np.int64)
+    for b in range(0, size, CACHE_BLOCK):
+        e = min(b + CACHE_BLOCK, size)
+        u = u64_to_unit_float(
+            mix64_array(
+                key + np.arange(counter + b, counter + e, dtype=np.uint64)
+            )
+        )
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        u /= log1mp
+        block = out[b:e]
+        np.copyto(block, u, casting="unsafe")  # truncates, as astype does
+        block += 1
+    np.cumsum(out, out=out)
+    out += pos
+    return out
 
 
 def _gnp_v2_pair_chunks(n: int, p: float, key: np.uint64, chunk: int):
@@ -173,32 +224,55 @@ def _gnp_v2_pair_chunks(n: int, p: float, key: np.uint64, chunk: int):
     pure function of ``(key, counter)``, so the stream does not depend on
     the chunk size.  Each chunk's flat positions are decoded to pairs by
     run length (:func:`_pair_rows`).
+
+    The first chunk is drawn on the calling thread.  If the stream goes
+    on, a helper thread (:func:`repro.graphs.csr.build_worker`) draws
+    the positions of chunk k + 1 into a buffer allocated here while this
+    thread decodes chunk k and the consumer takes it.  Each chunk starts
+    where the previous one ended, so the chunks, and the graph, are the
+    same on any number of threads.  Every chunk is a fresh array pair,
+    which is what makes drawing ahead of the consumer safe.  Close the
+    generator (:func:`contextlib.closing`) to stop the helper when a
+    consumer stops early.
     """
     total = n * (n - 1) // 2
     log1mp = math.log1p(-p)
-    pos = np.int64(-1)  # last occupied flat position
-    counter = 0
-    while True:
+
+    def size_after(pos: int) -> int:
         # Aim one chunk at the expected remainder (with slack), bounded
-        # by the chunk budget; loop until a position lands past the end.
+        # by the chunk budget; the stream ends once a position lands
+        # past the end.
         expect = float(total - int(pos)) * p
-        size = min(chunk, max(int(expect * 1.1) + 64, 1024))
-        u = u64_to_unit_float(
-            mix64_array(
-                key + np.arange(counter, counter + size, dtype=np.uint64)
-            )
-        )
-        counter += size
-        skips = 1 + (np.log1p(-u) / log1mp).astype(np.int64)
-        positions = pos + np.cumsum(skips)
-        done = bool(positions[-1] >= total)
-        if done:
-            positions = positions[positions < total]
-        if len(positions):
-            pos = positions[-1]
-            yield _pair_rows(positions)
-        if done:
-            return
+        return min(chunk, max(int(expect * 1.1) + 64, 1024))
+
+    size = size_after(-1)
+    positions = _skip_positions(key, 0, size, log1mp, np.int64(-1))
+    counter = size  # the next chunk's first draw
+    with build_worker(positions[-1] < total) as worker:
+        while True:
+            following = None
+            if positions[-1] < total:  # the stream goes on: start chunk k + 1
+                pos = positions[-1]
+                size = size_after(pos)
+                args = (key, counter, size, log1mp, pos)
+                if worker is None:
+                    following = partial(_skip_positions, *args)
+                else:
+                    # The buffer comes from this thread's heap (see
+                    # build_worker); a one-block chunk needs none.
+                    out = np.empty(size, np.int64) if size > CACHE_BLOCK else None
+                    following = worker.submit(_skip_positions, *args, out).result
+                counter += size
+            else:
+                positions = positions[: np.searchsorted(positions, total)]
+            if len(positions):
+                pairs = _pair_rows(positions)
+                positions = None  # decoded: hold only what the consumer holds
+                yield pairs
+                pairs = None  # the consumer is done with it
+            if following is None:
+                return
+            positions = following()
 
 
 def _pair_rows(positions: np.ndarray):
@@ -217,7 +291,9 @@ def _pair_rows(positions: np.ndarray):
     counts = np.diff(
         np.searchsorted(positions, tri[1:]), prepend=0, append=len(positions)
     )
-    return positions - np.repeat(tri, counts), np.repeat(rows, counts)
+    lo = np.repeat(tri, counts)
+    np.subtract(positions, lo, out=lo)
+    return lo, np.repeat(rows, counts)
 
 
 def gnp_arrays_v2(n: int, p: float, seed: int = 0) -> GraphArrays:
@@ -245,17 +321,19 @@ def gnp_arrays_v2(n: int, p: float, seed: int = 0) -> GraphArrays:
     Skips are strictly positive, so positions are strictly increasing: the
     edge list needs no deduplication and arrives pre-sorted, which is what
     lets :meth:`GraphArrays.from_distinct_pair_chunks` build the CSR in
-    one pass over the sampled chunks, holding one chunk of temporaries at
-    a time (:data:`GNP_V2_CHUNK` draws) instead of the whole pair list.
+    one pass over the sampled chunks, holding at most two chunks of
+    temporaries at a time (:data:`GNP_V2_CHUNK` draws each: the one being
+    built and the one a helper thread works ahead on) instead of the
+    whole pair list.
     """
     if p >= 1.0:
         return gnp_arrays(n, 1.0)
     if p <= 0.0 or n < 2:
         return _from_pairs(n, [])
     key = np.uint64(graph_stream_key(seed))
-    return GraphArrays.from_distinct_pair_chunks(
-        n, _gnp_v2_pair_chunks(n, p, key, GNP_V2_CHUNK)
-    )
+    # closing(): a build that raises stops the sampler's helper thread.
+    with closing(_gnp_v2_pair_chunks(n, p, key, GNP_V2_CHUNK)) as chunks:
+        return GraphArrays.from_distinct_pair_chunks(n, chunks)
 
 
 def ring_arrays(n: int) -> GraphArrays:

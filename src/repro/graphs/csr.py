@@ -19,7 +19,10 @@ without reaching up into an engine module.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+import os
+from contextlib import contextmanager
+from functools import partial
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,41 +32,113 @@ from ..sim.network import NormalizedAdjacency, normalize_graph
 from ..sim.rng import bit_length_u64
 
 
-def _grouped_slots(
-    key: np.ndarray, start: np.ndarray, carry: np.ndarray
-) -> np.ndarray:
-    """CSR slots for the direction of a pair list that is *not* sorted by
-    its row node ``key``.
+#: Elements per block when a graph build streams a chunk through a chain
+#: of numpy passes: each pass's block-sized temporaries (256 KB of int64)
+#: stay in cache, and a helper thread allocates nothing larger (see
+#: :func:`build_worker`).  Any size from 2^13 to 2^17 does about as well.
+CACHE_BLOCK = 1 << 15
 
-    Entry ``i`` lands at ``start[key[i]]``, plus ``carry[key[i]]`` (the
-    entries earlier chunks placed in that block), plus its rank among
-    the entries sharing its key, in input order.  One value sort groups
-    them: the packed int64 values ``(key << B) | i`` with ``B =
-    bit_length(c - 1)`` order by key, then by input position, and unpack
-    into the sorted keys and the permutation without a gather (``n, c <=
-    2^31`` keeps the packing inside int64).  ``carry`` advances in place
-    by each key's count.
+
+def _forward_runs(
+    key: np.ndarray,
+    packed: Optional[np.ndarray] = None,
+    head: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The carry-independent half of :func:`_forward_slots`: one chunk's
+    row nodes ``key`` grouped into runs of equal key.
+
+    One value sort groups them: the packed int64 values ``(key << B) |
+    i`` with ``B = bit_length(c - 1)`` order by key, then by input
+    position, and unpack into the permutation without a gather (``n, c
+    <= 2^31`` keeps the packing inside int64).  Returns ``(order,
+    head)``: the input position of each sorted entry, and whether it
+    starts a run.  It reads nothing but ``key`` and fills the int64
+    ``packed`` and bool ``head`` buffers (allocated here when not
+    given) with block-sized temporaries only, so the build runs it for
+    the next chunk on a helper thread.
     """
     c = len(key)
     bits = (c - 1).bit_length()
-    packed = key.astype(np.int64)
+    if packed is None:
+        packed = np.empty(c, dtype=np.int64)
+        head = np.empty(c, dtype=bool)
+    np.copyto(packed, key)
     packed <<= bits
-    packed |= np.arange(c, dtype=np.int64)
+    for b in range(0, c, CACHE_BLOCK):
+        e = min(b + CACHE_BLOCK, c)
+        packed[b:e] |= np.arange(b, e, dtype=np.int64)
     packed.sort()
-    key_s = packed >> bits
-    order = packed
-    order &= (1 << bits) - 1
-    head = np.ones(c, dtype=bool)
-    np.not_equal(key_s[1:], key_s[:-1], out=head[1:])
+    head[0] = True
+    for b in range(1, c, CACHE_BLOCK):
+        e = min(b + CACHE_BLOCK, c)
+        key_s = packed[b - 1 : e] >> bits
+        np.not_equal(key_s[1:], key_s[:-1], out=head[b:e])
+    packed &= (1 << bits) - 1
+    return packed, head
+
+
+def _forward_slots(
+    key: np.ndarray,
+    runs: Tuple[np.ndarray, np.ndarray],
+    start: np.ndarray,
+    carry: np.ndarray,
+) -> np.ndarray:
+    """CSR slots for the direction of a pair list that is *not* sorted by
+    its row node ``key``, from its :func:`_forward_runs`.
+
+    Entry ``i`` lands at ``start[key[i]]``, plus ``carry[key[i]]`` (the
+    entries earlier chunks placed in that block), plus its rank among
+    the entries sharing its key, in input order.  ``carry`` advances in
+    place by each key's count.
+    """
+    order, head = runs
+    c = len(order)
     run_starts = np.flatnonzero(head).astype(np.int32)
     run_lens = np.diff(run_starts, append=np.int32(c))
-    heads = key_s[run_starts]
+    heads = key[order[run_starts]].astype(np.int64)  # index once, not 4x
     base = start[heads] - run_starts
     base += carry[heads]
     carry[heads] += run_lens
     slots = np.empty(c, dtype=np.int32)
     slots[order] = np.arange(c, dtype=np.int32) + np.repeat(base, run_lens)
     return slots
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS keeps
+    one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def build_worker(wanted: bool) -> Iterator[Any]:
+    """One helper thread for the enclosed block of a graph build, or
+    ``None``.
+
+    The thread starts only when ``wanted`` (a second chunk exists) and a
+    second CPU is usable, and it is joined when the block exits, however
+    it exits: no thread outlives a build, so a forked pool worker never
+    inherits one.  Work handed to it must not enter
+    :func:`repro.profiling.phase` (the profiler is one single-threaded
+    stack; the caller books its wait for a result), and it must write
+    into buffers the caller allocated, making only
+    :data:`CACHE_BLOCK`-sized temporaries of its own: memory a thread
+    frees goes back to that thread's malloc arena, where the rest of the
+    trial cannot reuse it.
+    """
+    if not wanted or _usable_cpus() < 2:
+        yield None
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    worker = ThreadPoolExecutor(1, thread_name_prefix="repro-graph-build")
+    try:
+        yield worker
+    finally:
+        worker.shutdown(wait=True)
 
 
 def _endpoints(values: Any) -> np.ndarray:
@@ -229,14 +304,17 @@ class GraphArrays:
         the edge list in strictly increasing ``(hi, lo)``-lex order (the
         v2 gnp sampler's native order) -- distinct pairs with ``lo < hi``,
         validated chunk by chunk.  The pass counts per-node degrees and
-        keeps each chunk as int32 ``(lo, hi)``: 8 bytes per pair.  The
-        kept chunks are then scattered into ``dst`` in order, each freed
-        as soon as it is placed.  So the edge-array peak is 16 bytes per
-        pair (kept chunks plus ``dst``), the graph keeps 8 (``dst``), and
-        everything else in flight is O(n) node arrays plus index
-        temporaries per *chunk*, never per graph (see
-        ``docs/performance.md``).  The degree counts are allocated at the
-        first pair, so an edgeless build holds ``deg`` and nothing else.
+        keeps each chunk as int32 ``(lo, hi)``: 8 bytes per pair.  It
+        copies a chunk before it pulls the next, so a producer may refill
+        one buffer.  The kept chunks are then scattered into ``dst`` in
+        order, each freed as soon as it is placed.  So the edge-array
+        peak is 16 bytes per pair (kept chunks plus ``dst``), the graph
+        keeps 8 (``dst``), and everything else in flight is O(n) node
+        arrays plus index temporaries per *chunk*, with at most one extra
+        chunk in flight (the one a helper thread groups ahead), never
+        per graph (see ``docs/performance.md``).  The degree counts
+        are allocated at the first pair, so an edgeless build holds
+        ``deg`` and nothing else.
 
         Slot math: the backward (``hi``-major) direction needs no sort --
         pair ``i``'s backward entry follows the ``i`` backward entries
@@ -245,10 +323,14 @@ class GraphArrays:
         counts at ``hi``.  The forward direction's global rank splits
         into a per-node carry (``occF``, pairs placed from earlier
         chunks) plus a within-chunk rank from one value sort per chunk
-        (:func:`_grouped_slots`).  ``deg`` is summed into the backward
-        count buffer and the other int64 scratch is freed before the
-        scatter, so its peak is the kept chunks and ``dst`` plus three
-        int32 node arrays.
+        (:func:`_forward_runs`).  That sort reads nothing but the kept
+        chunk, so when there are two chunks or more and a second CPU, a
+        helper thread (:func:`build_worker`) sorts chunk k + 1 while this
+        thread applies chunk k's carry and both scatters; the slots, and
+        so ``dst``, are the same either way.  ``deg`` is summed into the
+        backward count buffer and the other int64 scratch is freed
+        before the scatter, so its peak is the kept chunks and ``dst``
+        plus three int32 node arrays.
         """
         if callable(chunks):
             raise TypeError(
@@ -263,17 +345,18 @@ class GraphArrays:
         with phase("csr_build"):
             for lo, hi in profiled_pulls("sample", chunks):
                 lo, hi, key = _stream_chunk(n, lo, hi, last_key)
-                if not len(key):
-                    continue
-                if degF is None:
-                    degF = np.zeros(n, dtype=np.int64)
-                    degB = np.zeros(n, dtype=np.int64)
-                last_key = key[-1]
-                degF += np.bincount(lo, minlength=n)
-                # hi ascends within a chunk: count over its span only.
-                degB[hi[0] : hi[-1] + 1] += np.bincount(hi - hi[0])
-                kept.append((lo.astype(np.int32), hi.astype(np.int32)))
-                m += len(key)
+                if len(key):
+                    if degF is None:
+                        degF = np.zeros(n, dtype=np.int64)
+                        degB = np.zeros(n, dtype=np.int64)
+                    last_key = key[-1]
+                    # No n-length bincount per chunk: lo spans every row.
+                    np.add.at(degF, lo, 1)
+                    # hi ascends within a chunk: count over its span only.
+                    degB[hi[0] : hi[-1] + 1] += np.bincount(hi - hi[0])
+                    kept.append((lo.astype(np.int32), hi.astype(np.int32)))
+                    m += len(key)
+                del lo, hi, key  # drop this chunk before pulling the next
             self = cls.__new__(cls)
             self._adjacency = None
             self._node_ids = None  # ids are 0..n-1; node_ids serves a range
@@ -298,15 +381,34 @@ class GraphArrays:
             dst = np.empty(2 * m, dtype=np.int32)
             base = 0
             kept.reverse()  # pop() hands the chunks back in stream order
-            while kept:
-                lo, hi = kept.pop()
-                c = len(lo)
-                back = np.arange(base, base + c, dtype=np.int32)
-                back += cumF[hi]
-                dst[back] = lo
-                dst[_grouped_slots(lo, startF, occF)] = hi
-                base += c
-                del lo, hi, back  # free the chunk before the next one
+            with build_worker(len(kept) > 1) as worker:
+
+                def group(key: np.ndarray):
+                    """Start grouping ``key`` on the worker, or defer it."""
+                    if worker is None:
+                        return partial(_forward_runs, key)
+                    c = len(key)
+                    return worker.submit(
+                        _forward_runs,
+                        key,
+                        np.empty(c, dtype=np.int64),
+                        np.empty(c, dtype=bool),
+                    ).result
+
+                runs = group(kept[-1][0])
+                while kept:
+                    lo, hi = kept.pop()
+                    c = len(lo)
+                    back = np.arange(base, base + c, dtype=np.int32)
+                    back += cumF[hi]
+                    dst[back] = lo
+                    del back
+                    grouped = runs()
+                    if kept:  # group the next chunk while this one is placed
+                        runs = group(kept[-1][0])
+                    dst[_forward_slots(lo, grouped, startF, occF)] = hi
+                    base += c
+                    del lo, hi, grouped  # free the chunk before the next one
             del cumF, startF, occF
         self.dst, self.deg = dst, deg
         return self

@@ -9,6 +9,9 @@ round-trip, and the source-resolution rules.
 """
 
 import math
+import sys
+import threading
+import time
 
 import networkx as nx
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.graphs.arrays
+import repro.graphs.csr
 from repro.graphs.arrays import (
     ARRAY_FAMILIES,
     DEFAULT_GRAPH_RNG,
@@ -735,3 +739,118 @@ class TestChunkedCsrBuild:
         _assert_matches_reference(
             GraphArrays.from_distinct_pair_chunks(4, refill()), 4, lo, hi
         )
+
+    def test_producer_that_scribbles_while_resumed(self):
+        """The builder copies chunk k before it asks for chunk k + 1.
+
+        This producer refills one buffer pair, and each time it is
+        resumed it first poisons the pair with -1 and sleeps, so a
+        builder that pulled ahead of its own copy (a read-ahead thread,
+        say) would keep the poison or trip its own bounds check."""
+        ga = gnp_arrays_v2(300, 0.05, seed=2)
+        lower = ga.src > ga.dst  # the CSR walks these in (hi, lo) order
+        hi = ga.src[lower].astype(np.int64)
+        lo = ga.dst[lower].astype(np.int64)
+        size = 256
+
+        def scribbler():
+            buf_lo = np.empty(size, dtype=np.int64)
+            buf_hi = np.empty(size, dtype=np.int64)
+            for i in range(0, len(lo), size):
+                buf_lo.fill(-1)
+                buf_hi.fill(-1)
+                time.sleep(0.02)
+                k = min(size, len(lo) - i)
+                buf_lo[:k] = lo[i : i + k]
+                buf_hi[:k] = hi[i : i + k]
+                yield buf_lo[:k], buf_hi[:k]
+
+        assert len(lo) > 3 * size  # several chunks, so several resumes
+        built = GraphArrays.from_distinct_pair_chunks(300, scribbler())
+        np.testing.assert_array_equal(built.dst, ga.dst)
+        np.testing.assert_array_equal(built.deg, ga.deg)
+
+
+class TestBuildThreads:
+    """The v2 build's helper thread: output independent of the CPU
+    count, no thread for a one-chunk stream, errors raised on the
+    helper reach the caller, and no thread outlives a build."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_outlives_the_build(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        monkeypatch.setattr(repro.graphs.csr, "_usable_cpus", lambda: count)
+
+    @pytest.mark.parametrize("chunk", [1 << 11, 1 << 16])
+    @pytest.mark.parametrize(
+        "family,n", [("gnp-dense", 2000), ("gnp-sparse", 100_000)]
+    )
+    def test_output_does_not_depend_on_the_cpu_count(
+        self, monkeypatch, family, n, chunk
+    ):
+        monkeypatch.setattr(repro.graphs.arrays, "GNP_V2_CHUNK", chunk)
+        built = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the two threads finely
+        try:
+            for cpus in (1, 2):
+                self._cpus(monkeypatch, cpus)
+                built[cpus] = make_family_arrays(
+                    family, n, seed=4, graph_rng="batched"
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert built[1].m > 8 * chunk  # many chunks, so the helper ran
+        np.testing.assert_array_equal(built[1].dst, built[2].dst)
+        np.testing.assert_array_equal(built[1].deg, built[2].deg)
+
+    def test_a_one_chunk_stream_starts_no_thread(self, monkeypatch):
+        """n = 10^3 gnp-sparse is one default chunk: no thread, so small
+        builds pay nothing for the helper."""
+
+        def refuse(thread):
+            raise AssertionError(f"a one-chunk build started {thread}")
+
+        self._cpus(monkeypatch, 2)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        chunks = repro.graphs.arrays._gnp_v2_pair_chunks(
+            1000, 8 / 999, np.uint64(12345), repro.graphs.arrays.GNP_V2_CHUNK
+        )
+        assert sum(1 for _ in chunks) == 1
+        ga = make_family_arrays("gnp-sparse", 1000, seed=0, graph_rng="batched")
+        assert ga.m > 0
+
+    @pytest.mark.parametrize(
+        "module,name,on_helper",
+        [
+            (repro.graphs.arrays, "_skip_positions", True),  # pass 1 draws
+            (repro.graphs.csr, "_forward_runs", True),  # pass 2 grouping
+            # The decode runs on the calling thread while the helper is
+            # drawing the next chunk: the helper must still be stopped.
+            (repro.graphs.arrays, "_pair_rows", False),
+        ],
+    )
+    def test_an_error_mid_build_reaches_the_caller(
+        self, monkeypatch, module, name, on_helper
+    ):
+        monkeypatch.setattr(repro.graphs.arrays, "GNP_V2_CHUNK", 1 << 11)
+        self._cpus(monkeypatch, 2)
+        real = getattr(module, name)
+        calls = []
+
+        def third_call_raises(*args):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise KeyError(f"{name} failed on chunk 3")
+            return real(*args)
+
+        monkeypatch.setattr(module, name, third_call_raises)
+        with pytest.raises(KeyError, match=f"{name} failed on chunk 3"):
+            gnp_arrays_v2(2000, 0.5, seed=4)
+        assert (calls[2] is not threading.main_thread()) == on_helper
+
