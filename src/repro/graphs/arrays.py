@@ -64,7 +64,7 @@ import math
 import random
 from contextlib import closing
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -173,31 +173,19 @@ GNP_V2_CHUNK = 1 << 21
 def _skip_positions(
     key: np.uint64,
     counter: int,
-    size: int,
     log1mp: float,
     pos: np.int64,
-    out: Optional[np.ndarray] = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Flat positions ``pos + cumsum(g)`` of skips ``counter ..
-    counter + size - 1`` (the v2 format in :func:`gnp_arrays_v2`).
+    counter + len(out) - 1`` (the v2 format in :func:`gnp_arrays_v2`),
+    written into the int64 ``out``.
 
-    A chunk of one :data:`~repro.graphs.csr.CACHE_BLOCK` runs the chain
-    on whole arrays.  A larger one fills the int64 ``out`` (allocated
-    here when not given) block by block, with the same operations in the
-    same order, so the chain's float temporaries stay in cache instead
-    of streaming ten chunk-sized arrays through memory; then it cumsums
-    in place.
+    The chain runs block by block (:data:`~repro.graphs.csr.CACHE_BLOCK`
+    draws), so its float temporaries stay in cache instead of streaming
+    ten chunk-sized arrays through memory; then it cumsums in place.
     """
-    if size <= CACHE_BLOCK:
-        u = u64_to_unit_float(
-            mix64_array(
-                key + np.arange(counter, counter + size, dtype=np.uint64)
-            )
-        )
-        skips = 1 + (np.log1p(-u) / log1mp).astype(np.int64)
-        return pos + np.cumsum(skips)
-    if out is None:
-        out = np.empty(size, dtype=np.int64)
+    size = len(out)
     for b in range(0, size, CACHE_BLOCK):
         e = min(b + CACHE_BLOCK, size)
         u = u64_to_unit_float(
@@ -246,7 +234,9 @@ def _gnp_v2_pair_chunks(n: int, p: float, key: np.uint64, chunk: int):
         return min(chunk, max(int(expect * 1.1) + 64, 1024))
 
     size = size_after(-1)
-    positions = _skip_positions(key, 0, size, log1mp, np.int64(-1))
+    positions = _skip_positions(
+        key, 0, log1mp, np.int64(-1), np.empty(size, dtype=np.int64)
+    )
     counter = size  # the next chunk's first draw
     with build_worker(positions[-1] < total) as worker:
         while True:
@@ -254,14 +244,12 @@ def _gnp_v2_pair_chunks(n: int, p: float, key: np.uint64, chunk: int):
             if positions[-1] < total:  # the stream goes on: start chunk k + 1
                 pos = positions[-1]
                 size = size_after(pos)
-                args = (key, counter, size, log1mp, pos)
+                # The buffer comes from this thread's heap (see build_worker).
+                args = (key, counter, log1mp, pos, np.empty(size, dtype=np.int64))
                 if worker is None:
                     following = partial(_skip_positions, *args)
                 else:
-                    # The buffer comes from this thread's heap (see
-                    # build_worker); a one-block chunk needs none.
-                    out = np.empty(size, np.int64) if size > CACHE_BLOCK else None
-                    following = worker.submit(_skip_positions, *args, out).result
+                    following = worker.submit(_skip_positions, *args).result
                 counter += size
             else:
                 positions = positions[: np.searchsorted(positions, total)]

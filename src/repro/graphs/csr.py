@@ -40,9 +40,7 @@ CACHE_BLOCK = 1 << 15
 
 
 def _forward_runs(
-    key: np.ndarray,
-    packed: Optional[np.ndarray] = None,
-    head: Optional[np.ndarray] = None,
+    key: np.ndarray, packed: np.ndarray, head: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The carry-independent half of :func:`_forward_slots`: one chunk's
     row nodes ``key`` grouped into runs of equal key.
@@ -52,16 +50,13 @@ def _forward_runs(
     position, and unpack into the permutation without a gather (``n, c
     <= 2^31`` keeps the packing inside int64).  Returns ``(order,
     head)``: the input position of each sorted entry, and whether it
-    starts a run.  It reads nothing but ``key`` and fills the int64
-    ``packed`` and bool ``head`` buffers (allocated here when not
-    given) with block-sized temporaries only, so the build runs it for
-    the next chunk on a helper thread.
+    starts a run.  It reads nothing but ``key`` and fills the
+    chunk-sized int64 ``packed`` and bool ``head`` buffers with
+    block-sized temporaries only, so the build runs it for the next
+    chunk on a helper thread.
     """
     c = len(key)
     bits = (c - 1).bit_length()
-    if packed is None:
-        packed = np.empty(c, dtype=np.int64)
-        head = np.empty(c, dtype=bool)
     np.copyto(packed, key)
     packed <<= bits
     for b in range(0, c, CACHE_BLOCK):
@@ -385,15 +380,14 @@ class GraphArrays:
 
                 def group(key: np.ndarray):
                     """Start grouping ``key`` on the worker, or defer it."""
-                    if worker is None:
-                        return partial(_forward_runs, key)
-                    c = len(key)
-                    return worker.submit(
-                        _forward_runs,
+                    args = (
                         key,
-                        np.empty(c, dtype=np.int64),
-                        np.empty(c, dtype=bool),
-                    ).result
+                        np.empty(len(key), dtype=np.int64),
+                        np.empty(len(key), dtype=bool),
+                    )
+                    if worker is None:
+                        return partial(_forward_runs, *args)
+                    return worker.submit(_forward_runs, *args).result
 
                 runs = group(kept[-1][0])
                 while kept:
