@@ -89,7 +89,9 @@ def _forward_slots(
     order, head = runs
     c = len(order)
     run_starts = np.flatnonzero(head).astype(np.int32)
-    run_lens = np.diff(run_starts, append=np.int32(c))
+    run_lens = np.empty_like(run_starts)  # no np.diff(append=) concatenation
+    np.subtract(run_starts[1:], run_starts[:-1], out=run_lens[:-1])
+    run_lens[-1] = c - run_starts[-1]
     heads = key[order[run_starts]].astype(np.int64)  # index once, not 4x
     base = start[heads] - run_starts
     base += carry[heads]
