@@ -64,7 +64,7 @@ from ..core import schedule
 from ..graphs.csr import GraphArrays
 from .array_result import ArrayRunResult, resolve_dtype_kind
 from .errors import MaxRoundsExceededError
-from .phase_loop import _FLAG_BITS, PhaseLoop, announced
+from .phase_loop import _FLAG_BITS, PhaseLoop, _select, announced
 from .rng import (
     DEFAULT_STREAM,
     draw_u64_array,
@@ -164,9 +164,6 @@ SUPPORTED_ALGORITHMS = tuple(ENGINE_CAPABILITIES)
 #: A row read replaces the boolean pass over a call's rows when the picked
 #: rows hold less than one entry in this many (see :func:`_row_entries`).
 _ROW_READ_SHARE = 4
-
-#: Array length from which :func:`_select` switches to ``np.compress``.
-_COMPRESS_MIN = 2048
 
 #: A recursion call of at most this many participants, whose rows hold at
 #: most :data:`SCALAR_MAX_ENTRIES` entries, runs its whole subtree on
@@ -1054,18 +1051,3 @@ def _row_entries(
     positions = np.repeat(ends - out_ends, lens)
     positions += np.arange(total, dtype=np.int32)
     return de[positions]
-
-
-def _select(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``values[mask]``, for a mask with no long runs.
-
-    Boolean indexing branches on every element, which a random mask
-    mispredicts about half the time; ``np.compress`` lists the kept
-    positions first and then gathers them, a few times faster on large
-    arrays.  On small ones its fixed cost is the larger, so they keep
-    boolean indexing.
-    """
-    if len(mask) < _COMPRESS_MIN:
-        return values[mask]
-    return np.compress(mask, values)
-

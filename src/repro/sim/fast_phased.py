@@ -70,7 +70,12 @@ its ``awake_at_decision`` is that decision round; a node sends in round A
 of each phase it starts, ``(finish + 1) // 3`` of them, plus its
 announcement; its other awake rounds are idle; and the ``OUT`` messages it
 heard are exactly the ones that shrank its live count, ``deg - live_cnt``
-at exit.
+at exit.  The phases count those ``OUT`` messages by complement: every
+in-loop neighbor of a silent node joined, was eliminated, or survives, so
+its ``OUT`` count is its live count less the ``JOIN`` messages and
+surviving neighbors it has -- and the surviving neighbors come from the
+one pass over the survivors' rows that also carries the frontier to the
+next phase.
 
 Progress guarantee: for ``luby``/``greedy``, in every phase the live node
 holding the globally highest ``(priority, id)`` key beats all of its live

@@ -37,6 +37,14 @@ _FLAG_BITS = 2
 #: bool tag (2) + int tag/sign (2) + tuple framing (4 per element).
 _MARK_FRAME_BITS = 12
 
+#: Entries per row block of the loop's edge passes (:func:`row_blocks`):
+#: every per-edge transient of a phase (masks, keys, receiver ids) is at
+#: most a block's worth, ~25 MB, however many edges the graph has.
+EDGE_BLOCK = 1 << 20
+
+#: Array length from which :func:`_select` switches to ``np.compress``.
+_COMPRESS_MIN = 2048
+
 
 def draw_dense_ranks(
     rngs: Optional[List[Any]],
@@ -208,39 +216,50 @@ class PhaseLoop:
         invariant, exactly its surviving neighbors.  The exponent rises
         when that sum reaches 2 and falls (floored at 1) otherwise.
         ``U`` holds the survivors and ``df`` the next phase's frontier:
-        the surviving receivers (global ids), one row of ``live_cnt[v]``
-        per survivor ``v`` in ``U`` order -- the whole update is
-        O(frontier), never O(n).
+        one row of ``live_cnt[v]`` entries per survivor ``v`` in ``U``
+        order, whose receivers are slots among the survivors with a
+        nonempty row (slot ``i`` is the ``i``-th of them).  The rows are
+        read in row blocks (:func:`row_blocks`), so the update costs
+        O(frontier), never O(n), and its per-edge transients O(block).
         The comparison is computed in exact integer arithmetic --
-        ``sum(2^(E - e_u)) >= 2^(E+1)`` with ``E`` the largest exponent --
-        matching the protocol's exact-shift implementation independent of
-        any summation order.  The int64 fast path covers every exponent
-        range a real run produces; pathological spreads (possible only
-        after ~50+ adversarial phases) fall back to per-receiver Python
-        big-int sums, still exact.
+        ``sum(2^(E - e_u)) >= 2^(E+1)`` with ``E`` the largest exponent
+        among them -- matching the protocol's exact-shift implementation
+        independent of any summation order.  The int64 fast path covers
+        every exponent range a real run produces; pathological spreads
+        (possible only after ~50+ adversarial phases) fall back to
+        per-receiver Python big-int sums, still exact.
         """
-        nu = len(U)
-        high_l = np.zeros(nu, dtype=bool)
+        high_l = np.zeros(len(U), dtype=bool)
         if len(df):
-            local = self.local
-            local[U] = np.arange(nu, dtype=np.int32)
-            heads = local[df]
-            exps = self.exponent[U].repeat(self.live_cnt[U])
-            cap = int(exps.max())
-            spread = cap - int(exps.min())
+            cnt_l = self.live_cnt[U]
+            has_l = cnt_l > 0  # the rest have no surviving neighbor
+            cnt_l = cnt_l[has_l]
+            exp_l = self.exponent[U[has_l]]
+            cap = int(exp_l.max())
+            blocks = row_blocks(cnt_l, len(df))
+            spread = cap - int(exp_l.min())
             if cap + 1 <= 62 and spread + self.n.bit_length() <= 62:
-                contrib = np.int64(1) << (np.int64(cap) - exps)
-                acc = np.zeros(nu, dtype=np.int64)
-                np.add.at(acc, heads, contrib)
-                high_l = acc >= np.int64(1) << np.int64(cap + 1)
+                # Each sender's term 2^(E - e_u), once per node, not per edge.
+                term_l = np.int64(1) << (np.int64(cap) - exp_l)
+                acc = np.zeros(len(cnt_l), dtype=np.int64)
+                for b0, b1, e0, e1 in blocks:
+                    np.add.at(
+                        acc, df[e0:e1], term_l[b0:b1].repeat(cnt_l[b0:b1])
+                    )
+                high_l[has_l] = acc >= np.int64(1) << np.int64(cap + 1)
             else:  # pragma: no cover - adversarial exponent spreads
                 grouped: dict = {}
-                for v, e in zip(heads.tolist(), exps.tolist()):
-                    grouped.setdefault(v, []).append(e)
+                for b0, b1, e0, e1 in blocks:
+                    heads = df[e0:e1].tolist()
+                    exps = exp_l[b0:b1].repeat(cnt_l[b0:b1]).tolist()
+                    for v, e in zip(heads, exps):
+                        grouped.setdefault(v, []).append(e)
+                high_v = np.zeros(len(cnt_l), dtype=bool)
                 for v, group in grouped.items():
                     top = max(group)
                     total = sum(1 << (top - e) for e in group)
-                    high_l[v] = total >= 1 << (top + 1)
+                    high_v[v] = total >= 1 << (top + 1)
+                high_l[has_l] = high_v
         self.exponent[U[high_l]] += 1
         lowered = U[~high_l]
         self.exponent[lowered] = np.maximum(
@@ -260,15 +279,20 @@ class PhaseLoop:
 
         The loop walks a **shrinking edge frontier** ``df`` -- the
         receivers of the edges between in-loop nodes, one row of
-        ``live_cnt`` entries per node of ``U`` in order; phase 0's is
-        ``de`` -- and after each phase keeps the survivors' rows and, in
-        them, the edges into survivors, so a late phase touches only its
-        own few edges and nodes.  Rows are laid out by sender, so every
-        sender-side quantity (a winner's ``JOIN``, an announcer's ``OUT``,
-        a round-A key) reaches its edges by one ``np.repeat``, never a
-        gather; receivers are aggregated in ``U``'s local index space
-        (slot ``i`` is node ``U[i]``).  ``U`` stays ascending, so every
-        draw happens at the generator engine's stream position.
+        ``live_cnt`` entries per node of ``U`` in order -- and after each
+        phase keeps, in the survivors' rows, the edges into survivors, so
+        a late phase touches only its own few edges and nodes.  Rows are
+        laid out by sender, so every sender-side quantity (a winner's
+        ``JOIN``, a round-A key) reaches its edges by one ``repeat``,
+        never a gather.  Receivers are held as slots of ``U`` (slot ``i``
+        is node ``U[i]``), where they are aggregated: phase 0's frontier
+        is ``de``, read in place when ``U`` is every node and mapped
+        through the ``_local_index`` map otherwise, and every later
+        frontier is renumbered once, as the phase before carries it.
+        Every edge pass walks the frontier in row blocks
+        (:func:`row_blocks`), so beyond the carried frontier no per-edge
+        transient outgrows a block.  ``U`` stays ascending, so every draw
+        happens at the generator engine's stream position.
         """
         n = self.n
         marking = self.policy in MARKING_ALGORITHMS
@@ -285,6 +309,7 @@ class PhaseLoop:
             # nor draw again.)
             self._draw_priorities(U)
         df = de
+        owned = False  # whether df is the loop's own buffer (not de)
 
         p = 0
         while True:
@@ -319,12 +344,12 @@ class PhaseLoop:
                 self._draw_marks(U, live_cnt_l, marked_l)
             elif self.policy == "luby":
                 self._draw_priorities(U)
-            # Receivers in the local index space, mapped once per phase.
-            if nu == n:
-                ld = df
-            else:
+            blocks = row_blocks(live_cnt_l, len(df))
+            if p == 0 and nu < n:
+                # de's receivers are node ids: map them to slots, into the
+                # loop's own frontier (a carried one holds slots already).
                 local[U] = np.arange(nu, dtype=np.int32)
-                ld = local[df]
+                df, owned = local[df], True
 
             # Round A (3p) -- rank/mark exchange over the live sets.  Every
             # in-loop node has a nonempty live set, so all are tx; live
@@ -338,18 +363,21 @@ class PhaseLoop:
             # the rank policies, marked ones for the others.
             key_l = self.combined[U]
             best_l = np.full(nu, -1, dtype=np.int64)
-            if marking:
-                np.maximum.at(
-                    best_l,
-                    ld[np.repeat(marked_l, live_cnt_l)],
-                    np.repeat(key_l[marked_l], live_cnt_l[marked_l]),
-                )
-            else:
-                np.maximum.at(best_l, ld, np.repeat(key_l, live_cnt_l))
+            for b0, b1, e0, e1 in blocks:
+                cnt, key = live_cnt_l[b0:b1], key_l[b0:b1]
+                if marking:
+                    sent = marked_l[b0:b1]
+                    ld = df[e0:e1][sent.repeat(cnt)]
+                    key = key[sent].repeat(cnt[sent])
+                else:
+                    ld = df[e0:e1]
+                    key = key.repeat(cnt)
+                np.maximum.at(best_l, ld, key)
+                del ld, key  # one block's transients at a time
             joined_l = key_l > best_l
             if marking:
                 joined_l &= marked_l
-            jidx = U[joined_l]
+            jidx = _select(U, joined_l)
             if len(jidx):
                 self._decide(jidx, True)
 
@@ -357,15 +385,14 @@ class PhaseLoop:
             # after sending (they are still awake and receiving this round).
             # Every silent node that hears a JOIN is eliminated.
             self._check_clock(r0 + 1, nu)
-            self.msent[jidx] += live_cnt_l[joined_l]
-            self.bits[jidx] += _FLAG_BITS * live_cnt_l[joined_l]
-            got_join = np.bincount(
-                ld[np.repeat(joined_l, live_cnt_l)], minlength=nu
-            )
+            join_cnt = live_cnt_l[joined_l]
+            self.msent[jidx] += join_cnt
+            self.bits[jidx] += _FLAG_BITS * join_cnt
+            got_join = _count_receivers(df, blocks, joined_l, live_cnt_l)
             # Only the eliminated hear a JOIN (winners are never adjacent).
             silent_l = ~joined_l
             elim_l = silent_l & (got_join > 0)
-            eidx = U[elim_l]
+            eidx = _select(U, elim_l)
             if len(eidx):
                 self.rx[eidx] += 1
                 self.mrecv[eidx] += got_join[elim_l]
@@ -377,28 +404,134 @@ class PhaseLoop:
             # terminated); survivors drop the announcers from their live
             # sets, announcers terminate.
             self._check_clock(r0 + 2, nu - len(jidx))
-            self.msent[eidx] += live_cnt_l[elim_l]
-            self.bits[eidx] += _FLAG_BITS * live_cnt_l[elim_l]
-            got_out = np.bincount(
-                ld[np.repeat(elim_l, live_cnt_l)], minlength=nu
-            )
-            got_out[joined_l] = 0
+            elim_cnt = live_cnt_l[elim_l]
+            self.msent[eidx] += elim_cnt
+            self.bits[eidx] += _FLAG_BITS * elim_cnt
+            # Every in-loop neighbor of a silent node joined, was
+            # eliminated, or survives (the live-set invariant), so its OUTs
+            # are counted by complement, from the surviving neighbors that
+            # the carry below counts.  Winners hear none.
             survivor_l = silent_l & ~elim_l
+            # Carry the frontier in one pass over the survivors' rows: keep
+            # the edges into survivors (every receiver was in the loop, so
+            # it stays exactly when its slot survived), and count each
+            # node's surviving neighbors from the same receivers.  One
+            # block's kept edges are the next frontier.  Blocks gather
+            # theirs in a buffer: a fresh one sized for the survivors' rows
+            # while the frontier is de itself, else the loop's own,
+            # compacted in place, as no block writes past what it has
+            # read.  Masking keeps the ascending order the draws depend on.
+            many = len(blocks) > 1
+            if many:
+                nxt = df if owned else np.empty(
+                    int(live_cnt_l[survivor_l].sum()), dtype=df.dtype
+                )
+            # When nearly every node survives, a keep mask is long runs of
+            # True, which boolean indexing copies fastest (see _select).
+            most_survive = 10 * np.count_nonzero(survivor_l) >= 9 * nu
+            got_surv = None
+            w = 0
+            for b0, b1, e0, e1 in blocks:
+                sent = survivor_l[b0:b1].repeat(live_cnt_l[b0:b1])
+                lr = df[e0:e1][sent]
+                del sent  # bincount copies lr to intp: hold less meanwhile
+                counts = np.bincount(lr, minlength=nu)
+                if got_surv is None:
+                    got_surv = counts
+                else:
+                    got_surv += counts
+                keep = survivor_l[lr]
+                kept = lr[keep] if most_survive else _select(lr, keep)
+                if many:
+                    nxt[w : w + len(kept)] = kept
+                else:
+                    nxt = kept
+                w += len(kept)
+                del lr, counts, keep, kept  # one block's at a time
+            # The next phase's slots are the survivors with a surviving
+            # neighbor: the rest are isolated at its head and leave before
+            # it reads the frontier, which never names them.
+            slot = (survivor_l & (got_surv > 0)).cumsum(dtype=df.dtype)
+            slot -= 1
+            df, owned = nxt[:w], True
+            del nxt  # this phase's frontier is gone: renumber the next
+            if many:
+                for a in range(0, w, EDGE_BLOCK):
+                    seg = df[a : a + EDGE_BLOCK]
+                    seg[...] = slot[seg]
+            else:
+                df = slot[df]
+            got_out = live_cnt_l - got_join
+            got_out -= got_surv
+            got_out[joined_l] = 0
             self.rx[U[survivor_l & (got_out > 0)]] += 1
             # Announcers leave the loop, so every OUT shrinks a live set;
             # the OUTs a node hears are counted from its live count at
             # exit.
             live_cnt[U] -= got_out
             finish[eidx] = r0 + 3
-            # Carry both frontiers to the survivors: keep their rows, then
-            # the edges into survivors (every receiver was in the loop, so
-            # it stays exactly when its local slot survived).  Masking
-            # preserves the ascending order the draw positions depend on.
-            df = df[np.repeat(survivor_l, live_cnt_l)]
-            df = df[survivor_l[df if nu == n else local[df]]]
-            U = U[survivor_l]
+            U = _select(U, survivor_l)
             if self.policy == "ghaffari":
                 # Survivors re-rate their desire level from the round-A
                 # reports of their surviving neighbors.
                 self._update_desire(U, df)
             p += 1
+
+
+def row_blocks(
+    cnt_l: np.ndarray, total: int
+) -> List[Tuple[int, int, int, int]]:
+    """Split a frontier of ``total`` entries, in rows of ``cnt_l``
+    entries, into blocks of about :data:`EDGE_BLOCK` entries.
+
+    Each block ``(b0, b1, e0, e1)`` is the run of rows ``b0:b1``, whose
+    entries are ``e0:e1`` of the frontier; a row longer than a block
+    gets a block to itself.  A frontier that fits in one block is one
+    block, so its passes do the work of unblocked ones.
+    """
+    nu = len(cnt_l)
+    if total <= EDGE_BLOCK:
+        return [(0, nu, 0, total)]
+    ends = np.cumsum(cnt_l)
+    blocks = []
+    b0 = e0 = 0
+    while b0 < nu:
+        b1 = max(int(np.searchsorted(ends, e0 + EDGE_BLOCK, "right")), b0 + 1)
+        e1 = int(ends[b1 - 1])
+        blocks.append((b0, b1, e0, e1))
+        b0, e0 = b1, e1
+    return blocks
+
+
+def _count_receivers(
+    df: np.ndarray,
+    blocks: List[Tuple[int, int, int, int]],
+    senders_l: np.ndarray,
+    cnt_l: np.ndarray,
+) -> np.ndarray:
+    """The entries of the senders' rows of the frontier ``df`` that reach
+    each in-loop node, by local slot: what a one-round broadcast from the
+    ``senders_l`` delivers to each receiver."""
+    counts = None
+    for b0, b1, e0, e1 in blocks:
+        rows = df[e0:e1][senders_l[b0:b1].repeat(cnt_l[b0:b1])]
+        block = np.bincount(rows, minlength=len(cnt_l))
+        if counts is None:
+            counts = block
+        else:
+            counts += block
+    return counts
+
+
+def _select(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values[mask]``, for a mask with no long runs.
+
+    Boolean indexing branches on every element, which a random mask
+    mispredicts about half the time; ``np.compress`` lists the kept
+    positions first and then gathers them, a few times faster on large
+    arrays.  On small ones its fixed cost is the larger, so they keep
+    boolean indexing.
+    """
+    if len(mask) < _COMPRESS_MIN:
+        return values[mask]
+    return np.compress(mask, values)

@@ -382,13 +382,29 @@ class TestRunPeakPerEdge:
     call and phase 0 read the CSR columns in place instead of gathering
     copies of them.  The bounds sit well below what an int64 per-edge
     counter (8 B) or a re-gathered endpoint pair (8 B) would add back.
+
+    The phase loop walks its frontier in row blocks of ``EDGE_BLOCK``
+    (2^20) entries, so beyond the carried frontier (4 B per kept edge) a
+    phased run's transients are a block's worth, not the graph's: at
+    n = 2000 (m ~ 2x10^6) one block is half the graph, and a block's int64
+    keys are the ~4.2 B/edge that luby (4.35 measured), greedy (4.35) and
+    abi (5.3) peak at.  Ghaffari (10.5) adds a phase-0 frontier that
+    keeps nearly every edge and its desire update's int32 receivers and
+    int64 terms per block.  While the passes covered the whole frontier
+    at once, luby peaked at 10.7, greedy 9.4, abi 6.1 and ghaffari 36.2.
+    As a block is half the graph here, the figures move with how many
+    nodes survive phase 0 (abi reads 10.4 at seed 2), so the pins use
+    seed 0 only.
     """
 
     @pytest.mark.parametrize(
         "engine,algorithm,bytes_per_edge",
         [
             (VectorizedEngine, "fast-sleeping", 10),
-            (PhasedVectorizedEngine, "luby", 14),
+            (PhasedVectorizedEngine, "luby", 6),
+            (PhasedVectorizedEngine, "greedy", 6),
+            (PhasedVectorizedEngine, "abi", 7),
+            (PhasedVectorizedEngine, "ghaffari", 12),
         ],
     )
     def test_dense_run_peak_per_edge(self, engine, algorithm, bytes_per_edge):

@@ -135,7 +135,7 @@ class TestRowReads:
     def test_select_is_boolean_indexing(self, size):
         import numpy as np
 
-        from repro.sim.fast_engine import _select
+        from repro.sim.phase_loop import _select
 
         rng = np.random.default_rng(size)
         values = rng.integers(-9, 9, size=size)

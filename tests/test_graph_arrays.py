@@ -711,6 +711,71 @@ class TestChunkedCsrBuild:
                 ),
             )
 
+    #: Every pair of K8 in (hi, lo) order: 28 pairs, 7 slices of 4.
+    K8_LO = np.array([lo for hi in range(8) for lo in range(hi)], dtype=np.int64)
+    K8_HI = np.array([hi for hi in range(8) for lo in range(hi)], dtype=np.int64)
+
+    @pytest.mark.parametrize("size", [1, 5, 28])
+    def test_small_slices_build_the_reference(self, monkeypatch, size):
+        """Chunks validated and counted in slices of 4 pairs, whatever
+        way the chunks cut across the slices.  The slices take both ways
+        of counting ``hi``: run by run where all four share one ``hi``
+        (pairs 16-19 and 24-27), by ``bincount`` elsewhere."""
+        monkeypatch.setattr(repro.graphs.csr, "CACHE_BLOCK", 4)
+        lo, hi = self.K8_LO, self.K8_HI
+        ga = GraphArrays.from_distinct_pair_chunks(
+            8, self._chunked(lo, hi, size)
+        )
+        _assert_matches_reference(ga, 8, lo, hi)
+
+    @pytest.mark.parametrize("at", [1, 3, 4, 5, 8, 27], ids=lambda at: f"pair{at}")
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            ("duplicate", "strictly increasing"),
+            ("swap", "strictly increasing"),
+            ("lo_eq_hi", "lo < hi"),
+            ("out_of_range", r"lie in \[0, 8\)"),
+        ],
+    )
+    def test_violation_found_at_slice_boundaries(
+        self, monkeypatch, at, fault, message
+    ):
+        """A chunk is checked over slices of ``CACHE_BLOCK`` pairs, each
+        overlapping the one before by a pair: a fault on either side of
+        a slice boundary (pairs 3 | 4 and 7 | 8 with slices of 4) or at
+        the chunk's last pair is still found, with its own message."""
+        monkeypatch.setattr(repro.graphs.csr, "CACHE_BLOCK", 4)
+        lo, hi = self.K8_LO.copy(), self.K8_HI.copy()
+        if fault == "duplicate":
+            lo[at], hi[at] = lo[at - 1], hi[at - 1]
+        elif fault == "swap":
+            lo[[at - 1, at]] = lo[[at, at - 1]]
+            hi[[at - 1, at]] = hi[[at, at - 1]]
+        elif fault == "lo_eq_hi":
+            lo[at] = hi[at]
+        else:
+            hi[at] = 8
+        with pytest.raises(ValueError, match=message):
+            GraphArrays.from_distinct_pair_chunks(8, [(lo, hi)])
+
+    def test_unequal_chunk_sides_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            GraphArrays.from_distinct_pair_chunks(
+                8, [(self.K8_LO[:5], self.K8_HI[:6])]
+            )
+
+    def test_lo_hi_reported_before_a_broken_order(self, monkeypatch):
+        """As with a whole-chunk check, a chunk that breaks both the
+        order (in its first slice) and ``lo < hi`` (in its last) reports
+        ``lo < hi``."""
+        monkeypatch.setattr(repro.graphs.csr, "CACHE_BLOCK", 4)
+        lo, hi = self.K8_LO.copy(), self.K8_HI.copy()
+        lo[2] = lo[1]  # a duplicate pair
+        lo[27] = hi[27]
+        with pytest.raises(ValueError, match="lo < hi"):
+            GraphArrays.from_distinct_pair_chunks(8, [(lo, hi)])
+
     def test_a_factory_is_rejected_with_the_fix(self):
         """The builder reads its chunks once: a zero-argument factory
         (the old two-pass contract) must fail loudly, not build an empty
