@@ -6,18 +6,21 @@ disk, so a killed sweep resumes from where it died instead of from zero,
 and several workers (processes, machines sharing a filesystem) can drain
 one trial pool without duplicating work.  The design follows execo's
 ``ParamSweeper`` (get_next/done/skip states persisted on disk) with one
-hardening twist: **the per-trial artifacts are the ground truth**, and
-everything else is reconstructible from them.
+hardening twist: **the per-trial files are the only state**.  A trial is
+done when its result artifact exists, failed when only its failure
+record does, claimed while a live lease names it, and pending otherwise.
 
 Directory layout::
 
     <sweep_dir>/
         manifest.json        the immutable trial list (canonical JSON)
-        frontier.log         append-only JSONL event journal / fast index
         claims/<key>.json    live claims (O_EXCL-created; mtime = lease)
         results/<key>.json   done trials (atomic rename; append-only set)
         failed/<key>.json    failure records
-        frontier.log.corrupt-<N>   quarantined journals (see below)
+
+Any other file in the directory, such as a ``frontier.log`` event
+journal written by an older version, is ignored: never read, rewritten
+or moved.
 
 Crash-consistency invariants
 ----------------------------
@@ -25,14 +28,8 @@ Crash-consistency invariants
   is an ``O_CREAT | O_EXCL`` create (two workers can never both win), a
   completion is a write-to-temp + ``os.replace`` into ``results/`` (a
   truncated artifact can never exist under its final name), a failure is
-  an atomic write into ``failed/``.
-* The journal is an **index, not the truth**.  ``frontier.log`` exists so
-  a resume does not have to parse 10^4 artifacts; it is reconciled
-  against the ``results/`` directory listing on every load.  A torn tail
-  line (the crash left a partial append) is detected and repaired in
-  place; any deeper corruption (truncation mid-file, garbage bytes, an
-  event naming an unknown trial) quarantines the journal to
-  ``frontier.log.corrupt-<N>`` and rebuilds it from the artifacts.
+  an atomic write into ``failed/``, and a re-issue unlinks the failure
+  record.  A crash between any two of them leaves a consistent state.
 * **Claims expire.**  A claim is a lease: a worker that died mid-trial
   leaves its claim file behind, and once the file is older than the TTL
   any other worker may break it and re-issue the trial.  Completion
@@ -49,7 +46,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -74,11 +70,6 @@ STATES = (PENDING, CLAIMED, DONE, FAILED)
 #: a single trial running >= 6 orders of magnitude longer than the
 #: bookkeeping) -- never on the frontier's own latency.
 DEFAULT_CLAIM_TTL = 15 * 60.0
-
-#: Journal event types.  ``done``/``failed``/``reissue`` rebuild state;
-#: ``claim``/``expired`` are observability breadcrumbs only (claims are
-#: always re-derived from the ``claims/`` directory, never the journal).
-EVENTS = ("claim", "done", "failed", "expired", "reissue")
 
 
 class FrontierCorruption(RuntimeError):
@@ -116,7 +107,6 @@ class TrialFrontier:
         self.directory = Path(directory)
         self.manifest = manifest
         self.claim_ttl = float(claim_ttl)
-        self._log_path = self.directory / "frontier.log"
         self._claims_dir = self.directory / "claims"
         self._results_dir = self.directory / "results"
         self._failed_dir = self.directory / "failed"
@@ -213,165 +203,32 @@ class TrialFrontier:
             return cls.open(directory, manifest, claim_ttl=claim_ttl)
         return cls.create(directory, manifest, claim_ttl=claim_ttl)
 
-    # -- journal --------------------------------------------------------
-
-    def _append_event(self, event: str, key: str, **extra: Any) -> None:
-        record = {"event": event, "trial": key, "at": time.time(), **extra}
-        with open(self._log_path, "a") as handle:
-            handle.write(_canonical(record) + "\n")
-
-    def _parse_journal(
-        self, text: str
-    ) -> Tuple[List[Dict[str, Any]], Optional[int], Optional[str]]:
-        """``(events, repair_offset, corrupt_reason)`` for the journal text.
-
-        ``repair_offset`` is set when only the *final* line is damaged (a
-        torn append from a crash): the byte offset to truncate back to.
-        ``corrupt_reason`` is set for anything deeper -- the caller
-        quarantines and rebuilds.
-        """
-        events: List[Dict[str, Any]] = []
-        offset = 0
-        lines = text.split("\n")
-        for index, line in enumerate(lines):
-            if not line:
-                offset += 1  # the split newline
-                continue
-            is_last = index == len(lines) - 1
-            try:
-                record = json.loads(line)
-                if (
-                    not isinstance(record, dict)
-                    or record.get("event") not in EVENTS
-                    or not isinstance(record.get("trial"), str)
-                ):
-                    raise ValueError("malformed event record")
-            except ValueError:
-                if is_last:
-                    # Torn tail: the crash interrupted the final append.
-                    return events, offset, None
-                return events, None, (
-                    f"undecodable journal line {index + 1}"
-                )
-            if record["trial"] not in self.manifest:
-                return events, None, (
-                    f"journal line {index + 1} names unknown trial "
-                    f"{record['trial']!r}"
-                )
-            events.append(record)
-            offset += len(line) + 1
-        return events, None, None
-
-    def _quarantine_journal(self, reason: str) -> Path:
-        n = 0
-        while True:
-            target = self.directory / f"frontier.log.corrupt-{n}"
-            if not target.exists():
-                break
-            n += 1
-        os.replace(self._log_path, target)
-        warnings.warn(
-            f"sweep journal {self._log_path} is corrupt ({reason}); "
-            f"quarantined to {target.name} and rebuilding the index from "
-            f"the per-trial artifacts",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return target
-
-    def _rebuild_journal(self) -> None:
-        """Regenerate ``frontier.log`` from the artifact directories."""
-        lines = []
-        now = time.time()
-        for key in self.manifest.keys():
-            state = self._recorded.get(key)
-            if state in (DONE, FAILED):
-                lines.append(
-                    _canonical(
-                        {"event": state, "trial": key, "at": now,
-                         "rebuilt": True}
-                    )
-                )
-        _write_atomic(
-            self._log_path, "".join(line + "\n" for line in lines)
-        )
-
     # -- state ----------------------------------------------------------
 
     def reload(self) -> None:
-        """Re-derive trial states from disk (journal + artifact dirs).
+        """Re-derive trial states from the ``results/`` and ``failed/`` listings.
 
-        The journal is the fast path; the ``results/``/``failed/``
-        directory listings are the truth it is reconciled against:
-
-        * artifact on disk but absent from the journal (crash between
-          the atomic artifact rename and the journal append) -- the
-          trial is done; the journal is repaired.
-        * journal says done but the artifact is gone (manual deletion,
-          partial restore) -- the trial is **re-issued**, because a
-          "done" we cannot produce bytes for is not done.
+        A trial is done when ``results/<key>.json`` exists -- so a deleted
+        artifact re-issues its trial, because a "done" we cannot produce
+        bytes for is not done -- and failed when only ``failed/<key>.json``
+        does.  Only file names are listed; no artifact is parsed.  Claims
+        are re-checked against ``claims/`` on every :meth:`state` call.
         """
-        text = ""
-        if self._log_path.exists():
-            text = self._log_path.read_text()
-        events, repair_offset, corrupt = self._parse_journal(text)
-        if corrupt is not None:
-            self._quarantine_journal(corrupt)
-            events = []
-        elif repair_offset is not None:
-            _write_atomic(self._log_path, text[:repair_offset])
-            warnings.warn(
-                f"sweep journal {self._log_path} ended in a torn "
-                f"partial line (interrupted append); dropped it and "
-                f"kept the {len(events)} complete event(s)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        elif text and not text.endswith("\n"):
-            # The final line parsed but its newline is missing (the crash
-            # cut exactly between the line and its terminator); restore it
-            # so the next append starts a fresh line instead of
-            # concatenating onto -- and corrupting -- this one.
-            _write_atomic(self._log_path, text + "\n")
-        recorded: Dict[str, str] = {}
-        for record in events:
-            event, key = record["event"], record["trial"]
-            if event == "done":
-                recorded[key] = DONE
-            elif event == "failed":
-                # An artifact in results/ outranks a failure record.
-                if recorded.get(key) != DONE:
-                    recorded[key] = FAILED
-            elif event == "reissue":
-                recorded.pop(key, None)
-        # Reconcile against the artifact directories (the ground truth).
-        done_on_disk = {
-            path.stem for path in self._results_dir.glob("*.json")
-        }
-        unknown = sorted(k for k in done_on_disk if k not in self.manifest)
+        done = {path.stem for path in self._results_dir.glob("*.json")}
+        unknown = sorted(k for k in done if k not in self.manifest)
         if unknown:
             raise FrontierCorruption(
                 f"results/ contains artifact(s) for trial(s) not in this "
                 f"manifest: {unknown[:5]}{'...' if len(unknown) > 5 else ''}"
                 f"; the sweep directory was mixed with another manifest"
             )
-        journal_done = {k for k, s in recorded.items() if s == DONE}
-        dirty = False
-        for key in sorted(done_on_disk - journal_done):
-            recorded[key] = DONE
-            dirty = True
-        for key in sorted(journal_done - done_on_disk):
-            recorded.pop(key, None)  # lost artifact: re-issue
-            dirty = True
+        recorded = dict.fromkeys(done, DONE)
         for path in self._failed_dir.glob("*.json"):
             key = path.stem
             if key in self.manifest and key not in recorded:
                 recorded[key] = FAILED
-                dirty = True
         self._recorded = recorded
         self._cursor = 0
-        if corrupt is not None or dirty:
-            self._rebuild_journal()
 
     def _claim_meta(self, key: str) -> Optional[Dict[str, Any]]:
         path = self._claims_dir / f"{key}.json"
@@ -480,14 +337,9 @@ class TrialFrontier:
                     os.unlink(path)
                 except FileNotFoundError:
                     pass
-                self._append_event(
-                    "expired", key, worker=worker,
-                    stale_worker=meta.get("worker"),
-                )
                 continue
             with os.fdopen(fd, "w") as handle:
                 handle.write(payload)
-            self._append_event("claim", key, worker=worker)
             return True
         return False
 
@@ -508,6 +360,8 @@ class TrialFrontier:
         no-op).  A *different* existing artifact raises
         :class:`~repro.sweeps.merge.TrialConflict`: deterministic trials
         must never produce two series for one ``(cache_key, seed)``.
+        ``worker`` is accepted for symmetry with :meth:`fail`; only a
+        failure record stores it.
         """
         self.manifest.trial(key)
         path = self._results_dir / f"{key}.json"
@@ -527,9 +381,7 @@ class TrialFrontier:
         else:
             _write_atomic(path, text + "\n")
             landed = True
-        if self._recorded.get(key) != DONE:
-            self._recorded[key] = DONE
-            self._append_event("done", key, worker=worker)
+        self._recorded[key] = DONE
         self.release(key)
         return landed
 
@@ -549,7 +401,6 @@ class TrialFrontier:
             ) + "\n",
         )
         self._recorded[key] = FAILED
-        self._append_event("failed", key, worker=worker, error=str(error))
         self.release(key)
 
     def expire_stale(self, now: Optional[float] = None) -> List[str]:
@@ -568,9 +419,6 @@ class TrialFrontier:
                 continue
             if now - float(meta.get("claimed_at", 0.0)) > self.claim_ttl:
                 self.release(key)
-                self._append_event(
-                    "expired", key, stale_worker=meta.get("worker")
-                )
                 expired.append(key)
         return expired
 
@@ -585,7 +433,6 @@ class TrialFrontier:
             except FileNotFoundError:
                 pass
             del self._recorded[key]
-            self._append_event("reissue", key)
             reissued.append(key)
         if reissued:
             self._cursor = 0

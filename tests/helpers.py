@@ -17,6 +17,7 @@ import networkx as nx
 import numpy as np
 
 from repro.api import solve_mis
+from repro.sim.phase_loop import MARKING_ALGORITHMS
 
 #: Small graphs covering the structural corner cases: empty, singleton,
 #: disconnected, dense, sparse, bipartite, hub-and-spoke.
@@ -41,6 +42,16 @@ GRAPH_CASES = [
 
 GRAPH_IDS = [name for name, _ in GRAPH_CASES]
 GRAPH_BUILDERS = [builder for _, builder in GRAPH_CASES]
+
+
+def round_cap(algorithm):
+    """``max_rounds`` for an engine test's run of ``algorithm``: 10^4 for
+    the marking baselines (ghaffari, abi), whose loops only end when
+    marks succeed, so an engine bug that stalls them fails the test
+    instead of hanging it; none otherwise.  10^4 is far above any round
+    count these runs reach.  A sleeping schedule's ``T(K)`` exceeds any
+    such cap up front."""
+    return {"max_rounds": 10_000} if algorithm in MARKING_ALGORITHMS else {}
 
 
 #: How the sleeping engine's calls are split between its numpy path and

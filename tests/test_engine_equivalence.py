@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import GRAPH_CASES, kernel_mode, run_mis
+from helpers import GRAPH_CASES, kernel_mode, round_cap, run_mis
 
 from repro.core import schedule
 from repro.graphs.arrays import (
@@ -68,8 +68,13 @@ def assert_equivalent(reference, vectorized):
 )
 def test_engines_agree_exactly(builder, algorithm, seed):
     graph = builder()
-    reference = run_mis(graph, algorithm, seed=seed, engine="generators")
-    vectorized = run_mis(graph, algorithm, seed=seed, engine="vectorized")
+    cap = round_cap(algorithm)
+    reference = run_mis(
+        graph, algorithm, seed=seed, engine="generators", **cap
+    )
+    vectorized = run_mis(
+        graph, algorithm, seed=seed, engine="vectorized", **cap
+    )
     assert_equivalent(reference, vectorized)
 
 
@@ -81,11 +86,14 @@ def test_engines_agree_exactly(builder, algorithm, seed):
 def test_engines_agree_exactly_batched_stream(builder, algorithm, seed):
     """The v2 (batched) stream keeps the same cross-engine contract."""
     graph = builder()
+    cap = round_cap(algorithm)
     reference = run_mis(
-        graph, algorithm, seed=seed, engine="generators", rng="batched"
+        graph, algorithm, seed=seed, engine="generators", rng="batched",
+        **cap,
     )
     vectorized = run_mis(
-        graph, algorithm, seed=seed, engine="vectorized", rng="batched"
+        graph, algorithm, seed=seed, engine="vectorized", rng="batched",
+        **cap,
     )
     assert_equivalent(reference, vectorized)
 
@@ -96,11 +104,12 @@ class TestPhasedKnobs:
     @pytest.mark.parametrize("algorithm", PHASED)
     @pytest.mark.parametrize("max_phases", [1, 2, 50])
     def test_max_phases(self, gnp60, algorithm, max_phases):
+        cap = round_cap(algorithm)
         assert_equivalent(
-            run_mis(gnp60, algorithm, seed=5, max_phases=max_phases),
+            run_mis(gnp60, algorithm, seed=5, max_phases=max_phases, **cap),
             run_mis(
                 gnp60, algorithm, seed=5, max_phases=max_phases,
-                engine="vectorized",
+                engine="vectorized", **cap,
             ),
         )
 
@@ -292,7 +301,10 @@ class TestEngineSelection:
         graph = {0: (1,), 1: (0, 2), 2: (1,)}
         for algorithm in algorithm_names():
             assert resolve_engine("auto", algorithm) == "vectorized"
-            ran = run_mis(graph, algorithm, engine="auto", result="auto")
+            ran = run_mis(
+                graph, algorithm, engine="auto", result="auto",
+                **round_cap(algorithm),
+            )
             assert isinstance(ran, ArrayRunResult), algorithm
 
     def test_vectorized_request_fails_loudly_when_unsupported(self):
@@ -425,6 +437,7 @@ class TestRandomGraphDifferential:
     @staticmethod
     def _assert_engines_agree(graph, config, rng, seed, kernel):
         algorithm, kwargs = config
+        kwargs = {**kwargs, **round_cap(algorithm)}
         # A builder-made graph runs as it is on the vectorized engine and
         # as its adjacency view on the generator engine.
         reference = graph.adjacency if isinstance(graph, GraphArrays) else graph

@@ -51,7 +51,7 @@ from repro.graphs.csr import GraphArrays
 from repro.sim.batch import make_vectorized_engine
 from repro.sim.fast_engine import SLEEPING_ALGORITHMS
 
-from helpers import KERNEL_MODES, kernel_mode
+from helpers import KERNEL_MODES, kernel_mode, round_cap
 
 #: ((family, n, graph seed, algorithm, trial seed), sha256 of the result).
 GOLDEN_CASES = (
@@ -145,7 +145,8 @@ def result_digest(result) -> str:
 def run_case(family, n, graph_seed, algorithm, seed):
     ga = make_family_arrays(family, n, seed=graph_seed, graph_rng="batched")
     result = make_vectorized_engine(
-        ga, algorithm, seed=seed, rng="batched", result="arrays"
+        ga, algorithm, seed=seed, rng="batched", result="arrays",
+        **round_cap(algorithm),
     ).run()
     assert result.is_valid_mis() and result.all_finished
     return result
@@ -301,7 +302,8 @@ ALL_ALGORITHMS = (
 
 def run_small(graph, algorithm, rng, seed):
     return make_vectorized_engine(
-        graph, algorithm, seed=seed, rng=rng, result="arrays"
+        graph, algorithm, seed=seed, rng=rng, result="arrays",
+        **round_cap(algorithm),
     ).run()
 
 

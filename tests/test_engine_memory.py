@@ -16,6 +16,7 @@ import tracemalloc
 
 import pytest
 
+import repro.sim.phase_loop as phase_loop
 from repro.graphs.arrays import make_family_arrays
 from repro.graphs.csr import GraphArrays
 from repro.sim.batch import iter_trials
@@ -393,8 +394,9 @@ class TestRunPeakPerEdge:
     int64 terms per block.  While the passes covered the whole frontier
     at once, luby peaked at 10.7, greedy 9.4, abi 6.1 and ghaffari 36.2.
     As a block is half the graph here, the figures move with how many
-    nodes survive phase 0 (abi reads 10.4 at seed 2), so the pins use
-    seed 0 only.
+    nodes survive phase 0 (abi reads 10.4 at seed 2), so these pins use
+    seed 0 only; :meth:`test_small_block_run_peak_per_edge` pins seeds
+    0-2 with blocks small enough to measure the blocking itself.
     """
 
     @pytest.mark.parametrize(
@@ -423,6 +425,42 @@ class TestRunPeakPerEdge:
             f"{algorithm} run traced {peak / ga.m:.1f} bytes per directed "
             f"edge (bound {bytes_per_edge}): per-edge state is back?"
         )
+
+    @pytest.mark.parametrize(
+        "algorithm,bytes_per_edge",
+        [("luby", 3), ("greedy", 3), ("abi", 5), ("ghaffari", 5)],
+    )
+    def test_small_block_run_peak_per_edge(
+        self, monkeypatch, algorithm, bytes_per_edge
+    ):
+        """The phased runs above with ``EDGE_BLOCK`` patched to 2^14, so
+        the graph is ~122 blocks, at engine seeds 0-2: what a block-bounded
+        pass leaves is the carried frontier (4 B per kept edge), so any
+        per-edge transient coming back shows.  Measured maxima over the
+        three seeds: luby 2.34, greedy 2.28, abi 4.28, ghaffari 4.32 B/edge
+        (ghaffari's phase-0 frontier keeps nearly every edge); each bound
+        is under one more byte per edge, a bool mask's worth."""
+        monkeypatch.setattr(phase_loop, "EDGE_BLOCK", 1 << 14)
+        ga = make_family_arrays("gnp-dense", 2000, seed=7)
+        assert ga.m > 120 * phase_loop.EDGE_BLOCK
+        ga.id_bits  # warm per-graph lazy caches outside the window
+        for seed in range(3):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                result = PhasedVectorizedEngine(
+                    ga, algorithm, seed=seed, rng="batched"
+                ).run()
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.is_valid_mis()
+            assert peak <= bytes_per_edge * ga.m, (
+                f"{algorithm} run at seed {seed} traced "
+                f"{peak / ga.m:.2f} bytes per directed edge in blocks of "
+                f"{phase_loop.EDGE_BLOCK} (bound {bytes_per_edge}): a "
+                f"per-edge transient is back?"
+            )
 
     def test_sleeping_recursion_peak_per_edge(self):
         """Algorithm 1's recursion on gnp-dense n = 1500: the traced peak

@@ -2,10 +2,11 @@
 
 The headline guarantee under test: a sweep interrupted *any* way -- an
 exception inside a trial, a SIGKILLed worker process, a SIGKILLed
-driver, a truncated or corrupted frontier journal -- resumes to
-completion with a merged result set **bit-identical** to an
-uninterrupted run, and re-running a completed manifest executes zero
-trials.
+driver, a deleted result artifact -- resumes to completion with a
+merged result set **bit-identical** to an uninterrupted run, and
+re-running a completed manifest executes zero trials.  The frontier's
+state is its ``results/``, ``failed/`` and ``claims/`` directories; a
+``frontier.log`` journal left by an older version is ignored.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -220,75 +222,57 @@ def test_rerunning_completed_manifest_executes_nothing(manifest, tmp_path):
     assert len(executions) == len(manifest)  # spy untouched by rerun
 
 
-def test_torn_journal_tail_repaired_in_place(manifest, tmp_path):
-    """A crash mid-append leaves a partial final line; reload drops it."""
+def test_full_drain_leaves_only_the_state_directories(manifest, tmp_path):
+    """A drain writes results and nothing else: no journal, no claims."""
     frontier = TrialFrontier.create(tmp_path / "s", manifest)
-    run_sweep(frontier, max_trials=2)
-    log = tmp_path / "s" / "frontier.log"
-    intact = log.read_text()
-    log.write_text(intact + '{"event": "done", "trial": "2fc')
-    with pytest.warns(RuntimeWarning, match="torn"):
-        reopened = TrialFrontier.open(tmp_path / "s", manifest)
-    assert log.read_text() == intact
-    done = [k for k, s in reopened.states().items() if s == DONE]
-    assert len(done) == 2
-    assert run_sweep(reopened).all_done
+    assert run_sweep(frontier).all_done
+    assert not (tmp_path / "s" / "frontier.log").exists()
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+        "claims", "failed", "manifest.json", "results",
+    ]
+    assert not list((tmp_path / "s" / "claims").iterdir())
+    assert len(list((tmp_path / "s" / "results").iterdir())) == len(manifest)
 
 
-def test_journal_missing_final_newline_restored(manifest, tmp_path):
-    """A crash between the line and its newline must not corrupt the next
-    append."""
-    frontier = TrialFrontier.create(tmp_path / "s", manifest)
-    run_sweep(frontier, max_trials=1)
-    log = tmp_path / "s" / "frontier.log"
-    intact = log.read_text()
-    log.write_text(intact.rstrip("\n"))
-    reopened = TrialFrontier.open(tmp_path / "s", manifest)
-    assert log.read_text() == intact
-    assert run_sweep(reopened).all_done
-    assert not list((tmp_path / "s").glob("frontier.log.corrupt-*"))
-
-
-def test_corrupt_journal_quarantined_and_rebuilt_from_artifacts(
+def test_old_journal_is_ignored_and_left_untouched(
     manifest, baseline_json, tmp_path
 ):
-    """Garbage mid-journal: quarantine the file, rebuild from results/."""
-    frontier = TrialFrontier.create(tmp_path / "s", manifest)
-    run_sweep(frontier, max_trials=3)
-    log = tmp_path / "s" / "frontier.log"
-    lines = log.read_text().splitlines()
-    lines[1] = "\x00\x00 this is not JSON \x00"
-    log.write_text("\n".join(lines) + "\n")
+    """An older version's ``frontier.log`` is never read or rewritten.
 
-    with pytest.warns(RuntimeWarning, match="quarantined"):
-        reopened = TrialFrontier.open(tmp_path / "s", manifest)
-    quarantined = list((tmp_path / "s").glob("frontier.log.corrupt-*"))
-    assert len(quarantined) == 1
-    # The rebuilt journal recovers every done trial from its artifact.
-    done = [k for k, s in reopened.states().items() if s == DONE]
-    assert len(done) == 3
-    assert all(json.loads(line)["rebuilt"]
-               for line in log.read_text().splitlines())
-    report = run_sweep(reopened)
-    assert report.all_done and report.executed == len(manifest) - 3
-    assert merged_result_json(reopened) == baseline_json
-
-
-def test_deleted_journal_rebuilt_from_artifacts(
-    manifest, baseline_json, tmp_path
-):
-    """Even with no journal at all, the artifacts are the truth."""
+    The journal below is garbled (garbage bytes, an unknown trial, a torn
+    tail) and contradicts the directories: it says trial 0 is done after
+    its artifact was deleted, and has no "done" for trial 1, which has
+    one.  The state must follow the directories alone.
+    """
+    keys = manifest.keys()
     frontier = TrialFrontier.create(tmp_path / "s", manifest)
     run_sweep(frontier, max_trials=2)
-    (tmp_path / "s" / "frontier.log").unlink()
-    reopened = TrialFrontier.open(tmp_path / "s", manifest)
+    (tmp_path / "s" / "results" / f"{keys[0]}.json").unlink()
+    log = tmp_path / "s" / "frontier.log"
+    journal = (
+        json.dumps({"event": "done", "trial": keys[0], "at": 0.0}) + "\n"
+        + "\x00\x00 this is not JSON \x00\n"
+        + json.dumps({"event": "failed", "trial": "deadbeef-7", "at": 0.0})
+        + "\n" + '{"event": "done", "trial": "2fc'
+    ).encode()
+    log.write_bytes(journal)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reopened = TrialFrontier.open(tmp_path / "s", manifest)
+    assert log.read_bytes() == journal
+    assert reopened.states() == {
+        key: DONE if key == keys[1] else PENDING for key in keys
+    }
     report = run_sweep(reopened)
-    assert report.all_done and report.executed == len(manifest) - 2
+    assert report.all_done and report.executed == len(manifest) - 1
     assert merged_result_json(reopened) == baseline_json
+    assert log.read_bytes() == journal
+    assert not list((tmp_path / "s").glob("frontier.log.*"))
 
 
 def test_lost_artifact_reissues_trial(manifest, tmp_path):
-    """A journal 'done' whose artifact is gone is not done."""
+    """A trial whose result artifact is gone is not done."""
     frontier = TrialFrontier.create(tmp_path / "s", manifest)
     run_sweep(frontier)
     victim = manifest.keys()[0]
