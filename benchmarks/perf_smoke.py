@@ -21,8 +21,8 @@ each against the committed ``benchmarks/artifacts/BENCH_perf_smoke.json``:
   (``graph_rng="batched"``) vectorized sampling stream, guarding the
   whole-array geometric-skip sampler and the chunked
   ``from_distinct_pair_chunks`` CSR build that break the 10^6 barrier
-  (the full 10^6 *pipeline* comparison lives in ``bench_scale_1e6.py``,
-  outside the smoke budget);
+  (the full 10^6 *pipeline* comparison is ``bench_scale.py``'s
+  ``test_sleeping_pipeline[1e6]``, outside the smoke budget);
 * ``fast_sleeping_dense_2e3_batched`` / ``luby_dense_2e3_batched`` -- a
   2-trial sweep of Algorithm 2 and of Luby on ``gnp-dense`` n = 2000
   (~2x10^6 directed edges, both streams batched), the only configs whose

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 #: Exit codes (documented in ``sweep --help``; stable for scripting).
@@ -48,6 +49,7 @@ from .analysis.tables import Table, build_table1
 from .api import algorithm_names
 from .graphs.generators import family_names, make_family_graph
 from .plan import PLAN_FIELDS, SINGLE_RUN, RunPlan
+from .profiling import profile_phases
 from .sim.energy import DEFAULT_MODEL
 
 
@@ -175,9 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-phases",
         action="store_true",
         help=(
-            "append a per-phase wall-time/peak-memory table (sample, "
-            "csr_build, engine, result_build) after the run report; "
-            "local execution only (ignored with --server)"
+            "append a per-phase wall-time table (sample, csr_build, "
+            "engine, result_build) and the peak RSS after the run "
+            "report, timed without tracemalloc; local execution only "
+            "(ignored with --server)"
         ),
     )
 
@@ -402,27 +405,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     plan = plan_from_args(args)
 
     def local() -> int:
-        if getattr(args, "profile_phases", False):
-            from .profiling import profile_phases
-
-            with profile_phases(trace=True) as prof:
-                graph = plan.build_graph()
-                result, trial = run_trial(
-                    graph, plan=plan, family=args.family
-                )
-            code = _print_run(
-                args.algorithm, args.family, result.n,
-                len(result.mis), asdict(trial),
-            )
-            print()
-            print(prof.format())
-            return code
-        graph = plan.build_graph()
-        result, trial = run_trial(graph, plan=plan, family=args.family)
-        return _print_run(
+        profiling = getattr(args, "profile_phases", False)
+        with profile_phases() if profiling else nullcontext() as prof:
+            graph = plan.build_graph()
+            result, trial = run_trial(graph, plan=plan, family=args.family)
+        code = _print_run(
             args.algorithm, args.family, result.n,
             len(result.mis), asdict(trial),
         )
+        if prof is not None:
+            print()
+            print(prof.format())
+        return code
 
     def remote(client) -> int:
         response = client.solve(plan.to_dict(), seed=args.seed)

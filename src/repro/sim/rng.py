@@ -108,12 +108,13 @@ def node_rng_factory(seed: Optional[int]) -> Callable[[Any], random.Random]:
 #: ``"pernode"`` format is inherently per-node Python work -- one SHA-512
 #: and one Mersenne--Twister init each, ~2.5 us/node even bulk-seeded --
 #: so seeding alone would cost minutes at 10^8 nodes and the stream list
-#: would hold ~10^8 live objects (~25 GB).  Past this threshold the run
-#: belongs on the v2 counter-based stream (``rng="batched"``), whose
-#: coins are drawn as whole arrays with no per-node state at all; the
-#: bound refuses the footgun loudly instead of hanging.  Sized one decade
-#: above the largest measured pernode run (10^7, ``BENCH_scale_1e7``) and
-#: below the 10^8 decade that motivated it.
+#: would hold ~10^8 live objects (~250 GB at ~2.5 KB of state each).
+#: Past this threshold the run belongs on the v2 counter-based stream
+#: (``rng="batched"``), whose coins are drawn as whole arrays with no
+#: per-node state at all; the bound refuses the footgun loudly instead
+#: of hanging.  Sized one decade above the largest measured pernode run
+#: (10^7, ``BENCH_scale_1e7``) and below the 10^8 decade that motivated
+#: it.
 PERNODE_SEED_MAX_NODES = 50_000_000
 
 
@@ -154,7 +155,7 @@ def node_rng_bulk(seed: Optional[int], node_ids: Any) -> List[Any]:
             f"rng='pernode' (v1) cannot scale to n={count}: bulk-seeding "
             f"one stream per node is bounded at "
             f"PERNODE_SEED_MAX_NODES={PERNODE_SEED_MAX_NODES} nodes "
-            f"(per-node SHA-512 seeding time and ~250 bytes of stream "
+            f"(per-node SHA-512 seeding time and ~2.5 KB of stream "
             f"state per node) -- run this size on the v2 counter-based "
             f"stream with rng='batched', which draws coins as whole "
             f"arrays with no per-node state"

@@ -350,9 +350,7 @@ class TrialFrontier:
         except FileNotFoundError:
             pass
 
-    def done(
-        self, key: str, payload: Dict[str, Any], *, worker: str = "worker"
-    ) -> bool:
+    def done(self, key: str, payload: Dict[str, Any]) -> bool:
         """Record a completed trial's result artifact; idempotent.
 
         Returns ``True`` when this call landed the artifact, ``False``
@@ -360,8 +358,6 @@ class TrialFrontier:
         no-op).  A *different* existing artifact raises
         :class:`~repro.sweeps.merge.TrialConflict`: deterministic trials
         must never produce two series for one ``(cache_key, seed)``.
-        ``worker`` is accepted for symmetry with :meth:`fail`; only a
-        failure record stores it.
         """
         self.manifest.trial(key)
         path = self._results_dir / f"{key}.json"

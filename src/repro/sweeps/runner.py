@@ -329,7 +329,7 @@ def run_sweep(
         return max_trials is not None and report.executed >= max_trials
 
     def record(key: str, payload: Dict[str, Any]) -> None:
-        frontier.done(key, payload, worker=worker)
+        frontier.done(key, payload)
         report.completed += 1
         if kill_after is not None and report.completed >= kill_after:
             os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover

@@ -58,6 +58,32 @@ class TestCommands:
         assert main(["run", "--algorithm", "luby", "--n", "24"]) == 0
         assert "luby" in capsys.readouterr().out
 
+    def test_run_profile_phases_times_untraced(self, capsys, monkeypatch):
+        import tracemalloc
+
+        import repro.analysis.complexity as complexity
+
+        tracing = []
+        real = complexity.run_planned_trial
+
+        def spy(*args, **kwargs):
+            tracing.append(tracemalloc.is_tracing())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(complexity, "run_planned_trial", spy)
+        argv = ["run", "--n", "200", "--family", "gnp-sparse",
+                "--engine", "vectorized", "--graph-source", "arrays",
+                "--profile-phases"]
+        assert main(argv) == 0
+        assert tracing == [False]
+        out = capsys.readouterr().out
+        assert "valid MIS          : True" in out
+        engine = next(
+            line for line in out.splitlines() if line.startswith("engine")
+        )
+        assert engine.split()[-1] == "-"  # no traced peak
+        assert "peak_rss_mb=" in out.splitlines()[-1]
+
     def test_sweep(self, capsys):
         code = main(
             [

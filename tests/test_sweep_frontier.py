@@ -303,9 +303,9 @@ def test_double_claim_is_idempotent(manifest, tmp_path):
     assert spec_a.key == spec_b.key
     payload_a = execute_trial(spec_a.plan, spec_a.seed)
     payload_b = execute_trial(spec_b.plan, spec_b.seed)
-    assert a.done(spec_a.key, payload_a, worker="worker-a") is True
+    assert a.done(spec_a.key, payload_a) is True
     # Identical series (modulo wall clocks): silently merged.
-    assert b.done(spec_b.key, payload_b, worker="worker-b") is False
+    assert b.done(spec_b.key, payload_b) is False
     assert a.state(spec_a.key) == DONE
 
 
