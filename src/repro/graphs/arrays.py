@@ -160,8 +160,8 @@ def gnp_arrays(n: int, p: float, seed: int = 0) -> GraphArrays:
 #: Uniform draws per refill chunk of the v2 sampler.  Bounds the peak
 #: *transient* memory of a sample plus its CSR build: however many edges
 #: G(n, p) has, at most one chunk beyond the one being built is in
-#: flight (the one a helper thread draws or groups ahead of it), and the
-#: skips, pairs and index temporaries beyond the kept chunks and ``dst``
+#: flight (the one a helper thread draws ahead of it), and the skips,
+#: pairs and index temporaries beyond the buffer that becomes ``dst``
 #: come to ~30 bytes per chunk pair, ~63 MB (tracemalloc, dense n =
 #: 10^4), refilling until the pair space is exhausted.
 #: Chunking changes nothing about the sampled graph -- draw ``j`` is a

@@ -39,66 +39,134 @@ from ..sim.rng import bit_length_u64
 CACHE_BLOCK = 1 << 15
 
 
-def _forward_runs(
-    key: np.ndarray, packed: np.ndarray, head: np.ndarray
+def _row_groups(bstart: np.ndarray) -> List[Tuple[int, int, int, int]]:
+    """Split the rows into groups of about :data:`CACHE_BLOCK` backward
+    entries.
+
+    Row ``h``'s backward entries (its neighbors below ``h``) are the
+    pairs ``bstart[h]:bstart[h + 1]`` of the stream.  Each group ``(h0,
+    h1, b0, b1)`` is the run of rows ``h0:h1``, whose backward entries
+    are pairs ``b0:b1``, never none; a row with more than a block ends
+    a group of its own.
+    """
+    m = int(bstart[-1])
+    groups = []
+    h0 = b0 = 0
+    while b0 < m:
+        # Keys of bstart's own dtype: any other casts all of bstart.
+        fits = np.searchsorted(
+            bstart, bstart.dtype.type(min(b0 + CACHE_BLOCK, m)), "right"
+        )
+        h1 = max(
+            int(fits) - 1,
+            int(np.searchsorted(bstart, bstart.dtype.type(b0), "right")),
+        )
+        b1 = int(bstart[h1])
+        groups.append((h0, h1, b0, b1))
+        h0, b0 = h1, b1
+    return groups
+
+
+def _backward_slots(
+    group: Tuple[int, int, int, int], bstart: np.ndarray, cumF: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The carry-independent half of :func:`_forward_slots`: one chunk's
-    row nodes ``key`` grouped into runs of equal key.
+    """The ``dst`` slots of a row group's backward entries, in stream
+    order, and each entry's row, counted from the group's first.
 
-    One value sort groups them: the packed int64 values ``(key << B) |
-    i`` with ``B = bit_length(c - 1)`` order by key, then by input
-    position, and unpack into the permutation without a gather (``n, c
-    <= 2^31`` keeps the packing inside int64).  Returns ``(order,
-    head)``: the input position of each sorted entry, and whether it
-    starts a run.  It reads nothing but ``key`` and fills the
-    chunk-sized int64 ``packed`` and bool ``head`` buffers with
-    block-sized temporaries only, so the build runs it for the next
-    chunk on a helper thread.
+    Pair ``i`` of row ``h`` sits after the ``i`` backward entries before
+    it and the ``cumF[h]`` forward entries of the rows above ``h``.
     """
-    c = len(key)
-    bits = (c - 1).bit_length()
-    np.copyto(packed, key)
+    h0, h1, b0, b1 = group
+    row = np.repeat(np.arange(h1 - h0), np.diff(bstart[h0 : h1 + 1]))
+    slots = np.arange(b0, b1)
+    slots += cumF[h0:h1][row]
+    return slots, row
+
+
+def _group_pairs(
+    dst: np.ndarray,
+    group: Tuple[int, int, int, int],
+    bstart: np.ndarray,
+    cumF: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A row group's pairs once the backward entries are in place: each
+    pair's ``lo``, read back from its backward slot, and its ``hi - h0``
+    (no ``hi`` array is kept)."""
+    slots, row = _backward_slots(group, bstart, cumF)
+    return dst[slots], row
+
+
+def _forward_runs(
+    lo: np.ndarray, row: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The carry-independent half of placing a row group's forward
+    entries: its pairs ``(lo, h0 + row)`` grouped into runs of equal
+    ``lo``.
+
+    Pair ``(lo, h)`` puts ``h`` into row ``lo``'s forward block.  One
+    value sort groups the pairs: the packed int64 values ``(lo << B) |
+    row``, with ``B = bit_length(max(row))`` (``n <= 2^31`` keeps them
+    inside int64), order by ``lo`` and then by ``h``, which is the
+    pairs' stream order, and unpack without a gather.  Returns ``(heads,
+    starts, lens, rows)``: each run's ``lo``, its first place and length
+    in sorted order, and the sorted ``row`` values.
+    """
+    c = len(lo)
+    bits = int(row[-1]).bit_length()
+    packed = lo.astype(np.int64)
     packed <<= bits
-    for b in range(0, c, CACHE_BLOCK):
-        e = min(b + CACHE_BLOCK, c)
-        packed[b:e] |= np.arange(b, e, dtype=np.int64)
+    packed |= row
     packed.sort()
+    rows = (packed & ((1 << bits) - 1)).astype(np.int32)
+    packed >>= bits  # the sorted lo
+    head = np.empty(c, dtype=bool)
     head[0] = True
-    for b in range(1, c, CACHE_BLOCK):
-        e = min(b + CACHE_BLOCK, c)
-        key_s = packed[b - 1 : e] >> bits
-        np.not_equal(key_s[1:], key_s[:-1], out=head[b:e])
-    packed &= (1 << bits) - 1
-    return packed, head
+    np.not_equal(packed[1:], packed[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    lens = np.empty(len(starts), dtype=np.int32)  # no np.diff(append=)
+    np.subtract(starts[1:], starts[:-1], out=lens[:-1])
+    lens[-1] = c - starts[-1]
+    return packed[starts], starts, lens, rows
 
 
-def _forward_slots(
-    key: np.ndarray,
-    runs: Tuple[np.ndarray, np.ndarray],
-    start: np.ndarray,
+def _place_front(
+    dst: np.ndarray,
+    group: Tuple[int, int, int, int],
+    lo: np.ndarray,
+    row: np.ndarray,
     carry: np.ndarray,
-) -> np.ndarray:
-    """CSR slots for the direction of a pair list that is *not* sorted by
-    its row node ``key``, from its :func:`_forward_runs`.
+) -> None:
+    """Write a row group's forward entries into ``dst``, counting from
+    the front: ``carry[lo]`` is the first free slot of row ``lo``'s
+    forward block, and advances past the group's entries.  The slots
+    are written in ascending order."""
+    heads, starts, lens, values = _forward_runs(lo, row)
+    values += group[0]
+    base = carry[heads] - starts
+    carry[heads] += lens
+    base = np.repeat(base, lens)
+    base += np.arange(len(values))
+    dst[base] = values
 
-    Entry ``i`` lands at ``start[key[i]]``, plus ``carry[key[i]]`` (the
-    entries earlier chunks placed in that block), plus its rank among
-    the entries sharing its key, in input order.  ``carry`` advances in
-    place by each key's count.
-    """
-    order, head = runs
-    c = len(order)
-    run_starts = np.flatnonzero(head).astype(np.int32)
-    run_lens = np.empty_like(run_starts)  # no np.diff(append=) concatenation
-    np.subtract(run_starts[1:], run_starts[:-1], out=run_lens[:-1])
-    run_lens[-1] = c - run_starts[-1]
-    heads = key[order[run_starts]].astype(np.int64)  # index once, not 4x
-    base = start[heads] - run_starts
-    base += carry[heads]
-    carry[heads] += run_lens
-    slots = np.empty(c, dtype=np.int32)
-    slots[order] = np.arange(c, dtype=np.int32) + np.repeat(base, run_lens)
-    return slots
+
+def _place_back(
+    dst: np.ndarray,
+    group: Tuple[int, int, int, int],
+    lo: np.ndarray,
+    row: np.ndarray,
+    carry: np.ndarray,
+) -> None:
+    """:func:`_place_front` counting from the back: ``carry[lo]`` is the
+    end of the slots row ``lo``'s forward block has left free, and
+    retreats past the group's entries.  The helper thread places the
+    last groups this way while the caller places the first."""
+    heads, starts, lens, values = _forward_runs(lo, row)
+    values += group[0]
+    carry[heads] -= lens
+    base = carry[heads] - starts
+    base = np.repeat(base, lens)
+    base += np.arange(len(values))
+    dst[base] = values
 
 
 def _usable_cpus() -> int:
@@ -246,11 +314,10 @@ class GraphArrays:
     sets follow from in-loop membership, so no reverse-edge index is
     kept).  Edge-sized transients live only for one recursion call or
     phase: each sub-call's CSR rows (the top call reads ``deg``/``dst``
-    in place), and the phased engines' carried frontier.  The phase loop
-    walks that frontier in row blocks of ``repro.sim.phase_loop``'s
-    ``EDGE_BLOCK`` entries, so its per-phase masks, keys and receiver ids
-    are block-sized, never edge-sized: a dense n = 10^4 trial peaks in
-    its graph build, not in its engine.
+    in place), and the phased engines' carried frontier.  Both read
+    their rows in row blocks of ``repro.sim.phase_loop``'s
+    ``EDGE_BLOCK`` entries, so the masks, keys and receiver ids they
+    filter with are block-sized, never edge-sized.
     """
 
     __slots__ = (
@@ -332,33 +399,36 @@ class GraphArrays:
         the edge list in strictly increasing ``(hi, lo)``-lex order (the
         v2 gnp sampler's native order) -- distinct pairs with ``lo < hi``,
         validated chunk by chunk.  The pass counts per-node degrees and
-        keeps each chunk as int32 ``(lo, hi)``: 8 bytes per pair.  It
-        copies a chunk before it pulls the next, so a producer may refill
-        one buffer.  The kept chunks are then scattered into ``dst`` in
-        order, each freed as soon as it is placed.  So the edge-array
-        peak is 16 bytes per pair (kept chunks plus ``dst``), the graph
-        keeps 8 (``dst``), and everything else in flight is O(n) node
-        arrays plus index temporaries per *chunk*, with at most one extra
-        chunk in flight (the one a helper thread groups ahead), never
-        per graph (see ``docs/performance.md``).  The degree counts
-        are allocated at the first pair, so an edgeless build holds
-        ``deg`` and nothing else.
+        appends each chunk's ``lo`` to one int32 buffer, grown in place:
+        4 bytes per pair.  It copies a chunk before it pulls the next, so
+        a producer may refill one buffer.  That buffer then grows to the
+        ``2m`` slots of ``dst`` and is filled in place.  So the edge-array
+        peak is 8 bytes per pair (``dst`` itself), and everything else in
+        flight is O(n) node arrays plus index temporaries per chunk or
+        per :data:`CACHE_BLOCK` row group, never per graph (see
+        ``docs/performance.md``).  The degree counts are allocated at the
+        first pair, so an edgeless build holds ``deg`` and nothing else.
 
         Slot math: the backward (``hi``-major) direction needs no sort --
         pair ``i``'s backward entry follows the ``i`` backward entries
         before it and every forward entry of the rows above its own, so
-        its slot is ``i`` plus the exclusive prefix sum of the forward
-        counts at ``hi``.  The forward direction's global rank splits
-        into a per-node carry (``occF``, pairs placed from earlier
-        chunks) plus a within-chunk rank from one value sort per chunk
-        (:func:`_forward_runs`).  That sort reads nothing but the kept
-        chunk, so when there are two chunks or more and a second CPU, a
-        helper thread (:func:`build_worker`) sorts chunk k + 1 while this
-        thread applies chunk k's carry and both scatters; the slots, and
-        so ``dst``, are the same either way.  ``deg`` is summed into the
-        backward count buffer and the other int64 scratch is freed
-        before the scatter, so its peak is the kept chunks and ``dst``
-        plus three int32 node arrays.
+        its slot is ``i + cumF[hi]``, ``cumF`` the exclusive prefix sum
+        of the forward counts.  That is never before ``i``, so the
+        ``lo`` values move there in place, the last row group
+        (:func:`_row_groups`) first.  The forward entries then fill the
+        gaps by row group: each group reads its pairs' ``lo`` back from
+        its backward slots, takes ``hi`` from its rows' run lengths, and
+        ranks its pairs per ``lo`` with one value sort
+        (:func:`_forward_runs`); a per-node carry holds the ranks of the
+        groups placed before.  When there are two chunks or more and a
+        second CPU, a helper thread (:func:`build_worker`) places the
+        last half of the groups, counting back from each forward block's
+        end (:func:`_place_back`), while this thread places the first
+        half from each block's start (:func:`_place_front`); the slots,
+        and so ``dst``, are the same either way.  Both write a group's
+        slots in ascending order.  Besides ``dst``, pass 2 holds ``deg``
+        (int64, summed into the backward count buffer) and three int32
+        node arrays, four while the helper runs.
         """
         if callable(chunks):
             raise TypeError(
@@ -366,9 +436,8 @@ class GraphArrays:
                 "not a factory returning one: pass `make_chunks(...)`, not "
                 "`lambda: make_chunks(...)`"
             )
-        degF = degB = None
-        kept: List[Tuple[np.ndarray, np.ndarray]] = []
-        m = 0
+        degF = degB = dst = None
+        m = pulled = 0
         last_key = -1
         with phase("csr_build"):
             for lo, hi in profiled_pulls("sample", chunks):
@@ -380,8 +449,18 @@ class GraphArrays:
                     last_key = _stream_chunk(n, lo, hi, last_key, degB)
                     # No n-length bincount per chunk: lo spans every row.
                     np.add.at(degF, lo, 1)
-                    kept.append((lo.astype(np.int32), hi.astype(np.int32)))
+                    if dst is None:
+                        # A fresh chunk-sized array: a tiny one could be a
+                        # block numpy cached from a helper thread, which
+                        # would grow in that thread's malloc arena.
+                        dst = lo.astype(np.int32)
+                    else:
+                        # dst is private and no view of it outlives a
+                        # statement, so it may grow in place.
+                        dst.resize(m + len(lo), refcheck=False)
+                        dst[m:] = lo
                     m += len(lo)
+                    pulled += 1
                 del lo, hi  # drop this chunk before pulling the next
             self = cls.__new__(cls)
             self._adjacency = None
@@ -393,48 +472,54 @@ class GraphArrays:
                 self.dst = np.empty(0, dtype=np.int32)
                 self.deg = np.zeros(n, dtype=np.int64)
                 return self
+            # int32 node arrays: row h's backward pairs are bstart[h] to
+            # bstart[h + 1] of the stream, and cumF[h] forward entries
+            # fill the rows above it.
+            bstart = np.empty(n + 1, dtype=np.int32)
+            bstart[0] = 0
+            bstart[1:] = np.cumsum(degB)
+            cumF = np.cumsum(degF)
+            cumF -= degF
+            cumF = cumF.astype(np.int32)
             # deg takes over degB's buffer: no third int64 node array.
             deg = degB
             deg += degF
-            csum = np.cumsum(degF)
-            cumF = (csum - degF).astype(np.int32)  # forward rows above
-            np.cumsum(deg, out=csum)
-            startF = (csum - degF).astype(np.int32)  # forward block starts
-            # The scatter needs only the int32 node arrays: drop the int64
-            # scratch (2 x 8n bytes) before allocating dst.
-            del csum, degF
-            occF = np.zeros(n, dtype=np.int32)  # forward pairs placed so far
-            dst = np.empty(2 * m, dtype=np.int32)
-            base = 0
-            kept.reverse()  # pop() hands the chunks back in stream order
-            with build_worker(len(kept) > 1) as worker:
+            del degF
+            # Row h's forward block starts after its backward entries.
+            startF = bstart[1:] + cumF
+            dst.resize(2 * m, refcheck=False)
+            groups = _row_groups(bstart)
+            # Each backward entry moves from stream position i to slot
+            # i + cumF[hi]: never before its source, so the groups move
+            # from the last one down, each read out before it is written.
+            for group in reversed(groups):
+                slots, row = _backward_slots(group, bstart, cumF)
+                lo = dst[group[2] : group[3]].copy()
+                dst[slots] = lo
+                del slots
+            with build_worker(pulled > 1 and len(groups) > 1) as worker:
+                front = groups
+                if worker is not None:
+                    # The helper places the last half from the back:
+                    # row h's forward block ends where row h + 1 starts.
+                    endF = np.empty(n, dtype=np.int32)
+                    np.add(bstart[1:n], cumF[1:], out=endF[:-1])
+                    endF[-1] = 2 * m
+                    half = (len(groups) + 1) // 2
+                    front, back = groups[:half], groups[half:]
 
-                def group(key: np.ndarray):
-                    """Start grouping ``key`` on the worker, or defer it."""
-                    args = (
-                        key,
-                        np.empty(len(key), dtype=np.int64),
-                        np.empty(len(key), dtype=bool),
-                    )
-                    if worker is None:
-                        return partial(_forward_runs, *args)
-                    return worker.submit(_forward_runs, *args).result
+                    def place_back() -> None:
+                        for group in reversed(back):
+                            pairs = _group_pairs(dst, group, bstart, cumF)
+                            _place_back(dst, group, *pairs, endF)
 
-                runs = group(kept[-1][0])
-                while kept:
-                    lo, hi = kept.pop()
-                    c = len(lo)
-                    back = np.arange(base, base + c, dtype=np.int32)
-                    back += cumF[hi]
-                    dst[back] = lo
-                    del back
-                    grouped = runs()
-                    if kept:  # group the next chunk while this one is placed
-                        runs = group(kept[-1][0])
-                    dst[_forward_slots(lo, grouped, startF, occF)] = hi
-                    base += c
-                    del lo, hi, grouped  # free the chunk before the next one
-            del cumF, startF, occF
+                    back_done = worker.submit(place_back)
+                for group in front:
+                    if group[2]:  # group 0's pairs are in hand from the move
+                        lo, row = _group_pairs(dst, group, bstart, cumF)
+                    _place_front(dst, group, lo, row, startF)
+                if worker is not None:
+                    back_done.result()
         self.dst, self.deg = dst, deg
         return self
 

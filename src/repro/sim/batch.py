@@ -29,7 +29,8 @@ sequential calls:
   memory, not ``len(seeds)`` of each (at 10^7 the graph itself also
   builds in bounded transient memory: the v2 sampler feeds its pair
   chunks through :meth:`GraphArrays.from_distinct_pair_chunks`, which
-  keeps them as int32 pairs instead of buffering int64 ones -- see
+  keeps only their int32 ``lo`` column, in the buffer that becomes
+  ``dst``, instead of buffering int64 pairs -- see
   docs/performance.md, "Scaling to 10^7").
   With ``n_jobs`` workers, seed chunks fan out over the one worker pool
   (:class:`repro.pool.WorkerPool`) with a bounded in-flight window;

@@ -56,7 +56,7 @@ is made by :func:`repro.sim.batch.run_planned_trial` when a plan asks for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from ..core import schedule
 from ..graphs.csr import GraphArrays
 from .array_result import ArrayRunResult, resolve_dtype_kind
 from .errors import MaxRoundsExceededError
-from .phase_loop import _FLAG_BITS, PhaseLoop, _select, announced
+from .phase_loop import _FLAG_BITS, PhaseLoop, _select, announced, row_blocks
 from .rng import (
     DEFAULT_STREAM,
     draw_u64_array,
@@ -162,7 +162,7 @@ PHASED_ALGORITHMS = tuple(
 SUPPORTED_ALGORITHMS = tuple(ENGINE_CAPABILITIES)
 
 #: A row read replaces the boolean pass over a call's rows when the picked
-#: rows hold less than one entry in this many (see :func:`_row_entries`).
+#: rows hold less than one entry in this many (see :func:`_row_entry_blocks`).
 _ROW_READ_SHARE = 4
 
 #: A recursion call of at most this many participants, whose rows hold at
@@ -424,7 +424,7 @@ class VectorizedEngine:
         # O(n) zero-fills per call; see _subgraph and Part 4).
         self._sub_mask = scratch.take("sub_mask", n, bool, fill=False)
         self._nbr_mask = scratch.take("nbr_mask", n, bool, fill=False)
-        # Global-to-local node index map for sub-call degrees and the
+        # Global-to-local node index map for the scalar kernel and the
         # greedy base cases (set-before-use only: each user writes its own
         # participants before reading, so stale entries are never observed).
         self._local_index = scratch.take("local_index", n, np.int32)
@@ -512,16 +512,16 @@ class VectorizedEngine:
 
         # Part 4 -- synchronization and elimination: the MIS members'
         # rows name every node with an MIS neighbor.  The flag mask
-        # borrows one shared buffer (set, read, clear by the same
-        # indices) instead of zeroing a fresh O(n) array per call.
+        # borrows one shared buffer (set, read, cleared over U) instead
+        # of zeroing a fresh O(n) array per call.
         r1 = r + 1 + self._durations[k - 1]
         self.awake[U] += 1
         status = self.in_mis[U]
-        heads = _row_entries(status == 1, deg_in, de)
         has_mis_nbr = self._nbr_mask
-        has_mis_nbr[heads] = True
+        for _, heads in _row_entry_blocks(status == 1, deg_in, de):
+            has_mis_nbr[heads] = True
         elim = _select(U, (status == -1) & has_mis_nbr[U])
-        has_mis_nbr[heads] = False
+        has_mis_nbr[U] = False  # every row entry lies in U
         if len(elim):
             self._decide(elim, False, r1 + 1)
 
@@ -565,18 +565,37 @@ class VectorizedEngine:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``G[S]`` as CSR rows ``(deg_S, de_S)``, for ``S = U[pick]``.
 
-        The rows of ``S``, keeping the entries inside ``S``.  ``G[S]`` is
-        symmetric, so a row's length is how often its node appears among
-        the kept entries: one ``bincount`` through the local index map.
+        The rows of ``S``, keeping the entries inside ``S``, filtered a
+        row block at a time (:func:`_row_entry_blocks`); a row's length
+        is its kept count.  Every picked row is nonempty (Part 2 decided
+        the nodes with none), so each row is one ``reduceat`` segment of
+        the keep mask.  Past one block, ``de_S`` grows in place, so
+        beyond it only one block's masks and entries are in flight.
         """
-        entries = _row_entries(pick, deg_in, de)
         inS = self._sub_mask
         inS[S] = True
-        kept = _select(entries, inS[entries])
+        counts = []
+        de_S = None
+        w = 0
+        for lens, entries in _row_entry_blocks(pick, deg_in, de):
+            keep = inS[entries]
+            kept = _select(entries, keep)
+            del entries
+            starts = lens.cumsum()
+            starts -= lens
+            # Summing int64 copies beats reduceat's own cast from bool.
+            counts.append(np.add.reduceat(keep.astype(np.int64), starts))
+            del keep, starts
+            if de_S is None:
+                de_S = kept
+            else:  # no view of de_S exists yet, so it may grow in place
+                de_S.resize(w + len(kept), refcheck=False)
+                de_S[w:] = kept
+            w += len(kept)
+            del kept
         inS[S] = False
-        local = self._local_index
-        local[S] = np.arange(len(S), dtype=np.int32)
-        return np.bincount(local[kept], minlength=len(S)), kept
+        deg_S = counts[0] if len(counts) == 1 else np.concatenate(counts)
+        return deg_S, de_S
 
     def _decide(self, nodes: np.ndarray, value: bool, clock: int) -> None:
         """Fix ``inMIS`` for ``nodes`` at wall-clock ``clock``, exactly once."""
@@ -1030,24 +1049,49 @@ class _ScalarBase:
             engine._ctr[U] = self.ctr
 
 
-def _row_entries(
+def _row_entry_blocks(
     pick: np.ndarray, deg_in: np.ndarray, de: np.ndarray
-) -> np.ndarray:
-    """The concatenated rows of the picked nodes of a call's CSR rows.
+) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
+    """The concatenated rows of the picked nodes of a call's CSR rows,
+    in row blocks of about ``EDGE_BLOCK`` entries
+    (:func:`repro.sim.phase_loop.row_blocks`).
 
-    When the picked rows hold a large share of the entries, one boolean
-    pass over ``de`` keeps them.  When they hold few, only those rows are
+    Gives ``(lens, entries)`` per block, in row order: the block's
+    picked rows' lengths and their entries.  When the picked rows hold a
+    large share of the entries, one boolean pass over each block of the
+    call's rows keeps them.  When they hold few, only those rows are
     read: their entry positions are built from the row starts, so the
-    cost follows the rows read, not the call's size.
+    cost follows the rows read, not the call's size.  A call that fits
+    in one block does the work of an unblocked pass.
     """
     lens = _select(deg_in, pick)
     total = int(lens.sum())
     if _ROW_READ_SHARE * total >= len(de):
-        return de[np.repeat(pick, deg_in)]
+        blocks = row_blocks(deg_in, len(de))
+        if len(blocks) == 1:
+            return [(lens, de[pick.repeat(deg_in)])]
+        return (
+            (
+                _select(deg_in[b0:b1], pick[b0:b1]),
+                de[e0:e1][pick[b0:b1].repeat(deg_in[b0:b1])],
+            )
+            for b0, b1, e0, e1 in blocks
+        )
     ends = _select(np.cumsum(deg_in, dtype=np.int32), pick)
-    # Entry j of picked row i sits at ends[i] - lens[i] + j; subtracting
-    # the rows' output offsets turns a flat arange into those positions.
-    out_ends = np.cumsum(lens, dtype=np.int32)
-    positions = np.repeat(ends - out_ends, lens)
-    positions += np.arange(total, dtype=np.int32)
-    return de[positions]
+    return (
+        (lens[b0:b1], de[_row_positions(ends[b0:b1], lens[b0:b1])])
+        for b0, b1, _, _ in row_blocks(lens, total)
+    )
+
+
+def _row_positions(ends: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The entry positions of rows of lengths ``lens`` ending at
+    ``ends``, concatenated.
+
+    Entry ``j`` of row ``i`` sits at ``ends[i] - lens[i] + j``;
+    subtracting the rows' offsets in the output turns a flat arange into
+    those positions.
+    """
+    positions = np.repeat(ends - np.cumsum(lens, dtype=np.int32), lens)
+    positions += np.arange(len(positions), dtype=np.int32)
+    return positions

@@ -276,22 +276,25 @@ class TestChunkedCsrBuild:
         """The chunked CSR build must hold chunk-sized (plus O(n)
         node-array) transients, never pair-count-sized ones.
 
-        A dense ~10^6-edge family forced through tiny chunks: with
-        ~2x10^3 pairs in flight at a time, the peak traced memory above
-        the persistent CSR arrays has to stay orders of magnitude below
-        the ~50 MB a build from the whole buffered pair list transiently
-        holds for this graph (pair buffers, composite keys, argsort).  The
-        kept int32 chunks (8 bytes per pair, 4 per directed edge) are the
-        one graph-sized transient: the pass keeps them until the scatter
-        into ``dst``.  The documented bound (docs/performance.md,
-        "Scaling to 10^7"): those chunks plus O(n) node arrays plus ~64
-        bytes per in-flight pair.
+        A dense ~10^6-edge family forced through tiny chunks and row
+        groups: with ~2x10^3 pairs in flight at a time, the peak traced
+        memory above the persistent CSR arrays has to stay orders of
+        magnitude below the ~50 MB a build from the whole buffered pair
+        list transiently holds for this graph (pair buffers, composite
+        keys, argsort).  The stream's ``lo`` values are kept in the
+        buffer that becomes ``dst``, so no graph-sized transient is
+        left: the documented bound (docs/performance.md, "Scaling to
+        10^7") is O(n) node arrays plus ~64 bytes per in-flight pair.
+        At the default ``CACHE_BLOCK`` the two threads' row groups hold
+        ~1.5 MB here, so the groups are cut to the chunk size too.
         """
         import repro.graphs.arrays as arrays_mod
+        import repro.graphs.csr as csr_mod
 
         n, p = 2000, 0.5  # ~10^6 undirected pairs
         chunk = 1 << 11
         monkeypatch.setattr(arrays_mod, "GNP_V2_CHUNK", chunk)
+        monkeypatch.setattr(csr_mod, "CACHE_BLOCK", chunk)
         gc.collect()
         tracemalloc.start()
         try:
@@ -303,8 +306,7 @@ class TestChunkedCsrBuild:
         # O(n) node arrays (degree splits, prefix starts, carry) plus a
         # generous multiple of the in-flight chunk temporaries.
         node_arrays = 8 * 64 * n
-        kept_chunks = 4 * ga.m
-        transient_bound = kept_chunks + node_arrays + 256 * chunk
+        transient_bound = node_arrays + 256 * chunk
         assert peak - current <= transient_bound, (
             f"streaming build transient {peak - current} exceeds "
             f"{transient_bound} (peak {peak}, persistent {current})"
@@ -397,12 +399,20 @@ class TestRunPeakPerEdge:
     nodes survive phase 0 (abi reads 10.4 at seed 2), so these pins use
     seed 0 only; :meth:`test_small_block_run_peak_per_edge` pins seeds
     0-2 with blocks small enough to measure the blocking itself.
+
+    The recursion reads its rows in the same row blocks: a call filters
+    its parent's rows block by block into a sub-call's rows that grow
+    in place, and counts their lengths from the kept entries per row.
+    Fast-sleeping measures 3.44 B/edge here (6.4 while a call filtered
+    all of its rows at once, through a bincount of the kept entries);
+    :meth:`test_small_block_recursion_peak_per_edge` pins both sleeping
+    algorithms with small blocks.
     """
 
     @pytest.mark.parametrize(
         "engine,algorithm,bytes_per_edge",
         [
-            (VectorizedEngine, "fast-sleeping", 10),
+            (VectorizedEngine, "fast-sleeping", 4),
             (PhasedVectorizedEngine, "luby", 6),
             (PhasedVectorizedEngine, "greedy", 6),
             (PhasedVectorizedEngine, "abi", 7),
@@ -460,6 +470,36 @@ class TestRunPeakPerEdge:
                 f"{peak / ga.m:.2f} bytes per directed edge in blocks of "
                 f"{phase_loop.EDGE_BLOCK} (bound {bytes_per_edge}): a "
                 f"per-edge transient is back?"
+            )
+
+    @pytest.mark.parametrize("algorithm", ["sleeping", "fast-sleeping"])
+    def test_small_block_recursion_peak_per_edge(self, monkeypatch, algorithm):
+        """The recursion with ``EDGE_BLOCK`` patched to 2^14, at engine
+        seeds 0-2: what is left beyond a block is the sub-calls' rows, a
+        quarter of the parent's per level down the left spine.  Measured
+        maxima over the three seeds: sleeping 1.58, fast-sleeping 1.57
+        B/edge (each 5.9-6.6 while a call filtered all of its rows at
+        once); the bound is under one more byte per edge."""
+        monkeypatch.setattr(phase_loop, "EDGE_BLOCK", 1 << 14)
+        ga = make_family_arrays("gnp-dense", 2000, seed=7)
+        assert ga.m > 120 * phase_loop.EDGE_BLOCK
+        ga.id_bits  # warm per-graph lazy caches outside the window
+        for seed in range(3):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                result = VectorizedEngine(
+                    ga, algorithm, seed=seed, rng="batched"
+                ).run()
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.is_valid_mis()
+            assert peak <= 2 * ga.m, (
+                f"{algorithm} run at seed {seed} traced "
+                f"{peak / ga.m:.2f} bytes per directed edge in blocks of "
+                f"{phase_loop.EDGE_BLOCK} (bound 2): a per-edge transient "
+                f"is back?"
             )
 
     def test_sleeping_recursion_peak_per_edge(self):

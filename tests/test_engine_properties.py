@@ -106,13 +106,15 @@ class TestFastForwardAccounting:
 class TestRowReads:
     """The sleeping engine's two ways of reading a call's picked CSR rows
     (one boolean pass, or positions built from the row starts) return
-    the same entries, whichever the picked share selects."""
+    the same entries, whichever the picked share selects, in one row
+    block or in many."""
 
     @pytest.mark.parametrize("share", [0.0, 0.05, 0.3, 0.9, 1.0])
     def test_row_entries_paths_agree(self, share, monkeypatch):
         import numpy as np
 
         import repro.sim.fast_engine as fe
+        import repro.sim.phase_loop as phase_loop
 
         rng = np.random.default_rng(int(100 * share))
         deg = rng.integers(0, 7, size=3000)
@@ -125,11 +127,19 @@ class TestRowReads:
             if picked
         ]
         want = np.concatenate(want) if want else np.empty(0, np.int32)
-        for row_read_share in (0, 10**9):  # always rows, always one pass
-            monkeypatch.setattr(fe, "_ROW_READ_SHARE", row_read_share)
-            got = fe._row_entries(pick, deg, de)
-            assert got.dtype == np.int32
-            np.testing.assert_array_equal(got, want)
+        want_lens = deg[pick]
+        for block in (phase_loop.EDGE_BLOCK, 64, 5):
+            monkeypatch.setattr(phase_loop, "EDGE_BLOCK", block)
+            for row_read_share in (0, 10**9):  # always rows, always one pass
+                monkeypatch.setattr(fe, "_ROW_READ_SHARE", row_read_share)
+                blocks = list(fe._row_entry_blocks(pick, deg, de))
+                if block < len(de):
+                    assert len(blocks) > 1 or not len(want)
+                got = [entries for _, entries in blocks]
+                assert all(entries.dtype == np.int32 for entries in got)
+                np.testing.assert_array_equal(np.concatenate(got), want)
+                got_lens = np.concatenate([lens for lens, _ in blocks])
+                np.testing.assert_array_equal(got_lens, want_lens)
 
     @pytest.mark.parametrize("size", [0, 5, 2047, 2048, 50_000])
     def test_select_is_boolean_indexing(self, size):

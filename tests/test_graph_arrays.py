@@ -894,7 +894,9 @@ class TestBuildThreads:
         "module,name,on_helper",
         [
             (repro.graphs.arrays, "_skip_positions", True),  # pass 1 draws
-            (repro.graphs.csr, "_forward_runs", True),  # pass 2 grouping
+            # pass 2: the helper places the last row groups' forward
+            # entries while the caller places the first ones.
+            (repro.graphs.csr, "_place_back", True),
             # The decode runs on the calling thread while the helper is
             # drawing the next chunk: the helper must still be stopped.
             (repro.graphs.arrays, "_pair_rows", False),
@@ -919,3 +921,92 @@ class TestBuildThreads:
             gnp_arrays_v2(2000, 0.5, seed=4)
         assert (calls[2] is not threading.main_thread()) == on_helper
 
+
+
+def _hi_major(pairs):
+    """``pairs`` as int64 ``(lo, hi)`` arrays in ``(hi, lo)``-lex order."""
+    pairs = sorted(((min(a, b), max(a, b)) for a, b in pairs), key=lambda p: p[::-1])
+    lo, hi = zip(*pairs)
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+
+def _gnp_pairs(n, p, seed):
+    rng = np.random.default_rng(seed)
+    return [(a, b) for b in range(n) for a in range(b) if rng.random() < p]
+
+
+#: Hand-cut chunk streams: ``(n, pairs, cuts, block)`` -- the stream
+#: is cut into chunks before each pair index in ``cuts`` (``1`` alone
+#: cuts before every pair), and ``CACHE_BLOCK`` is patched to ``block``
+#: so the stream spans several row groups.
+PLACEMENT_CASES = {
+    # K8 in (hi, lo) order: row 5's backward pairs are 10-14, so the cut
+    # at 12 splits its run across two chunks.
+    "run-split-across-chunks": (
+        8, [(a, b) for b in range(8) for a in range(b)], [12], 4,
+    ),
+    "one-pair-chunks": (8, [(a, b) for b in range(8) for a in range(b)], [1], 4),
+    # The hub is the last node: its row is the stream's last run, longer
+    # than a group, and cut across chunks; node 8 has no neighbor.
+    "last-node-row": (
+        10, [(a, 9) for a in range(8)] + [(1, 2), (3, 4), (2, 7)], [4, 9], 3,
+    ),
+    # Rows 0 and 3 hold only forward entries (every neighbor is above
+    # them); rows 1, 2, 4, 6 and 9 hold only backward ones.
+    "forward-only-rows": (
+        10,
+        [(0, h) for h in range(1, 10) if h != 3]
+        + [(3, 6), (3, 9), (5, 7), (5, 8)],
+        [5, 8],
+        2,
+    ),
+    # 11 row groups of about 30 pairs: the caller places 6, the helper 5.
+    "odd-group-count": (60, _gnp_pairs(60, 0.15, 13), [37, 101, 180], 30),
+}
+
+
+class TestInPlacePlacement:
+    """``from_distinct_pair_chunks`` builds ``dst`` in the buffer of the
+    stream's ``lo`` values: each backward entry moves from stream
+    position ``i`` to slot ``i + cumF[hi]``, the last row group first,
+    and the forward entries fill the gaps by row group, from the front
+    on the caller's thread and, with a helper, from the back on the
+    helper's.  Hand-cut streams against the argsort reference, on one
+    usable CPU and on two."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_outlives_the_build(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("case", sorted(PLACEMENT_CASES))
+    def test_placement_builds_the_reference(self, monkeypatch, case, cpus):
+        n, pairs, cuts, block = PLACEMENT_CASES[case]
+        lo, hi = _hi_major(pairs)
+        if cuts == [1]:
+            cuts = list(range(1, len(lo)))
+        bounds = [0] + cuts + [len(lo)]
+        chunks = [(lo[a:b], hi[a:b]) for a, b in zip(bounds, bounds[1:])]
+        monkeypatch.setattr(repro.graphs.csr, "CACHE_BLOCK", block)
+        TestBuildThreads._cpus(monkeypatch, cpus)
+        bstart = np.zeros(n + 1, dtype=np.int32)
+        bstart[1:] = np.cumsum(np.bincount(hi, minlength=n))
+        groups = repro.graphs.csr._row_groups(bstart)
+        assert len(groups) > 1
+        if case == "odd-group-count":
+            assert len(groups) % 2 == 1
+        placed_back = []
+        place_back = repro.graphs.csr._place_back
+
+        def counted(*args):
+            placed_back.append(args[1])
+            return place_back(*args)
+
+        monkeypatch.setattr(repro.graphs.csr, "_place_back", counted)
+        ga = GraphArrays.from_distinct_pair_chunks(n, chunks)
+        _assert_matches_reference(ga, n, lo, hi)
+        # The helper takes the later half of the groups, the last first.
+        want = groups[(len(groups) + 1) // 2 :][::-1] if cpus == 2 else []
+        assert placed_back == want

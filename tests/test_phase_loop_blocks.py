@@ -121,3 +121,23 @@ def test_small_blocks_in_a_base_case(monkeypatch, depth, rng):
         monkeypatch.setattr(phase_loop, "EDGE_BLOCK", block)
         _assert_same_columns(run(), want)
     np.testing.assert_array_equal(ga.dst, dst)
+
+
+@pytest.mark.parametrize("algorithm", ["sleeping", "fast-sleeping"])
+def test_small_blocks_in_the_recursion(monkeypatch, graph, algorithm):
+    """Each recursion call reads its parent's rows a row block at a time
+    when it filters a sub-call's rows and when it marks the MIS
+    members' neighbors: blocks of 7 and 512 entries change no column."""
+    ga = graph
+
+    def run():
+        result = VectorizedEngine(ga, algorithm, seed=3, rng="batched").run()
+        assert result.is_valid_mis()
+        return _columns(result)
+
+    dst = ga.dst.copy()
+    want = run()
+    for block in (7, 512):
+        monkeypatch.setattr(phase_loop, "EDGE_BLOCK", block)
+        _assert_same_columns(run(), want)
+    np.testing.assert_array_equal(ga.dst, dst)
