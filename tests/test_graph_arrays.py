@@ -952,7 +952,7 @@ PLACEMENT_CASES = {
         10, [(a, 9) for a in range(8)] + [(1, 2), (3, 4), (2, 7)], [4, 9], 3,
     ),
     # Rows 0 and 3 hold only forward entries (every neighbor is above
-    # them); rows 1, 2, 4, 6 and 9 hold only backward ones.
+    # them); every other row but 5 holds only backward ones.
     "forward-only-rows": (
         10,
         [(0, h) for h in range(1, 10) if h != 3]
