@@ -47,13 +47,25 @@ from .metrics import NodeStats, RunResult
 RESULT_KINDS = ("auto", "legacy", "arrays")
 
 #: Column-dtype choices accepted by ``dtype=`` throughout the package.
-#: ``"default"`` keeps the engines' native int64/float64 columns --
-#: bit-for-bit identical to every earlier release.  ``"narrow"`` stores
-#: each result column in the smallest dtype that represents its values
-#: *exactly* (int64 -> int32 when the range fits; float64 -> float32 only
-#: inside float32's exact-integer range), halving result memory at 10^8
-#: nodes.
+#: ``"default"`` keeps the engines' native columns (int64, and the
+#: round-label columns of :func:`label_dtype`) -- bit-for-bit identical
+#: to every earlier release below int64's range.  ``"narrow"`` stores
+#: each int64 column as int32 when its values fit, halving result memory
+#: at 10^8 nodes.
 DTYPE_KINDS = ("default", "narrow")
+
+def label_dtype(rounds: int) -> Any:
+    """The dtype of the round-label columns of a ``rounds``-round run.
+
+    ``sleep_rounds``, ``decision_round`` and ``finish_round`` are int64
+    while ``rounds`` fits int64.  Algorithm 1's labels grow like ``T(K) =
+    3(2^K - 1)``, which passes ``2^63 - 1`` from ``K = 62`` (n beyond
+    ~1.3x10^6); past that they are ``object`` columns of the exact Python
+    ints.  The engines read such a column out of a small per-run table,
+    so its nodes share a few thousand int objects and it still costs
+    8 B per node.
+    """
+    return np.int64 if rounds <= np.iinfo(np.int64).max else object
 
 
 def exact_sum(arr: np.ndarray) -> int:
@@ -62,19 +74,21 @@ def exact_sum(arr: np.ndarray) -> int:
     Algorithm 1's :math:`\\Theta(n^3)` schedule puts ~2^51 in every
     finish/sleep cell at n = 10^5, so a straight int64 ``.sum()`` silently
     wraps past 2^63 -- the legacy view never hits this because Python ints
-    are unbounded.  The guard costs a ``max`` and a ``min`` pass; only
-    columns that can actually overflow take the exact path.  For an
-    integer column that is two int64 sums, of the high and the low 32-bit
-    halves of each value (each half sums exactly for fewer than 2^31
-    values), combined as Python ints; a float column sums its Python
-    floats.
+    are unbounded.  An ``object`` label column (:func:`label_dtype`)
+    already holds Python ints and sums them directly.  For an integer
+    column the guard costs a ``max`` and a ``min`` pass; only columns that
+    can actually overflow take the exact path, two int64 sums of the high
+    and the low 32-bit halves of each value (each half sums exactly for
+    fewer than 2^31 values), combined as Python ints.
     """
+    if arr.dtype == object:
+        return sum(arr.tolist())
     if arr.size == 0:
         return 0
     peak = max(int(arr.max()), -int(arr.min()))
     if peak * arr.size < (1 << 62):
         return int(arr.sum())
-    if arr.dtype.kind == "i" and arr.size < (1 << 31):
+    if arr.size < (1 << 31):
         high = int((arr >> 32).sum())
         low = int((arr & 0xFFFFFFFF).sum())
         return (high << 32) + low
@@ -102,33 +116,17 @@ def resolve_dtype_kind(dtype: str) -> str:
 def narrow_column(column: np.ndarray) -> np.ndarray:
     """A copy of ``column`` in the smallest dtype holding it exactly.
 
-    The narrowing ladder mirrors the promotion ladder the engines climb
-    (int64 round labels promote to float64 past 2^63-1, see
-    ``tests/test_array_result.py``): an int64 column narrows to int32 when
-    its value range fits, and a float64 column narrows to float32 only
-    when every value survives the round trip *and* lies inside float32's
-    contiguous exact-integer range (|v| <= 2^24).  The range clause keeps
-    the rule deterministic: overflow-promoted round labels can land on
-    values like 3*2^62 that happen to round-trip through float32, but
-    whether they do depends on per-run values, so promoted columns
-    always stay float64.  Never lossy: when no narrower exact
-    representation exists the column is returned as a plain copy.
+    An int64 column narrows to int32 when its value range fits.  Every
+    other column -- the int8 tri-state ``in_mis``, and the ``object``
+    round labels past int64 (:func:`label_dtype`) -- is returned as a
+    plain copy, so narrowing is never lossy.
     """
-    dt = column.dtype
-    if dt == np.int64:
+    if column.dtype == np.int64:
         info = np.iinfo(np.int32)
         if column.size == 0 or (
             info.min <= int(column.min()) and int(column.max()) <= info.max
         ):
             return column.astype(np.int32)
-        return column.copy()
-    if dt == np.float64:
-        cast = column.astype(np.float32)
-        if np.array_equal(cast.astype(np.float64), column) and (
-            column.size == 0 or float(np.abs(column).max()) <= float(1 << 24)
-        ):
-            return cast
-        return column.copy()
     return column.copy()
 
 
@@ -328,16 +326,12 @@ class ArrayRunResult:
         ``.tolist()`` turns each column into Python numbers in one C pass,
         and the (plain, non-slots) :class:`NodeStats` dataclasses are
         built through ``__dict__``, skipping 13-kwarg ``__init__`` calls.
-        Past int64 the sleeping engines store ``finish_round`` as
-        ``float(rounds)``; the view maps it back to the exact ``rounds``,
-        as the generator engine reports it.
+        Past int64 the round labels are ``object`` columns, whose
+        ``.tolist()`` gives the exact Python ints the generator engine
+        reports.
         """
         if self._legacy is not None:
             return self._legacy
-        finish = self.finish_round.tolist()
-        if self.finish_round.dtype.kind == "f":
-            last = float(self.rounds)
-            finish = [self.rounds if f == last else f for f in finish]
         node_stats: Dict[Any, NodeStats] = {}
         outputs: Dict[Any, Optional[bool]] = {}
         cols = zip(
@@ -352,7 +346,7 @@ class ArrayRunResult:
             self.messages_received.tolist(),
             self.decision_round.tolist(),
             self.awake_at_decision.tolist(),
-            finish,
+            self.finish_round.tolist(),
             self.in_mis.tolist(),
         )
         for v, aw, slp, txr, rxr, idl, ms, bt, mr, dr, ad, fin, mis in cols:
@@ -458,9 +452,9 @@ class ArrayRunResult:
         legacy view, so converting is lossless and round-trip free.
         Columns follow the vectorized engines' dtype rule: the round-label
         columns (``sleep_rounds``, ``decision_round``, ``finish_round``)
-        hold the float64 of each exact int once ``result.rounds`` passes
-        int64, every other column is int64; ``dtype="narrow"`` then
-        narrows as the engines do (:meth:`from_columns`).
+        take :func:`label_dtype` of ``result.rounds``, every other column
+        is int64; ``dtype="narrow"`` then narrows as the engines do
+        (:meth:`from_columns`).
         """
         node_ids = sorted(result.node_stats)
         cols: Dict[str, list] = {name: [] for name in _STAT_COLUMNS}
@@ -486,15 +480,12 @@ class ArrayRunResult:
             )
             out = result.outputs.get(v)
             in_mis.append(-1 if out is None else int(bool(out)))
-        round_dtype = (
-            np.float64 if result.rounds > np.iinfo(np.int64).max else np.int64
-        )
+        labels = label_dtype(result.rounds)
         return cls.from_columns(
             borrowed={},
             fresh={
                 name: np.asarray(
-                    col,
-                    dtype=round_dtype if name in _ROUND_COLUMNS else np.int64,
+                    col, dtype=labels if name in _ROUND_COLUMNS else np.int64
                 )
                 for name, col in cols.items()
             },
@@ -524,5 +515,5 @@ _STAT_COLUMNS = (
     "finish_round",
 )
 
-#: The round-label columns, float64 past int64 (see ``from_run_result``).
+#: The round-label columns, whose dtype is :func:`label_dtype`.
 _ROUND_COLUMNS = ("sleep_rounds", "decision_round", "finish_round")

@@ -62,7 +62,7 @@ import numpy as np
 
 from ..core import schedule
 from ..graphs.csr import GraphArrays
-from .array_result import ArrayRunResult, resolve_dtype_kind
+from .array_result import ArrayRunResult, label_dtype, resolve_dtype_kind
 from .errors import MaxRoundsExceededError
 from .phase_loop import _FLAG_BITS, PhaseLoop, _select, announced, row_blocks
 from .rng import (
@@ -393,29 +393,19 @@ class VectorizedEngine:
         # derived at result build (see _stat_columns).
         self.in_mis = scratch.take("in_mis", n, np.int8, fill=-1)
         self.awake = scratch.take("awake", n, np.int64, fill=0)
-        # Round *labels* grow like T(K) = 3(2^K - 1), which leaves int64
-        # range once K = ceil(3 log2 n) passes 62 (n beyond ~1.3x10^6):
-        # there the round-valued columns (sleep spans, decision rounds)
-        # switch to float64 -- approximate at the far tail of the clock,
-        # while every *count* column (awake, tx, messages, bits) stays
-        # exact int64.  The node-averaged awake complexity -- the paper's
-        # claim -- is therefore exact at every n; only the astronomically
-        # large round labels round.  Below that depth nothing changes:
-        # int64 exactness is what the cross-engine equivalence suite pins.
-        self._round_dtype: Any = (
-            np.int64
-            if self._duration(self.depth) <= np.iinfo(np.int64).max
-            else np.float64
-        )
         self.tx = scratch.take("tx", n, np.int64, fill=0)
         self.rx = scratch.take("rx", n, np.int64, fill=0)
         self.idle = scratch.take("idle", n, np.int64, fill=0)
         self.msent = scratch.take("msent", n, np.int64, fill=0)
         self.bits = scratch.take("bits", n, np.int64, fill=0)
         self.mrecv = scratch.take("mrecv", n, np.int64, fill=0)
-        self.decision_round = scratch.take(
-            "decision_round", n, self._round_dtype, fill=-1
-        )
+        # Round *labels* grow like T(K) = 3(2^K - 1), past int64 once
+        # K = ceil(3 log2 n) reaches 62 (n beyond ~1.3x10^6).  So a decision
+        # stores an int32 id into ``_clocks``, this run's table of exact
+        # Python-int clocks, whose id 0 is the undecided ``-1``; the result
+        # reads the labels out of it (see _stat_columns).
+        self.decision_id = scratch.take("decision_id", n, np.int32, fill=0)
+        self._clocks = _ClockTable()
         self.awake_at_decision = scratch.take(
             "awake_at_decision", n, np.int64, fill=-1
         )
@@ -601,7 +591,7 @@ class VectorizedEngine:
         """Fix ``inMIS`` for ``nodes`` at wall-clock ``clock``, exactly once."""
         assert (self.in_mis[nodes] == -1).all(), "re-deciding a node"
         self.in_mis[nodes] = 1 if value else 0
-        self.decision_round[nodes] = clock
+        self.decision_id[nodes] = self._clocks[clock]
         self.awake_at_decision[nodes] = self.awake[nodes]
 
     # ------------------------------------------------------------------
@@ -638,20 +628,15 @@ class VectorizedEngine:
         decided = status != -1
         self.base_truncated[U[~decided]] = True
         # Decision rounds after the call's start r: the loop's labels
-        # plus the discovery round.
+        # plus the discovery round, all inside the window, so the clocks
+        # r + 0..max(rel) are interned once and ``rel`` indexes their ids.
         rel = (f - sent_last + 1)[decided]
         idx = U[decided]
         self.awake_at_decision[idx] = entry_awake[decided] + rel
-        if self._round_dtype is np.int64:
-            self.decision_round[idx] = rel + r
-        else:
-            # Past int64 the clocks are Python ints, stored as float64
-            # one conversion per distinct round.
-            values, inverse = np.unique(rel, return_inverse=True)
-            clocks = np.array(
-                [float(r + v) for v in values.tolist()], dtype=np.float64
-            )
-            self.decision_round[idx] = clocks[inverse]
+        if len(rel):
+            clocks = self._clocks
+            ids = [clocks[r + v] for v in range(int(rel.max()) + 1)]
+            self.decision_id[idx] = np.array(ids, dtype=np.int32)[rel]
 
     # ------------------------------------------------------------------
     # The scalar kernel: a whole small subtree on Python lists.
@@ -799,9 +784,7 @@ class VectorizedEngine:
                 idx = U
             assert (self.in_mis[idx] == -1).all(), "re-deciding a node"
             self.in_mis[idx] = status
-            self.decision_round[idx] = np.array(
-                clock_at, dtype=self._round_dtype
-            )
+            self.decision_id[idx] = list(map(self._clocks.__getitem__, clock_at))
             self.awake_at_decision[idx] = entry_awake + awake_at
         if base is not None:
             base.scatter()
@@ -821,7 +804,7 @@ class VectorizedEngine:
     # ------------------------------------------------------------------
 
     def _stat_columns(self, rounds: int) -> Dict[str, np.ndarray]:
-        """The counters the recursion never writes, as fresh columns.
+        """The columns the recursion never writes, as fresh columns.
 
         Every node is awake or asleep in each of the ``rounds`` rounds, so
         ``sleep = rounds - awake``, and every node finishes at the
@@ -829,7 +812,10 @@ class VectorizedEngine:
         greedy base's rounds A/B/C -- each of which credits exactly one
         of ``tx``/``rx``/``idle`` -- is a flag broadcast to all ``deg``
         graph neighbors: a tx round (an idle one for a port-less node)
-        sending ``deg`` 2-bit messages.
+        sending ``deg`` 2-bit messages.  The round labels are read out of
+        small tables of exact ints -- the decision clocks by id, the sleep
+        spans by awake count -- in the dtype of
+        :func:`~repro.sim.array_result.label_dtype`.
         """
         awake, deg = self.awake, self.deg
         flags = awake - self.tx
@@ -837,24 +823,20 @@ class VectorizedEngine:
         flags -= self.idle
         ported = deg > 0
         sent = deg * flags
+        labels = label_dtype(rounds)
+        top = int(awake.max()) if self.n else 0
+        spans = np.array([rounds - a for a in range(top + 1)], labels)
+        clocks = np.array(list(self._clocks), labels)
         cols = {
             "tx_rounds": self.tx + flags * ported,
             "idle_rounds": self.idle + flags * ~ported,
             "messages_sent": self.msent + sent,
-            "finish_round": np.full(self.n, rounds, self._round_dtype),
+            "sleep_rounds": spans[awake],
+            "decision_round": clocks[self.decision_id],
+            "finish_round": np.full(self.n, rounds, labels),
         }
         sent *= _FLAG_BITS
         cols["bits_sent"] = self.bits + sent
-        if self._round_dtype is np.int64:
-            cols["sleep_rounds"] = np.int64(rounds) - awake
-        else:
-            # Past int64 the column is the float64 of the exact integer
-            # ``rounds - awake``, one conversion per distinct awake count.
-            values, inverse = np.unique(awake, return_inverse=True)
-            spans = np.array(
-                [float(rounds - a) for a in values.tolist()], dtype=np.float64
-            )
-            cols["sleep_rounds"] = spans[inverse]
         return cols
 
     def _build_result(self, rounds: int) -> ArrayRunResult:
@@ -869,7 +851,6 @@ class VectorizedEngine:
                     "awake_rounds": self.awake,
                     "rx_rounds": self.rx,
                     "messages_received": self.mrecv,
-                    "decision_round": self.decision_round,
                     "awake_at_decision": self.awake_at_decision,
                 },
                 fresh=self._stat_columns(rounds),
@@ -880,6 +861,22 @@ class VectorizedEngine:
                 node_ids=self.node_ids,
                 arrays=self.arrays,
             )
+
+
+class _ClockTable(dict):
+    """One run's decision clocks, each mapped to its int32 id.
+
+    Ids count up in first-use order, so the keys in order are the id ->
+    clock table; id 0 is the ``-1`` "undecided" sentinel.  Looking up a
+    new clock interns it.
+    """
+
+    def __init__(self) -> None:
+        super().__init__({-1: 0})
+
+    def __missing__(self, clock: int) -> int:
+        self[clock] = ident = len(self)
+        return ident
 
 
 class _ScalarBase:

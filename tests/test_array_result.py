@@ -405,12 +405,14 @@ class TestExactSummation:
             np.arange(-50, 50, dtype=np.int32),
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.int32),
+            np.array([3 * (2**70 - 1), -1, 2**63, 5] * 9, dtype=object),
+            np.empty(0, dtype=object),
         ],
         ids=[
             "pm-2^62", "int64-extremes", "sentinels", "negative-large",
             "int64-min-only",
             "random-full-range", "int32-narrow", "int32-small",
-            "empty-int64", "empty-int32",
+            "empty-int64", "empty-int32", "object-past-int64", "empty-object",
         ],
     )
     def test_exact_sum_matches_python_ints(self, column):
@@ -469,15 +471,6 @@ class TestNarrowColumns:
         np.testing.assert_array_equal(narrow_column(small), small)
         big = np.array([0, 2**31], dtype=np.int64)
         assert narrow_column(big).dtype == np.int64
-        # float64 narrows only inside float32's exact-integer range.
-        exact = np.array([0.0, 0.5, 1024.0], dtype=np.float64)
-        assert narrow_column(exact).dtype == np.float32
-        # Overflow-promoted round labels stay float64 even when they land
-        # on float32-representable values (3*2^62 round-trips exactly).
-        promoted = np.array([float(3 * (2**62 - 1))], dtype=np.float64)
-        assert narrow_column(promoted).dtype == np.float64
-        inexact = np.array([0.1], dtype=np.float64)
-        assert narrow_column(inexact).dtype == np.float64
         # Other dtypes (the int8 tri-state in_mis) pass through as copies.
         tri = np.array([-1, 0, 1], dtype=np.int8)
         assert narrow_column(tri).dtype == np.int8
@@ -542,14 +535,14 @@ class TestNarrowColumns:
 
 class TestDtypePromotionBoundaries:
     """Pin the exact recursion depth at which each round-label column
-    climbs the promotion ladder (int32 -> int64 -> float64).
+    climbs the ladder int32 -> int64 -> exact Python ints.
 
     Algorithm 1's round labels grow like ``T(K) = 3(2^K - 1)``:
     ``T(29) = 1_610_612_733`` is the last duration inside int32 range,
     ``T(61) = 6_917_529_027_641_081_853`` the last inside int64 --
-    ``T(62)`` passes ``2^63 - 1`` and forces the engines' float64
-    promotion (PR 7), which ``dtype="narrow"`` generalizes downward:
-    columns take int32 exactly when their values fit, never sooner.
+    ``T(62)`` passes ``2^63 - 1``, where the label columns become
+    ``object`` arrays of exact ints (``label_dtype``).  ``dtype="narrow"``
+    takes int32 exactly when the values fit, never sooner.
     """
 
     #: (depth, dtype knob, expected round-label column dtype).
@@ -560,8 +553,8 @@ class TestDtypePromotionBoundaries:
         (30, "default", np.int64),
         (61, "narrow", np.int64),
         (61, "default", np.int64),
-        (62, "narrow", np.float64),  # T(62) > 2^63 - 1: promotion wins
-        (62, "default", np.float64),
+        (62, "narrow", object),  # T(62) > 2^63 - 1: exact ints
+        (62, "default", object),
     ]
 
     @pytest.mark.parametrize("depth,dtype,expected", CASES)
@@ -598,15 +591,14 @@ class TestDtypePromotionBoundaries:
 
 class TestFloatRegimeLegacyView:
     """Past int64 (depth >= 62) the vectorized engines keep round labels
-    as float64, but the legacy view of a vectorized run still equals the
-    generator engine's exact Python ints node for node, ``finish_round``
-    included.  ``decision_round`` and ``sleep_rounds`` are left out: on
-    the vectorized side they are float64 in this regime by design."""
+    as exact Python ints, so the legacy view of a vectorized run equals
+    the generator engine's node for node, value and type, round labels
+    included."""
 
     FIELDS = (
         "finish_round", "awake_rounds", "tx_rounds", "rx_rounds",
         "idle_rounds", "messages_sent", "bits_sent", "messages_received",
-        "awake_at_decision",
+        "awake_at_decision", "decision_round", "sleep_rounds",
     )
 
     @pytest.mark.parametrize("rng", ["pernode", "batched"])
@@ -638,9 +630,10 @@ class TestFloatRegimeLegacyView:
     def test_generator_arrays_equal_vectorized_arrays(
         self, depth, algorithm, rng, dtype
     ):
-        """``from_run_result`` packs a float-regime generator run by the
-        engines' rule: round-label columns are float64 once ``rounds``
-        passes int64, so every column matches in dtype and value."""
+        """``from_run_result`` packs a past-int64 generator run by the
+        engines' rule: round-label columns are ``object`` arrays of exact
+        ints once ``rounds`` passes int64, so every column matches in
+        dtype and value."""
         import networkx as nx
 
         for seed in range(2):
@@ -654,8 +647,9 @@ class TestFloatRegimeLegacyView:
             )
             assert vec.rounds == gen.rounds > np.iinfo(np.int64).max
             assert vec.node_ids == gen.node_ids
-            columns = self.FIELDS + ("in_mis", "sleep_rounds", "decision_round")
-            for name in columns:
+            for name in ("sleep_rounds", "decision_round", "finish_round"):
+                assert getattr(vec, name).dtype == object, (seed, name)
+            for name in self.FIELDS + ("in_mis",):
                 a, b = getattr(vec, name), getattr(gen, name)
                 assert a.dtype == b.dtype, (seed, name)
                 np.testing.assert_array_equal(a, b, err_msg=name)

@@ -134,8 +134,8 @@ def result_digest(result) -> str:
     h.update(f"{result.n}:{result.rounds}".encode())
     for name, dtype in COLUMNS:
         column = getattr(result, name)
-        # Integer-valued columns only: a float round column would be a
-        # dtype promotion these sizes must never reach.
+        # Integer-valued columns only: an object label column means the
+        # run passed int64, which these sizes must never reach.
         assert column.dtype.kind == "i", (name, column.dtype)
         h.update(name.encode())
         h.update(np.ascontiguousarray(column, dtype=dtype).tobytes())
@@ -233,20 +233,30 @@ def float_result_digest(result) -> str:
     """sha256 over ``(n, rounds)`` and every column at its own dtype.
 
     For runs deep enough that the round labels (``sleep_rounds``,
-    ``decision_round``, ``finish_round``) are float64, which
-    :func:`result_digest` refuses; the dtype is hashed too.
+    ``decision_round``, ``finish_round``) pass int64, which
+    :func:`result_digest` refuses.  Those columns hold exact Python ints
+    and are hashed at float64, the dtype the pins were first taken at:
+    the exact labels round to exactly those values.  The dtype is hashed
+    too.
     """
     h = hashlib.sha256()
     h.update(f"{result.n}:{result.rounds}".encode())
     for name, _ in COLUMNS:
-        column = np.ascontiguousarray(getattr(result, name))
+        column = getattr(result, name)
+        if name in LABEL_COLUMNS:
+            column = column.astype(np.float64)
+        column = np.ascontiguousarray(column)
         h.update(f"{name}:{column.dtype.str}".encode())
         h.update(column.tobytes())
     return h.hexdigest()
 
 
+#: The round-label columns, exact Python ints past int64.
+LABEL_COLUMNS = ("sleep_rounds", "decision_round", "finish_round")
+
 #: Depth 64 on gnp-sparse n = 300: every round label is past 2^63, so
-#: the label columns are float64.  (algorithm, sha256 of the result).
+#: the label columns are object arrays of Python ints.  (algorithm,
+#: sha256 of the result).
 FLOAT_CASES = (
     (
         "sleeping",
@@ -262,8 +272,10 @@ FLOAT_GOLDEN = dict(FLOAT_CASES)
 
 def run_float_case(algorithm):
     result = run_path_case("gnp-sparse-300", algorithm, "batched", 7, depth=64)
-    assert result.sleep_rounds.dtype == np.float64
-    assert result.decision_round.dtype == np.float64
+    for name in LABEL_COLUMNS:
+        column = getattr(result, name)
+        assert column.dtype == object, name
+        assert {type(v) for v in column.tolist()} == {int}, name
     return result
 
 

@@ -30,7 +30,7 @@ from helpers import argsort_csr
 #: including the phase loop's state for Algorithm 2's numpy base cases.
 SLEEPING_BUFFERS = (
     "in_mis", "awake", "tx", "rx", "idle", "msent", "bits",
-    "mrecv", "decision_round", "awake_at_decision", "base_truncated",
+    "mrecv", "decision_id", "awake_at_decision", "base_truncated",
     "_sub_mask", "_nbr_mask", "_local_index", "_ctr",
     "finish", "live_cnt", "_combined", "_prio_bits",
 )
