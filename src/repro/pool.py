@@ -23,15 +23,13 @@ outcome is ``("ok", value)`` or ``("error", code, message)``.
   (:mod:`repro.service.reaper`) calls :meth:`WorkerPool.request_kill` on
   running jobs past their deadline.
 
-The pool is synchronous (threads + pipes);
-:meth:`WorkerPool.submit_async` bridges completions onto an ``asyncio``
-loop via ``call_soon_threadsafe``.  It is stdlib-only and imports
-nothing from :mod:`repro`.
+The pool is synchronous (threads + pipes): a caller blocks in
+:meth:`PoolJob.wait`, the service's connection and job threads included.
+It is stdlib-only and imports nothing from :mod:`repro`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import multiprocessing as mp
 import os
@@ -58,9 +56,8 @@ class PoolSaturated(RuntimeError):
 class PoolJob:
     """One unit of pool work -- ``fn(arg)`` -- and its eventual outcome.
 
-    ``outcome`` is ``("ok", value)`` or ``("error", code, message)``.
-    ``wait()`` blocks a synchronous caller; async callers get a future
-    from :meth:`WorkerPool.submit_async`.
+    ``outcome`` is ``("ok", value)`` or ``("error", code, message)``;
+    ``wait()`` blocks until it is set.
     """
 
     def __init__(
@@ -81,21 +78,11 @@ class PoolJob:
         self.worker: Optional["_Worker"] = None
         self.outcome: Optional[Tuple] = None
         self._done = threading.Event()
-        self._cb_lock = threading.Lock()
-        self._callbacks: List[Any] = []
 
     def expired(self, now: Optional[float] = None) -> bool:
         if self.deadline_at is None:
             return False
         return (time.monotonic() if now is None else now) >= self.deadline_at
-
-    def add_done_callback(self, callback) -> None:
-        """``callback(job)`` on completion (already-done jobs fire now)."""
-        with self._cb_lock:
-            if not self._done.is_set():
-                self._callbacks.append(callback)
-                return
-        callback(self)
 
     def wait(self, timeout: Optional[float] = None) -> Tuple:
         if not self._done.wait(timeout):
@@ -105,12 +92,8 @@ class PoolJob:
         return self.outcome
 
     def _finish(self, outcome: Tuple) -> None:
-        with self._cb_lock:
-            self.outcome = outcome
-            callbacks, self._callbacks = self._callbacks, []
-            self._done.set()
-        for callback in callbacks:
-            callback(self)
+        self.outcome = outcome
+        self._done.set()
 
 
 def _worker_main(conn) -> None:  # pragma: no cover - child process
@@ -235,26 +218,6 @@ class WorkerPool:
         job = PoolJob(f"j{next(self._ids)}", fn, arg, deadline_s)
         self._queue.put(job)
         return job
-
-    async def submit_async(
-        self,
-        fn: Callable[[Any], Any],
-        arg: Any,
-        *,
-        deadline_s: Optional[float] = None,
-    ) -> Tuple:
-        """``submit`` + await the outcome on the calling asyncio loop."""
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Tuple]" = loop.create_future()
-        job = self.submit(fn, arg, deadline_s=deadline_s)
-
-        def on_done(finished: PoolJob) -> None:
-            loop.call_soon_threadsafe(
-                lambda: future.done() or future.set_result(finished.outcome)
-            )
-
-        job.add_done_callback(on_done)
-        return await future
 
     # -- introspection / control ---------------------------------------
 

@@ -1,4 +1,4 @@
-"""MIS-as-a-service: the long-running async solve server.
+"""MIS-as-a-service: the long-running solve server.
 
 Every run in this package is deterministic given ``(RunPlan, seed)``
 (:meth:`repro.plan.RunPlan.cache_key` is the promise), which makes the
@@ -21,7 +21,8 @@ into a traffic-serving system:
 * :mod:`~repro.service.reaper` -- the deadline reaper killing runaway
   jobs;
 * :mod:`~repro.service.routes` / :mod:`~repro.service.app` -- the
-  ``/v1`` HTTP/JSON endpoints on a stdlib-``asyncio`` handler loop (no
+  ``/v1`` HTTP/JSON endpoints on the stdlib's threaded HTTP server, one
+  thread per connection blocking on the pool while a worker solves (no
   new dependencies);
 * :mod:`~repro.service.client` -- the stdlib HTTP client the CLI's
   ``--server`` thin-client mode rides.

@@ -1,47 +1,39 @@
-"""The server: one asyncio loop over stdlib streams, no new deps.
+"""The server: the stdlib's threaded HTTP server, no new deps.
 
 :class:`MISService` owns the moving parts (cache, pool, reaper, the
-async-job registry); the HTTP layer is a minimal HTTP/1.1 handler on
-``asyncio.start_server`` -- request line, headers, ``Content-Length``
-body, keep-alive -- because the API is five JSON endpoints and a
-framework would be the only new dependency in the repo.  Request
-*semantics* live in :mod:`repro.service.routes`; this module only moves
-bytes.
+async-job registry).  The HTTP layer is
+:class:`http.server.ThreadingHTTPServer`, because the API is five JSON
+endpoints and a framework would be the only new dependency in the repo.
+Each connection gets a thread that reads its requests (HTTP/1.1,
+keep-alive), calls :func:`~repro.service.routes.dispatch` and, on a
+cache miss, blocks in :meth:`repro.pool.PoolJob.wait` while a worker
+solves.  Async jobs run on daemon threads.  Request *semantics* live in
+:mod:`repro.service.routes`; this module only moves bytes.
 
 Entry points: :func:`serve` (blocking; the CLI ``serve`` subcommand) and
-:func:`start_service_thread` (background thread + own loop; tests and
-the cold-vs-warm benchmark).
+:func:`start_service_thread` (background thread; tests and the
+cold-vs-warm benchmark).
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import json
+import socket
 import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from .cache import ResultCache
 from ..pool import WorkerPool
 from .reaper import Reaper
 from .routes import dispatch
-from .schema import SERVICE_VERSION, JobStatus
+from .schema import SERVICE_VERSION, ErrorEnvelope, JobStatus
 
-#: Request bodies past this are rejected outright (a manifest of 10^4
-#: trials serializes to well under 1 MB).
+#: Request bodies past this are rejected before any of it is read (a
+#: manifest of 10^4 trials serializes to well under 1 MB).
 MAX_BODY_BYTES = 16 * 1024 * 1024
-
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    504: "Gateway Timeout",
-}
 
 
 class JobRecord:
@@ -55,13 +47,15 @@ class JobRecord:
         self.error: Optional[Dict[str, Any]] = None
 
     def complete(self, status: int, payload: bytes) -> None:
+        # ``GET /v1/jobs/{id}`` reads from another thread: the outcome is
+        # in place before the state says so.
         decoded = json.loads(payload.decode("utf-8"))
         if status == 200:
-            self.state = "done"
             self.result = decoded
+            self.state = "done"
         else:
-            self.state = "failed"
             self.error = decoded
+            self.state = "failed"
 
     def status(self) -> JobStatus:
         return JobStatus(
@@ -92,7 +86,6 @@ class MISService:
         self.jobs: Dict[str, JobRecord] = {}
         self._ids = itertools.count(1)
         self._started = time.monotonic()
-        self._tasks: set = set()
 
     def uptime_s(self) -> float:
         return time.monotonic() - self._started
@@ -102,139 +95,141 @@ class MISService:
         self.jobs[record.job_id] = record
         return record
 
-    def start_job(self, record: JobRecord, coro) -> None:
-        """Run ``coro`` (returning ``(status, body bytes)``) as ``record``."""
+    def start_job(
+        self, record: JobRecord, compute: Callable[[], Tuple[int, Any, bytes]]
+    ) -> None:
+        """Run ``compute()`` (returning a ``dispatch`` response triple) as
+        ``record`` on a daemon thread."""
         record.state = "running"
-        task = asyncio.get_running_loop().create_task(
-            self._run_job(record, coro)
-        )
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    async def _run_job(self, record: JobRecord, coro) -> None:
-        try:
-            status, payload = await coro
-        except Exception as exc:  # pragma: no cover - job-level backstop
-            record.state = "failed"
-            record.error = {
-                "error": {
-                    "code": "internal",
-                    "message": f"{type(exc).__name__}: {exc}",
-                    "detail": None,
-                },
-                "service_version": SERVICE_VERSION,
-            }
-        else:
-            record.complete(status, payload)
+        threading.Thread(
+            target=_run_job, args=(record, compute), daemon=True,
+            name=f"repro-{record.job_id}",
+        ).start()
 
     def close(self) -> None:
         self.reaper.stop()
         self.pool.close()
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """Parse one HTTP/1.1 request; ``None`` on clean EOF, ``ValueError``
-    on a malformed request."""
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    parts = request_line.decode("latin-1").strip().split()
-    if len(parts) != 3:
-        raise ValueError(f"malformed request line {request_line!r}")
-    method, target, _version = parts
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, sep, value = line.decode("latin-1").partition(":")
-        if not sep:
-            raise ValueError(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0") or "0")
-    except ValueError:
-        raise ValueError(
-            f"malformed Content-Length {headers.get('content-length')!r}"
-        ) from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise ValueError(
-            f"request body of {length} bytes exceeds the "
-            f"{MAX_BODY_BYTES}-byte limit"
-        )
-    body = await reader.readexactly(length) if length else b""
-    return method.upper(), target.split("?", 1)[0], headers, body
-
-
-def _render(
-    status: int, extra: Dict[str, str], body: bytes, keep_alive: bool
-) -> bytes:
-    head = [
-        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(body)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    head.extend(f"{name}: {value}" for name, value in extra.items())
-    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
-
-
-async def _handle_connection(
-    service: MISService,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
+def _run_job(
+    record: JobRecord, compute: Callable[[], Tuple[int, Any, bytes]]
 ) -> None:
     try:
-        while True:
-            try:
-                request = await _read_request(reader)
-            except (ValueError, asyncio.IncompleteReadError) as exc:
-                body = json.dumps(
-                    {
-                        "error": {
-                            "code": "bad_request",
-                            "message": str(exc),
-                            "detail": None,
-                        },
-                        "service_version": SERVICE_VERSION,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                ).encode("utf-8")
-                writer.write(_render(400, {}, body, keep_alive=False))
-                await writer.drain()
-                return
-            if request is None:
-                return
-            method, path, headers, body = request
-            status, extra, payload = await dispatch(
-                service, method, path, body
-            )
-            keep_alive = headers.get("connection", "").lower() != "close"
-            writer.write(_render(status, extra, payload, keep_alive))
-            await writer.drain()
-            if not keep_alive:
-                return
-    except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-        pass
-    finally:
+        status, _, payload = compute()
+    except Exception as exc:  # pragma: no cover - job-level backstop
+        status, payload = 500, ErrorEnvelope(
+            code="internal", message=f"{type(exc).__name__}: {exc}"
+        ).to_json().encode("utf-8")
+    record.complete(status, payload)
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One connection's thread: HTTP/1.1 keep-alive, every method to
+    :func:`dispatch`."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def __getattr__(self, name: str) -> Any:
+        # http.server looks up ``do_<METHOD>``: every method reaches
+        # dispatch, which answers an unknown one with a 404 envelope.
+        if name.startswith("do_"):
+            return self._handle
+        raise AttributeError(name)
+
+    def _handle(self) -> None:
+        header = self.headers.get("Content-Length") or "0"
         try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass  # pragma: no cover
+            length = int(header)
+        except ValueError:
+            self.send_error(400, f"malformed Content-Length {header!r}")
+            return
+        if length < 0 or length > MAX_BODY_BYTES:
+            self.send_error(
+                400,
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
+            return
+        body = self.rfile.read(length)
+        if len(body) < length:
+            self.send_error(
+                400, f"request body ended after {len(body)} of {length} bytes"
+            )
+            return
+        status, extra, payload = dispatch(
+            self.server.service,
+            self.command.upper(),
+            self.path.split("?", 1)[0],
+            body,
+        )
+        self._send(status, extra, payload)
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Any = None
+    ) -> None:
+        """A malformed request gets the ``bad_request`` envelope (not
+        http.server's HTML page), and the connection closes."""
+        self.close_connection = True
+        body = ErrorEnvelope(
+            code="bad_request", message=message or self.responses[code][0]
+        ).to_json().encode("utf-8")
+        self._send(400, {}, body)
+
+    def _send(self, status: int, extra: Dict[str, str], body: bytes) -> None:
+        # Status line, headers and body leave in one write.  Under Nagle
+        # a separate body write waits on the client's delayed ACK of the
+        # headers, tens of ms per keep-alive request.
+        head = [
+            f"HTTP/1.1 {status} {self.responses[status][0]}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+            f"Connection: {'close' if self.close_connection else 'keep-alive'}",
+        ]
+        head.extend(f"{name}: {value}" for name, value in extra.items())
+        self.wfile.write(
+            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+        )
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """No stderr line per request."""
 
 
-async def _start_http_server(
-    service: MISService, host: str, port: int
-) -> "asyncio.base_events.Server":
-    return await asyncio.start_server(
-        lambda reader, writer: _handle_connection(service, reader, writer),
-        host,
-        port,
-    )
+class _Server(ThreadingHTTPServer):
+    """The listening socket; connection threads reach ``service`` here."""
+
+    #: The listen backlog.  At socketserver's default of 5, a burst of
+    #: clients that each open a new connection overflows it, and every
+    #: dropped connect waits out a ~1 s SYN retransmit.
+    request_queue_size = 100
+
+    def __init__(self, service: MISService, host: str, port: int) -> None:
+        self.service = service
+        self._connections: Set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__((host, port), _Handler)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and end every open connection: a thread parked
+        on an idle keep-alive connection would otherwise go on answering
+        from a closed pool."""
+        super().server_close()
+        with self._connections_lock:
+            for request in self._connections:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client already closed it
+                    pass
 
 
 def serve(
@@ -244,23 +239,18 @@ def serve(
 ) -> None:
     """Run the service in the foreground until interrupted (CLI entry)."""
     service = MISService(**config)
-
-    async def main() -> None:
-        server = await _start_http_server(service, host, port)
-        bound = server.sockets[0].getsockname()
-        print(
-            f"repro service v{SERVICE_VERSION} listening on "
-            f"http://{bound[0]}:{bound[1]} "
-            f"(workers={service.pool.counters()['workers']}, "
-            f"max_queue={service.pool.max_queue}, "
-            f"cache={service.cache.capacity})",
-            flush=True,
-        )
-        async with server:
-            await server.serve_forever()
-
     try:
-        asyncio.run(main())
+        with _Server(service, host, port) as server:
+            bound = server.server_address
+            print(
+                f"repro service v{SERVICE_VERSION} listening on "
+                f"http://{bound[0]}:{bound[1]} "
+                f"(workers={service.pool.counters()['workers']}, "
+                f"max_queue={service.pool.max_queue}, "
+                f"cache={service.cache.capacity})",
+                flush=True,
+            )
+            server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
     finally:
@@ -278,19 +268,16 @@ class ServiceHandle:
     def __init__(
         self,
         service: MISService,
+        server: _Server,
         thread: threading.Thread,
-        loop: asyncio.AbstractEventLoop,
-        main_task: "asyncio.Task",
         host: str,
-        port: int,
     ) -> None:
         self.service = service
+        self._server = server
         self._thread = thread
-        self._loop = loop
-        self._main_task = main_task
         self.host = host
-        self.port = port
-        self.base_url = f"http://{host}:{port}"
+        self.port = server.server_address[1]
+        self.base_url = f"http://{host}:{self.port}"
 
     def __enter__(self) -> "ServiceHandle":
         return self
@@ -300,8 +287,9 @@ class ServiceHandle:
 
     def stop(self) -> None:
         if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._main_task.cancel)
+            self._server.shutdown()
             self._thread.join(timeout=5.0)
+        self._server.server_close()
         self.service.close()
 
 
@@ -312,47 +300,18 @@ def start_service_thread(
 ) -> ServiceHandle:
     """Start the service on a daemon thread; ``port=0`` picks a free port.
 
-    The server (and its event loop) lives entirely on the background
-    thread; the returned handle carries the bound ``base_url`` and a
-    thread-safe ``stop()``.
+    The socket is bound before this returns (a bind error raises here);
+    the returned handle carries the bound ``base_url`` and a thread-safe
+    ``stop()``.
     """
     service = MISService(**config)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    state: Dict[str, Any] = {}
-
-    async def main() -> None:
-        server = await _start_http_server(service, host, port)
-        state["port"] = server.sockets[0].getsockname()[1]
-        state["main_task"] = asyncio.current_task()
-        started.set()
-        try:
-            async with server:
-                await server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(main())
-        finally:
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.close()
-
-    thread = threading.Thread(target=run, daemon=True, name="repro-service")
-    thread.start()
-    if not started.wait(timeout=10.0):
+    try:
+        server = _Server(service, host, port)
+    except BaseException:
         service.close()
-        raise RuntimeError(
-            f"service failed to bind {host}:{port} within 10s"
-        )
-    return ServiceHandle(
-        service, thread, loop, state["main_task"], host, state["port"]
+        raise
+    thread = threading.Thread(
+        target=server.serve_forever, daemon=True, name="repro-service"
     )
+    thread.start()
+    return ServiceHandle(service, server, thread, host)

@@ -10,7 +10,7 @@ request grid (``solve:<cache_key>:<seed>``,
 canonical response body bytes, stored verbatim so hits bypass both the
 worker pool and re-serialization.
 
-Thread-safe: the event loop thread reads, pool-bridge callbacks write.
+Thread-safe: request threads and async-job threads both read and write.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ import time
 from typing import Any, Dict, Tuple
 
 from ..plan import RunPlan
-from ..sweeps.runner import _graph_for, _scratch, _trial_payload
+from ..sweeps.runner import _trial_payload
 from .schema import SolveResponse, Table1Response
 
 #: Environment hook for fault injection, matched against the trial key
@@ -64,13 +64,7 @@ def solve_payload(plan: RunPlan, seed: int) -> Dict[str, Any]:
     """
     from ..sim.array_result import ArrayRunResult
 
-    payload, result = _trial_payload(
-        plan,
-        seed,
-        _maybe_inject_fault,
-        lambda: _graph_for(plan, seed),
-        scratch=_scratch(),
-    )
+    payload, result = _trial_payload(plan, seed, _maybe_inject_fault)
     if isinstance(result, ArrayRunResult):
         payload["mis_size"] = int(result.mis_mask.sum())
     else:

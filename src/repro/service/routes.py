@@ -3,7 +3,10 @@
 :func:`dispatch` maps ``(method, path, body)`` to
 ``(status, extra headers, body bytes)`` -- pure request semantics, no
 socket code (that lives in :mod:`repro.service.app`, and tests can call
-``dispatch`` directly).  Invariants enforced here:
+``dispatch`` directly).  It runs on the caller's thread: a cache miss
+blocks in :meth:`repro.pool.PoolJob.wait` until a worker answers, and
+async jobs hand :meth:`MISService.start_job` a plain callable.
+Invariants enforced here:
 
 * every plan and manifest crossing the boundary is **re-validated**
   (:meth:`RunPlan.from_dict` / :meth:`SweepManifest.from_dict`) -- the
@@ -18,9 +21,9 @@ socket code (that lives in :mod:`repro.service.app`, and tests can call
 
 from __future__ import annotations
 
-import asyncio
 import json
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+import time
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from ..plan import RunPlan
 from ..pool import PoolSaturated
@@ -30,7 +33,6 @@ from .executor import payload_to_response, run_task, table1_to_response
 from .schema import (
     SERVICE_VERSION,
     ErrorEnvelope,
-    JobStatus,
     SchemaError,
     SolveRequest,
     SweepRequest,
@@ -114,35 +116,56 @@ def _plan_from(data: Any, *, require_n: bool = True) -> RunPlan:
     return plan
 
 
-async def _solve_sync(
+def _cached_run(
+    service: "MISService",
+    key: str,
+    task: Dict[str, Any],
+    deadline_s: Optional[float],
+    to_response: Callable[[Dict[str, Any]], Any],
+) -> Response:
+    """The shared cache-then-pool path: a hit returns the stored bytes;
+    a miss runs ``task`` on a worker and caches ``to_response(payload)``."""
+    cached = service.cache.get(key)
+    if cached is not None:
+        return _ok(cached, {"X-Repro-Cache": "hit"})
+    try:
+        job = service.pool.submit(run_task, task, deadline_s=deadline_s)
+    except PoolSaturated as exc:
+        return _outcome_error(("error", "backpressure", str(exc)))
+    outcome = job.wait()
+    if outcome[0] != "ok":
+        return _outcome_error(outcome)
+    body = to_response(outcome[1]).to_json().encode("utf-8")
+    service.cache.put(key, body)
+    return _ok(body, {"X-Repro-Cache": "miss"})
+
+
+def _solve(
     service: "MISService",
     plan: RunPlan,
     seed: int,
     deadline_s: Optional[float],
 ) -> Response:
-    """The shared cache-then-pool solve path (sync mode and job bodies)."""
-    key = solve_cache_key(plan.cache_key(), seed)
-    cached = service.cache.get(key)
-    if cached is not None:
-        return _ok(cached, {"X-Repro-Cache": "hit"})
-    try:
-        outcome = await service.pool.submit_async(
-            run_task,
-            {"kind": "solve", "plan": plan.to_dict(), "seed": seed},
-            deadline_s=deadline_s,
-        )
-    except PoolSaturated as exc:
-        status, headers, payload = _error("backpressure", str(exc))
-        headers["Retry-After"] = "1"
-        return status, headers, payload
-    if outcome[0] != "ok":
-        return _outcome_error(outcome)
-    body = payload_to_response(outcome[1]).to_json().encode("utf-8")
-    service.cache.put(key, body)
-    return _ok(body, {"X-Repro-Cache": "miss"})
+    """One ``(plan, seed)`` solve (sync mode and job bodies)."""
+    return _cached_run(
+        service,
+        solve_cache_key(plan.cache_key(), seed),
+        {"kind": "solve", "plan": plan.to_dict(), "seed": seed},
+        deadline_s,
+        payload_to_response,
+    )
 
 
-async def _handle_solve(service: "MISService", body: bytes) -> Response:
+def _start(
+    service: "MISService", kind: str, compute: Callable[[], Response]
+) -> Response:
+    """Run ``compute()`` as an async job; answer ``202`` with its status."""
+    record = service.new_job(kind)
+    service.start_job(record, compute)
+    return 202, {}, record.status().to_json().encode("utf-8")
+
+
+def _handle_solve(service: "MISService", body: bytes) -> Response:
     request = SolveRequest.from_dict(_parse_body(body))
     plan = _plan_from(request.plan)
     seed = request.seed
@@ -153,21 +176,16 @@ async def _handle_solve(service: "MISService", body: bytes) -> Response:
         if request.deadline_s is not None
         else service.default_deadline_s
     )
+
+    def compute() -> Response:
+        return _solve(service, plan, seed, deadline_s)
+
     if request.mode == "async":
-        record = service.new_job("solve")
-
-        async def run() -> Tuple[int, bytes]:
-            status, _, payload = await _solve_sync(
-                service, plan, seed, deadline_s
-            )
-            return status, payload
-
-        service.start_job(record, run())
-        return 202, {}, record.status().to_json().encode("utf-8")
-    return await _solve_sync(service, plan, seed, deadline_s)
+        return _start(service, "solve", compute)
+    return compute()
 
 
-async def _handle_table1(service: "MISService", body: bytes) -> Response:
+def _handle_table1(service: "MISService", body: bytes) -> Response:
     request = Table1Request.from_dict(_parse_body(body))
     plan = _plan_from(request.plan, require_n=False)
     deadline_s = (
@@ -176,48 +194,29 @@ async def _handle_table1(service: "MISService", body: bytes) -> Response:
         else service.default_deadline_s
     )
 
-    async def compute() -> Response:
-        key = table1_cache_key(
-            plan.cache_key(), request.sizes, request.trials, request.seed0
+    def compute() -> Response:
+        return _cached_run(
+            service,
+            table1_cache_key(
+                plan.cache_key(), request.sizes, request.trials, request.seed0
+            ),
+            {
+                "kind": "table1",
+                "plan": plan.to_dict(),
+                "sizes": list(request.sizes),
+                "trials": request.trials,
+                "seed0": request.seed0,
+            },
+            deadline_s,
+            table1_to_response,
         )
-        cached = service.cache.get(key)
-        if cached is not None:
-            return _ok(cached, {"X-Repro-Cache": "hit"})
-        try:
-            outcome = await service.pool.submit_async(
-                run_task,
-                {
-                    "kind": "table1",
-                    "plan": plan.to_dict(),
-                    "sizes": list(request.sizes),
-                    "trials": request.trials,
-                    "seed0": request.seed0,
-                },
-                deadline_s=deadline_s,
-            )
-        except PoolSaturated as exc:
-            response = _error("backpressure", str(exc))
-            response[1]["Retry-After"] = "1"
-            return response
-        if outcome[0] != "ok":
-            return _outcome_error(outcome)
-        body_bytes = table1_to_response(outcome[1]).to_json().encode("utf-8")
-        service.cache.put(key, body_bytes)
-        return _ok(body_bytes, {"X-Repro-Cache": "miss"})
 
     if request.mode == "async":
-        record = service.new_job("table1")
-
-        async def run() -> Tuple[int, bytes]:
-            status, _, payload = await compute()
-            return status, payload
-
-        service.start_job(record, run())
-        return 202, {}, record.status().to_json().encode("utf-8")
-    return await compute()
+        return _start(service, "table1", compute)
+    return compute()
 
 
-async def _handle_sweep(service: "MISService", body: bytes) -> Response:
+def _handle_sweep(service: "MISService", body: bytes) -> Response:
     request = SweepRequest.from_dict(_parse_body(body))
     try:
         manifest = SweepManifest.from_dict(request.manifest)
@@ -230,34 +229,33 @@ async def _handle_sweep(service: "MISService", body: bytes) -> Response:
         if request.deadline_s is not None
         else service.default_deadline_s
     )
-    record = service.new_job("sweep")
 
-    async def run() -> Tuple[int, bytes]:
+    def compute() -> Response:
         rows = []
         keys = []
         for spec in manifest:
             while True:
-                status, _, payload = await _solve_sync(
+                response = _solve(
                     service, spec.plan, spec.seed, deadline_s
                 )
-                if status != 429:
+                if response[0] != 429:
                     break
-                await asyncio.sleep(_SWEEP_RETRY_S)
-            if status != 200:
-                return status, payload
-            solved = json.loads(payload.decode("utf-8"))
+                time.sleep(_SWEEP_RETRY_S)
+            if response[0] != 200:
+                return response
+            solved = json.loads(response[2].decode("utf-8"))
             keys.append(solved["trial_key"])
             rows.append(solved["row"])
-        response = SweepResponse(
-            manifest_key=manifest.manifest_key(),
-            name=manifest.name,
-            trial_keys=tuple(keys),
-            rows=tuple(rows),
+        return _ok(
+            SweepResponse(
+                manifest_key=manifest.manifest_key(),
+                name=manifest.name,
+                trial_keys=tuple(keys),
+                rows=tuple(rows),
+            ).to_json().encode("utf-8")
         )
-        return 200, response.to_json().encode("utf-8")
 
-    service.start_job(record, run())
-    return 202, {}, record.status().to_json().encode("utf-8")
+    return _start(service, "sweep", compute)
 
 
 def _handle_job(service: "MISService", job_id: str) -> Response:
@@ -289,7 +287,7 @@ def _handle_health(service: "MISService") -> Response:
     return _ok(body)
 
 
-async def dispatch(
+def dispatch(
     service: "MISService", method: str, path: str, body: bytes
 ) -> Response:
     """Route one request; always returns a well-formed response triple."""
@@ -299,11 +297,11 @@ async def dispatch(
         if method == "GET" and path.startswith("/v1/jobs/"):
             return _handle_job(service, path[len("/v1/jobs/"):])
         if method == "POST" and path == "/v1/solve":
-            return await _handle_solve(service, body)
+            return _handle_solve(service, body)
         if method == "POST" and path == "/v1/sweep":
-            return await _handle_sweep(service, body)
+            return _handle_sweep(service, body)
         if method == "POST" and path == "/v1/table1":
-            return await _handle_table1(service, body)
+            return _handle_table1(service, body)
         return _error(
             "not_found",
             f"no route for {method} {path}; endpoints: POST /v1/solve, "

@@ -346,7 +346,7 @@ def _iter_trials_planned(
         return
     jobs = _effective_jobs(plan.n_jobs, len(seed_list))
     if jobs > 1:
-        # Lazy: sequential runs never import multiprocessing or asyncio.
+        # Lazy: sequential runs never import multiprocessing.
         from ..pool import INFLIGHT_PER_WORKER, WorkerPool
 
         done = 0

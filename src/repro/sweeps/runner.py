@@ -184,19 +184,16 @@ def _trial_payload(
     plan: RunPlan,
     seed: int,
     inject_fault: Callable[[str], None],
-    graph_for: Callable[[], Any],
-    *,
-    scratch: Any = None,
 ) -> Tuple[Dict[str, Any], Any]:
     """The artifact payload of one ``(plan, seed)`` trial, and its result.
 
     The one payload builder behind both :func:`execute_trial` (sweep
     artifacts) and :func:`repro.service.executor.solve_payload` (service
     responses), so their rows cannot drift apart.  ``inject_fault`` is the
-    caller's fault hook, handed the trial key; ``graph_for`` produces the
-    trial's graph inside the timed region (a graph-cache hit therefore
-    times no sampling); ``scratch`` is forwarded to
-    :func:`~repro.sim.batch.run_planned_trial`.
+    caller's fault hook, handed the trial key.  The graph comes from this
+    process's cache (:func:`_graph_for`) inside the timed region, so a
+    graph-cache hit times no sampling, and the trial runs on this
+    process's :func:`_scratch`.
 
     The payload embeds the serialized plan and seed (so artifacts are
     self-describing and ``check_artifacts.py`` can re-validate them),
@@ -209,8 +206,9 @@ def _trial_payload(
 
     key = trial_key(plan, seed)
     inject_fault(key)
+    scratch = _scratch()
     start = time.perf_counter()
-    result = run_planned_trial(graph_for(), plan, seed, scratch=scratch)
+    result = run_planned_trial(_graph_for(plan, seed), plan, seed, scratch=scratch)
     row = trial_from_result(result, plan.algorithm, family=plan.family, seed=seed)
     return {
         "trial_key": key,
@@ -224,13 +222,7 @@ def _trial_payload(
 def execute_trial(plan: RunPlan, seed: int) -> Dict[str, Any]:
     """Run one manifest trial; returns its result artifact payload
     (see :func:`_trial_payload`)."""
-    payload, _ = _trial_payload(
-        plan,
-        seed,
-        _maybe_inject_fault,
-        lambda: _graph_for(plan, seed),
-        scratch=_scratch(),
-    )
+    payload, _ = _trial_payload(plan, seed, _maybe_inject_fault)
     return payload
 
 

@@ -22,11 +22,18 @@ matching trial, ``sigkill:<match>`` kills its worker.
 """
 
 import concurrent.futures
+import http.client
 import json
+import os
+import socket
+import statistics
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +43,7 @@ from repro.service import (
     ServiceError,
     start_service_thread,
 )
+from repro.service.app import MAX_BODY_BYTES
 from repro.service.executor import FAULT_ENV
 from repro.sweeps import SweepManifest, execute_trial, trial_key
 
@@ -62,6 +70,23 @@ def _raw(base_url, method, path, payload=None):
 
 def _solve_body(seed, **extra):
     return {"plan": PLAN.to_dict(), "seed": seed, **extra}
+
+
+def _raw_bytes(server, request):
+    """Send ``request`` bytes on a fresh socket and read until the server
+    closes it; returns ``(status, decoded JSON body)``."""
+    with socket.create_connection(
+        (server.host, server.port), timeout=10
+    ) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +217,7 @@ class TestErrorEnvelopes:
             ),
             ("GET", "/v1/jobs/job-999999", None, 404, "not_found"),
             ("GET", "/v1/nope", None, 404, "not_found"),
+            ("PUT", "/v1/solve", {"plan": {}}, 404, "not_found"),
         ],
     )
     def test_stable_error_codes(
@@ -213,6 +239,23 @@ class TestErrorEnvelopes:
         assert envelope["error"]["code"] == code
         assert envelope["service_version"] == 1
 
+    @pytest.mark.parametrize(
+        "length",
+        [str(MAX_BODY_BYTES + 1), "abc"],
+        ids=["above-max-body", "not-an-integer"],
+    )
+    def test_bad_content_length_gets_envelope(self, server, length):
+        # No body follows: an oversize length must be refused before the
+        # server tries to read it (a read would hang until the timeout).
+        status, envelope = _raw_bytes(
+            server,
+            f"POST /v1/solve HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode("latin-1"),
+        )
+        assert status == 400
+        assert envelope["error"]["code"] == "bad_request"
+        assert envelope["service_version"] == 1
+
     def test_malformed_http_request_line(self, server):
         import socket
 
@@ -222,6 +265,113 @@ class TestErrorEnvelopes:
             sock.sendall(b"garbage\r\n\r\n")
             data = sock.recv(4096)
         assert b"400" in data.split(b"\r\n", 1)[0]
+
+
+class TestConnections:
+    def test_keep_alive_round_trips_stay_fast(self, server):
+        """One connection, the same solve 21 times (all but the first are
+        cache hits).  A response sent in two writes with Nagle on stalls
+        each exchange on the delayed ACK (~40 ms); one write takes ~0.5 ms."""
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+        body = json.dumps(_solve_body(44)).encode()
+        headers = {"Content-Type": "application/json"}
+        seconds = []
+        try:
+            for _ in range(21):
+                began = time.perf_counter()
+                conn.request("POST", "/v1/solve", body, headers)
+                response = conn.getresponse()
+                response.read()
+                seconds.append(time.perf_counter() - began)
+                assert response.status == 200
+                assert response.getheader("Connection") == "keep-alive"
+                if len(seconds) == 1:
+                    sock = conn.sock
+            assert conn.sock is sock  # never reconnected
+            conn.request(
+                "POST", "/v1/solve", body, {**headers, "Connection": "close"}
+            )
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            assert response.getheader("Connection") == "close"
+        finally:
+            conn.close()
+        assert statistics.median(seconds) < 0.020, seconds
+
+    def test_connect_bursts_are_not_dropped(self, server):
+        """16 clients opening a new connection per request: none waits
+        out a SYN retransmit (~1 s) behind a full listen backlog."""
+
+        def health(_):
+            began = time.perf_counter()
+            status, _, _ = _raw(server.base_url, "GET", "/v1/health")
+            assert status == 200
+            return time.perf_counter() - began
+
+        with concurrent.futures.ThreadPoolExecutor(16) as pool:
+            seconds = list(pool.map(health, range(320)))
+        assert max(seconds) < 0.9, sorted(seconds)[-5:]
+
+    def test_concurrent_async_jobs_each_finish_once(self, server):
+        """More request threads than cores and a short switch interval:
+        every async job gets its own id and ends ``done`` with the same
+        result as a sync solve."""
+        client = ServiceClient(server.base_url)
+        expected = client.solve(PLAN.to_dict(), seed=45).to_dict()
+
+        def submit_and_poll(_):
+            status, _, body = _raw(
+                server.base_url, "POST", "/v1/solve",
+                _solve_body(45, mode="async"),
+            )
+            assert status == 202
+            job_id = json.loads(body)["job_id"]
+            return job_id, client.wait_job(job_id, poll_s=0.001, timeout=30)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                finished = list(pool.map(submit_and_poll, range(40)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({job_id for job_id, _ in finished}) == 40
+        for _, status in finished:
+            assert status.state == "done"
+            assert status.result == expected
+
+    def test_stop_closes_open_connections(self):
+        """After ``stop()`` an open keep-alive connection is closed, not
+        answered by a thread left behind."""
+        handle = start_service_thread(workers=1)
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=10)
+        try:
+            conn.request("GET", "/v1/health")
+            assert conn.getresponse().read()
+            handle.stop()
+            with pytest.raises((ConnectionError, http.client.HTTPException)):
+                conn.request("GET", "/v1/health")
+                conn.getresponse().read()
+        finally:
+            conn.close()
+            handle.stop()
+
+    def test_service_imports_no_asyncio(self):
+        """One concurrency model: threads.  Nothing the service, the pool
+        or sweeps import pulls in ``asyncio``."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import sys, repro.service, repro.pool, repro.sweeps; "
+            "print('asyncio' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestFaults:
