@@ -442,8 +442,9 @@ def _sweep_manifest(args: argparse.Namespace):
 
 def _print_trial_table(args: argparse.Namespace, rows) -> None:
     summary = summarize(rows, args.measure)
-    algorithms = sorted({row.algorithm for row in rows})
-    families = sorted({row.family for row in rows})
+    # No rows (``--trials 0``): title the table with the requested plan.
+    algorithms = sorted({row.algorithm for row in rows}) or [args.algorithm]
+    families = sorted({row.family for row in rows}) or [args.family]
     table = Table(
         title=(
             f"{args.measure} of {', '.join(algorithms)} "
@@ -558,6 +559,13 @@ def _cmd_sweep_local(args: argparse.Namespace) -> int:
         )
         return EXIT_CONFIG
     if args.manifest is not None:
+        if args.jobs is not None and args.jobs > 1:
+            print(
+                "error: a --manifest sweep runs its trials in this process; "
+                "for --jobs workers pass --sweep-dir DIR",
+                file=sys.stderr,
+            )
+            return EXIT_CONFIG
         from .sweeps import SweepManifest, execute_trial
 
         from .analysis.complexity import Trial
@@ -567,23 +575,12 @@ def _cmd_sweep_local(args: argparse.Namespace) -> int:
             Trial(**execute_trial(spec.plan, spec.seed)["row"])
             for spec in manifest
         ]
-        _print_trial_table(args, rows)
-        return 0
-    rows = sweep(
-        sizes=args.sizes, plan=plan_from_args(args),
-        trials=args.trials, seed0=args.seed,
-    )
-    summary = summarize(rows, args.measure)
-    table = Table(
-        title=f"{args.measure} of {args.algorithm} on {args.family}",
-        headers=["n", "mean", "min", "max", "stdev"],
-    )
-    for n, row in summary.items():
-        table.add_row(
-            n, f"{row['mean']:.2f}", f"{row['min']:.2f}",
-            f"{row['max']:.2f}", f"{row['stdev']:.2f}",
+    else:
+        rows = sweep(
+            sizes=args.sizes, plan=plan_from_args(args),
+            trials=args.trials, seed0=args.seed,
         )
-    print(table.to_text())
+    _print_trial_table(args, rows)
     return 0
 
 

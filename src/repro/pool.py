@@ -26,6 +26,18 @@ outcome is ``("ok", value)`` or ``("error", code, message)``.
 The pool is synchronous (threads + pipes): a caller blocks in
 :meth:`PoolJob.wait`, the service's connection and job threads included.
 It is stdlib-only and imports nothing from :mod:`repro`.
+
+**The drain.**  The batch runner (:mod:`repro.sim.batch`) and the sweep
+driver (:mod:`repro.sweeps.runner`) fan trials out through one loop,
+:func:`drain`.  It starts a pool of ``jobs`` workers and keeps at most
+``jobs * INFLIGHT_PER_WORKER`` tasks in flight, pulling the next task
+from the caller's lazy iterator only when a slot is free (so a sweep
+never claims a trial it cannot submit); outcomes come back in
+submission order, a task that raised as its ``("error", ...)`` outcome.
+The one fall-back rule: when the pool cannot start or a worker dies,
+the drain warns once with a :class:`RuntimeWarning`, closes the pool
+and hands each task it took but did not answer back with outcome
+``None``; the caller finishes in-process whatever has no outcome.
 """
 
 from __future__ import annotations
@@ -37,10 +49,13 @@ import queue
 import signal
 import threading
 import time
+import warnings
+from collections import deque
+from contextlib import closing
 from multiprocessing.connection import wait
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-#: Jobs in flight per worker in the batch and sweep windows.  Sized from
+#: Jobs in flight per worker in the window of :func:`drain`.  Sized from
 #: ``BENCH_sweep_scaling.json``: trial execution dominates submission
 #: latency (a sweep claim is 0.1-0.6 ms of disk bookkeeping at 12 to 960
 #: trials), so two -- one running, one queued -- keep every worker fed.
@@ -369,3 +384,52 @@ class WorkerPool:
             if outcome[0] == "ok":
                 self.completed += 1
         job._finish(outcome)
+
+
+_END = object()
+
+
+def drain(
+    fn: Callable[[Any], Any],
+    tasks: Iterable[Any],
+    jobs: int,
+    remaining: Callable[[], int],
+) -> Iterator[Tuple[Any, Optional[Tuple]]]:
+    """Yield ``(task, outcome)`` of ``fn(task)`` for each of ``tasks``,
+    run on a fresh pool of ``jobs`` workers, in submission order.
+
+    See the module docstring; a fall-back warning names the
+    ``remaining()`` trials the caller will finish in-process.  Closing
+    the generator early closes the pool.
+    """
+    try:
+        pool = WorkerPool(jobs, max_queue=jobs * INFLIGHT_PER_WORKER)
+    except OSError as exc:
+        _warn_fallback(f"process pool unavailable ({exc})", remaining())
+        return
+    pending: deque = deque()  # (task, job), oldest first
+    tasks = iter(tasks)
+    with closing(pool):
+        while True:
+            if len(pending) < pool.max_queue:
+                task = next(tasks, _END)
+                if task is not _END:
+                    pending.append((task, pool.submit(fn, task)))
+                    continue
+            if not pending:
+                return
+            outcome = pending[0][1].wait()
+            if outcome[:2] == ("error", "worker_killed"):
+                break
+            yield pending.popleft()[0], outcome
+    _warn_fallback("a process pool worker died", remaining())
+    for task, _ in pending:
+        yield task, None
+
+
+def _warn_fallback(cause: str, remaining: int) -> None:
+    warnings.warn(
+        f"{cause}; running the remaining {remaining} trial(s) in-process",
+        RuntimeWarning,
+        stacklevel=3,
+    )

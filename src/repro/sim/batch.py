@@ -32,19 +32,17 @@ sequential calls:
   keeps only their int32 ``lo`` column, in the buffer that becomes
   ``dst``, instead of buffering int64 pairs -- see
   docs/performance.md, "Scaling to 10^7").
-  With ``n_jobs`` workers, seed chunks fan out over the one worker pool
-  (:class:`repro.pool.WorkerPool`) with a bounded in-flight window;
-  graphs cross process boundaries as plain adjacency dicts or as
-  :class:`GraphArrays` whose edge arrays pickle without the (lazily
-  rebuilt) adjacency dict.  If the pool cannot start (restricted
-  sandboxes) or a worker dies mid-chunk, the runner warns and runs the
-  seeds not yet yielded in-process instead of failing.
+  With ``n_jobs`` workers, seed chunks fan out through the pool drain
+  (:func:`repro.pool.drain`; its module docstring states the window and
+  the one fall-back rule); graphs cross process boundaries as plain
+  adjacency dicts or as :class:`GraphArrays` whose edge arrays pickle
+  without the (lazily rebuilt) adjacency dict.  When the drain falls
+  back, or a chunk raised, the runner re-runs the seeds it has not
+  yielded in-process, so a chunk's exception keeps its type.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections import deque
 from contextlib import closing
 from typing import (
     TYPE_CHECKING,
@@ -75,7 +73,6 @@ from .trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..plan import RunPlan
-    from ..pool import WorkerPool
 
 #: What one trial yields: the legacy dict-backed result or the
 #: struct-of-arrays result, depending on ``result=``.
@@ -346,39 +343,24 @@ def _iter_trials_planned(
         return
     jobs = _effective_jobs(plan.n_jobs, len(seed_list))
     if jobs > 1:
-        # Lazy: sequential runs never import multiprocessing.
-        from ..pool import INFLIGHT_PER_WORKER, WorkerPool
+        from ..pool import drain  # lazy: sequential runs never fork
 
         done = 0
-        failure = None
-        try:
-            pool = WorkerPool(jobs, max_queue=jobs * INFLIGHT_PER_WORKER)
-        except OSError as exc:
-            failure = f"process pool unavailable ({exc})"
-        else:
-            with closing(pool):
-                chunks = _iter_chunks(
-                    _iter_graphs(graph_factory, seed_list), plan,
-                    target=max(1, len(seed_list) // (jobs * 4) or 1),
-                )
-                for outcome in _pool_outcomes(pool, chunks):
-                    if outcome[0] != "ok":
-                        # A chunk that raised is re-run in-process below,
-                        # where its exception surfaces with its own type.
-                        if outcome[1] == "worker_killed":
-                            failure = "a process pool worker died"
-                        break
-                    done += len(outcome[1])
-                    yield from outcome[1]
-                else:
-                    return
-        if failure is not None:
-            warnings.warn(
-                f"{failure}; running the remaining "
-                f"{len(seed_list) - done} trial(s) sequentially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        chunks = _iter_chunks(
+            _iter_graphs(graph_factory, seed_list), plan,
+            target=max(1, len(seed_list) // (jobs * 4) or 1),
+        )
+        outcomes = drain(
+            _run_chunk, chunks, jobs, lambda: len(seed_list) - done
+        )
+        with closing(outcomes):
+            for _, outcome in outcomes:
+                if outcome is None or outcome[0] != "ok":
+                    # A chunk that raised is re-run in-process below,
+                    # where its exception surfaces with its own type.
+                    break
+                done += len(outcome[1])
+                yield from outcome[1]
         seed_list = seed_list[done:]
 
     engine = plan.resolved_engine
@@ -441,15 +423,3 @@ def _iter_chunks(
         chunk_seeds.append(seed)
     if chunk_seeds:
         yield chunk_graph, plan, chunk_seeds
-
-
-def _pool_outcomes(pool: "WorkerPool", chunks: Iterator[Tuple]) -> Iterator[Tuple]:
-    """Run chunks on ``pool`` with at most ``pool.max_queue`` in flight,
-    yielding each chunk's outcome in submission (= seed) order."""
-    pending: deque = deque()
-    for chunk in chunks:
-        pending.append(pool.submit(_run_chunk, chunk))
-        if len(pending) >= pool.max_queue:
-            yield pending.popleft().wait()
-    while pending:
-        yield pending.popleft().wait()

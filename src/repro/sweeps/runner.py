@@ -21,14 +21,13 @@ plan to reach a seed samples its graph.  A process also keeps one
 changes a result; a cache hit's ``wall_clock_s`` does not include
 sampling.
 
-Parallel execution (``n_jobs > 1``) fans claimed trials over the one
-worker pool (:class:`repro.pool.WorkerPool`) with a bounded in-flight
-window, the same degrade-to-sequential story as :mod:`repro.sim.batch`:
-a pool that cannot start (sandboxes) runs in-process, and a worker that
-dies mid-trial makes the driver release every in-flight claim and fall
-back to in-process execution -- nothing is lost either way, because
-un-recorded claims simply re-pend.  The workers exit when the driver
-dies, so a SIGKILLed driver leaves only its claims behind.
+Trials are claimed lazily, one at a time, by a single claim loop.
+Parallel execution (``n_jobs > 1``) hands that loop to the pool drain
+(:func:`repro.pool.drain`, whose module docstring states the window and
+the one fall-back rule); the driver releases the claims the drain hands
+back unanswered, and the same claim loop then runs in-process whatever
+is left.  The workers exit when the driver dies, so a SIGKILLed driver
+leaves only its claims behind.
 
 Fault injection (for the crash-resume test harness and the CI
 kill/resume step) is driven by the ``REPRO_SWEEP_FAULT`` environment
@@ -47,8 +46,7 @@ import os
 import signal
 import socket
 import time
-import warnings
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -331,106 +329,55 @@ def run_sweep(
         report.failed += 1
         report.errors.append(f"{key}: {message}")
 
-    jobs = 1 if n_jobs is None else n_jobs
-    degraded = False
-    if jobs > 1:
-        degraded = not _run_parallel(
-            frontier, worker, jobs, report, fault_hook,
-            out_of_budget, out_of_trials, record, record_failure,
-        )
-    if jobs == 1 or degraded:
+    def claims():
+        # Lazy: a trial is claimed only when it can run at once.
         while not out_of_budget() and not out_of_trials():
             spec = frontier.claim(worker)
             if spec is None:
-                break
+                return
             report.executed += 1
             try:
                 if fault_hook is not None:
                     fault_hook(spec)
-                payload = execute_trial(spec.plan, spec.seed)
             except Exception as exc:
                 record_failure(spec.key, f"{type(exc).__name__}: {exc}")
             else:
-                record(spec.key, payload)
+                yield spec
+
+    if n_jobs is not None and n_jobs > 1:
+        from ..pool import drain  # lazy: sequential drains never fork
+
+        tasks = (
+            (spec.key, spec.plan.to_json(), spec.seed) for spec in claims()
+        )
+        outcomes = drain(
+            _pool_execute, tasks, n_jobs,
+            lambda: report.total - frontier.done_count,
+        )
+        with closing(outcomes):
+            for (key, _, _), outcome in outcomes:
+                if outcome is None:
+                    # Unrecorded, so the trial simply re-pends and is
+                    # claimed again by the in-process loop below.
+                    frontier.release(key)
+                    report.executed -= 1
+                elif outcome[0] == "ok":
+                    record(key, outcome[1])
+                else:
+                    record_failure(key, outcome[2])
+    # In-process: every trial when sequential, and whatever the pool
+    # left unrecorded (none after a clean drain, so one empty claim).
+    for spec in claims():
+        try:
+            payload = execute_trial(spec.plan, spec.seed)
+        except Exception as exc:
+            record_failure(spec.key, f"{type(exc).__name__}: {exc}")
+        else:
+            record(spec.key, payload)
     report.budget_exhausted = out_of_budget()
     report.remaining = report.total - frontier.done_count
     report.wall_clock_s = time.monotonic() - start
     return report
-
-
-def _run_parallel(
-    frontier: TrialFrontier,
-    worker: str,
-    jobs: int,
-    report: SweepReport,
-    fault_hook: Optional[Callable[[TrialSpec], None]],
-    out_of_budget: Callable[[], bool],
-    out_of_trials: Callable[[], bool],
-    record: Callable[[str, Dict[str, Any]], None],
-    record_failure: Callable[[str, str], None],
-) -> bool:
-    """The bounded-window pool loop; ``False`` means "degrade to
-    sequential for whatever is still pending" (claims released)."""
-    from ..pool import INFLIGHT_PER_WORKER, WorkerPool  # as in sim.batch
-
-    try:
-        pool = WorkerPool(jobs, max_queue=jobs * INFLIGHT_PER_WORKER)
-    except OSError as exc:
-        warnings.warn(
-            f"process pool unavailable ({exc}); running sequentially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return False
-    pending: deque = deque()  # (key, job)
-    with closing(pool):
-        while True:
-            spec = None
-            if not out_of_budget() and not out_of_trials():
-                spec = frontier.claim(worker)
-            if spec is not None:
-                report.executed += 1
-                try:
-                    if fault_hook is not None:
-                        fault_hook(spec)
-                except Exception as exc:
-                    record_failure(spec.key, f"{type(exc).__name__}: {exc}")
-                    continue
-                pending.append(
-                    (
-                        spec.key,
-                        pool.submit(
-                            _pool_execute,
-                            (spec.key, spec.plan.to_json(), spec.seed),
-                        ),
-                    )
-                )
-                if len(pending) < pool.max_queue:
-                    continue
-            elif not pending:
-                return True
-            key, job = pending[0]
-            outcome = job.wait()
-            if outcome[:2] == ("error", "worker_killed"):
-                break
-            pending.popleft()
-            if outcome[0] == "ok":
-                record(key, outcome[1])
-            else:
-                record_failure(key, outcome[2])
-    # A worker died mid-trial.  Release the in-flight claims -- their
-    # trials were not recorded, so they simply re-pend -- and let the
-    # caller fall back to in-process execution.
-    for key, _ in pending:
-        frontier.release(key)
-        report.executed -= 1
-    warnings.warn(
-        f"a process pool worker died mid-trial; released {len(pending)} "
-        f"in-flight claim(s) and degrading to sequential execution",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return False
 
 
 def merged_rows(frontier: TrialFrontier) -> Dict[str, Dict[str, Any]]:

@@ -199,3 +199,33 @@ class TestArrayNativeFlags:
         )
         assert code == 2
         assert "graph_rng='legacy'" in capsys.readouterr().err
+
+
+class TestManifestSweep:
+    @pytest.fixture
+    def manifest_path(self, tmp_path, capsys):
+        path = str(tmp_path / "m.json")
+        assert main(
+            ["sweep", "--sizes", "12", "--trials", "2",
+             "--emit-manifest", path]
+        ) == 0
+        capsys.readouterr()
+        return path
+
+    def test_jobs_without_sweep_dir_refused(self, manifest_path, capsys):
+        """Without a frontier the manifest's trials run in this process,
+        so ``--jobs 2`` would be ignored; it is refused instead."""
+        code = main(["sweep", "--manifest", manifest_path, "--jobs", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--sweep-dir" in captured.err
+        assert captured.out == ""
+
+    def test_one_job_without_sweep_dir_runs(self, manifest_path, capsys):
+        assert main(["sweep", "--manifest", manifest_path]) == 0
+        plain = capsys.readouterr().out
+        assert main(
+            ["sweep", "--manifest", manifest_path, "--jobs", "1"]
+        ) == 0
+        assert capsys.readouterr().out == plain
+        assert "mean" in plain
